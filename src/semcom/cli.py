@@ -16,8 +16,6 @@ config and seed list reproduces output byte for byte regardless of --jobs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -112,14 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rows_to_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     t = args.t
     k_values = args.k_values if args.k_values is not None else list(range((1 << t) + 1))
@@ -128,7 +118,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for k in k_values:
         for row in closed_form_table(t, k, z_values):
             rows.append([row[c] for c in ORACLE_COLUMNS])
-    _emit(_out_dir(args), "oracle.csv", _rows_to_text(ORACLE_COLUMNS, rows))
+    _emit(_out_dir(args), "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
     return 0
 
 
@@ -144,19 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             scenario, cfg.rule_sets, cfg.architectures, cfg.strategies,
             cfg.ks, cfg.seeds, jobs=args.jobs,
         )
-        text_rows = [
-            [r.architecture, r.rule_set, r.strategy, str(r.k), str(r.seed),
-             "%.6f" % r.hdsr, "%.6f" % r.adsr]
-            for r in rows
-        ]
-        _emit(
-            out_dir,
-            "%s_per_seed.csv" % scenario.name,
-            _rows_to_text(
-                ("architecture", "rule_set", "strategy", "k", "seed", "hdsr", "adsr"),
-                text_rows,
-            ),
-        )
+        _emit(out_dir, "%s_per_seed.csv" % scenario.name, metrics.per_seed_csv(rows))
     return 0
 
 
@@ -171,13 +149,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg.ks, cfg.seeds, jobs=args.jobs,
         )
         aggregates = metrics.aggregate(rows)
-        csv_rows = [
-            [a.architecture, a.rule_set, a.strategy, str(a.k), str(a.seeds),
-             "%.6f" % a.hdsr_mean, "%.6f" % a.hdsr_std,
-             "%.6f" % a.adsr_mean, "%.6f" % a.adsr_std]
-            for a in aggregates
-        ]
-        _emit(out_dir, "%s.csv" % scenario.name, _rows_to_text(metrics.CSV_HEADER, csv_rows))
+        _emit(out_dir, "%s.csv" % scenario.name, metrics.aggregate_csv(aggregates))
         dips = metrics.monotonicity_violations(rows)
         summary.append("scenario %s: %d rows, %d aggregate cells" % (
             scenario.name, len(rows), len(aggregates)))
@@ -189,8 +161,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if 0 in cfg.ks and cfg.advantage_k in cfg.ks:
             try:
                 points.append(metrics.advantage_points(rows, cfg.advantage_k))
-            except SemcomError:
-                pass
+            except SemcomError as exc:
+                summary.append("  no advantage point for %s: %s" % (scenario.name, exc))
     if len(points) >= 3:
         r = metrics.advantage_correlation(points)
         summary.append(

@@ -1,39 +1,28 @@
 """Communication architectures: who can tell the ego about what.
 
-Three pool builders share one contract: the pool is the set of grounded
-items an ego could receive but has not already seen itself (its own FOV
-is subtracted), restricted to its vicinity ball.  The downlink then picks
+Three pool flavours share one contract: the pool is the set of entities
+an ego could receive but has not already seen itself (its own FOV is
+subtracted), restricted to its vicinity ball.  The downlink then picks
 at most k of them, by semantic value or uniformly at random.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Set, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 from .errors import ConfigurationError
-from .logic import EvidenceItem, Hypothesis, SlotMap
-from .selection import DEFAULT_ENUMERATION_CAP, KeyEngine, select_random, select_semantic
-from .world import (
-    CAR,
-    ObservationConfig,
-    ScenarioConfig,
-    WorldState,
-    fov_entities,
-    ground_entity,
-    vicinity_entities,
-)
+# The downlink choice and its strategy names live in selection, next to
+# the key; they are part of this module's public surface.
+from .selection import RANDOM, SEMANTIC, STRATEGIES, downlink
+from .world import CAR, ObservationConfig, WorldState, chebyshev
 
 SENSOR_GNA = "sensor-gna"
 SINGLE_ZONE_GNA = "single-zone-gna"
 MULTI_ZONE_LNA = "multi-zone-lna"
 
 ARCHITECTURE_KINDS = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
-
-SEMANTIC = "semantic"
-RANDOM = "random"
-
-STRATEGIES = (SEMANTIC, RANDOM)
 
 
 @dataclass(frozen=True)
@@ -57,10 +46,17 @@ def zone_of(position: Tuple[int, int], grid: int, zones: int) -> Tuple[int, int]
     return (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
 
 
-def pool_ids(
-    world: WorldState, ego_id: int, arch: Architecture, obs: ObservationConfig
-) -> Tuple[int, ...]:
-    """Entity ids the architecture can offer the ego, ascending.
+@dataclass(frozen=True)
+class EgoPools:
+    """One car's view of one world state; every id tuple is ascending."""
+
+    fov_ids: Tuple[int, ...]
+    vic_ids: Tuple[int, ...]
+    pools: Mapping[str, Tuple[int, ...]]
+
+
+def ego_pools(world: WorldState, obs: ObservationConfig, zones: int = 2) -> Dict[int, EgoPools]:
+    """FOV, vicinity and the three architecture pools of every car.
 
     sensor-gna: roadside sensing covers the ego's whole vicinity.
     single-zone-gna: every car uploads its FOV contents and announces
@@ -68,65 +64,53 @@ def pool_ids(
         vicinity.  Pedestrians carry no transmitter, so one nobody sees
         stays invisible to the assistant.
     multi-zone-lna: as single-zone, but only uploads from cars in the
-        ego's zone reach it.
+        ego's zone of the zones x zones grid reach it.
+
+    One pairwise pass fills every agent's FOV and vicinity ball.
     """
-    vic = set(vicinity_entities(world, ego_id, obs))
-    fov = set(fov_entities(world, ego_id, obs))
-    if arch.kind == SENSOR_GNA:
-        candidates = vic
-    else:
-        if arch.kind == MULTI_ZONE_LNA:
-            ego_zone = zone_of(world.agent(ego_id).position, world.grid, arch.zones)
-            uploaders = [
-                a for a in world.agents
-                if a.kind == CAR
-                and zone_of(a.position, world.grid, arch.zones) == ego_zone
-            ]
-        else:
-            uploaders = [a for a in world.agents if a.kind == CAR]
-        uploaded: Set[int] = set()
-        for a in uploaders:
-            uploaded.add(a.id)
-            uploaded.update(fov_entities(world, a.id, obs))
-        candidates = uploaded & vic
-    return tuple(sorted(candidates - fov - {ego_id}))
+    agents = world.agents
+    positions = {a.id: a.position for a in agents}
+    fov_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
+    vic_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
+    for a, b in itertools.combinations(agents, 2):
+        d = chebyshev(positions[a.id], positions[b.id])
+        if d <= obs.r_vic:
+            vic_sets[a.id].add(b.id)
+            vic_sets[b.id].add(a.id)
+            if d <= obs.r_fov:
+                fov_sets[a.id].add(b.id)
+                fov_sets[b.id].add(a.id)
+    cars = [a for a in agents if a.kind == CAR]
+    zone_by_id = {a.id: zone_of(positions[a.id], world.grid, zones) for a in cars}
+    uploads_all: Set[int] = set()
+    uploads_by_zone: Dict[Tuple[int, int], Set[int]] = {}
+    for a in cars:
+        contribution = {a.id} | fov_sets[a.id]
+        uploads_all |= contribution
+        uploads_by_zone.setdefault(zone_by_id[a.id], set()).update(contribution)
 
-
-def build_pool(
-    world: WorldState,
-    ego_id: int,
-    arch: Architecture,
-    obs: ObservationConfig,
-    slot_map: SlotMap,
-    scenario: ScenarioConfig,
-) -> Tuple[EvidenceItem, ...]:
-    """Grounded candidate items, one per pool id, ascending by id."""
-    ego = world.agent(ego_id)
-    return tuple(
-        EvidenceItem(ent_id, ground_entity(world, ego, world.agent(ent_id), slot_map, scenario))
-        for ent_id in pool_ids(world, ego_id, arch, obs)
-    )
-
-
-def downlink(
-    pool: Tuple[EvidenceItem, ...],
-    hypotheses: Tuple[Hypothesis, ...],
-    k: int,
-    strategy: str,
-    T: int,
-    rng_seed: int = 0,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    engine: KeyEngine = None,
-) -> FrozenSet[EvidenceItem]:
-    """Select at most k pool items to transmit.  k=0 sends nothing."""
-    if k < 0:
-        raise ConfigurationError("k must be non-negative")
-    if k == 0 or not pool:
-        return frozenset()
-    if strategy == SEMANTIC:
-        return select_semantic(
-            pool, hypotheses, k, T, enumeration_cap=enumeration_cap, engine=engine
+    out: Dict[int, EgoPools] = {}
+    for ego in cars:
+        vic = tuple(sorted(vic_sets[ego.id]))
+        fov_set = fov_sets[ego.id]
+        zone_src = uploads_by_zone[zone_by_id[ego.id]]
+        out[ego.id] = EgoPools(
+            fov_ids=tuple(sorted(fov_set)),
+            vic_ids=vic,
+            pools={
+                SENSOR_GNA: tuple(i for i in vic if i not in fov_set),
+                SINGLE_ZONE_GNA: tuple(i for i in vic if i in uploads_all and i not in fov_set),
+                MULTI_ZONE_LNA: tuple(i for i in vic if i in zone_src and i not in fov_set),
+            },
         )
-    if strategy == RANDOM:
-        return select_random(pool, k, rng_seed)
-    raise ConfigurationError("unknown strategy %r" % strategy)
+    return out
+
+
+def pool_ids(
+    world: WorldState, ego_id: int, arch: Architecture, obs: ObservationConfig
+) -> Tuple[int, ...]:
+    """Entity ids the architecture can offer the car ego_id, ascending."""
+    try:
+        return ego_pools(world, obs, arch.zones)[ego_id].pools[arch.kind]
+    except KeyError:
+        raise ConfigurationError("no car with id %d" % ego_id) from None

@@ -33,7 +33,9 @@ run / sweep file:
     k: [0, 1, 2, 3, 4, 5]
     seeds: [1, 2, 3]
     advantage_k: 3           # optional; correlation summary for suites
-    enumeration_cap: 10000000  # optional
+
+Unknown keys are rejected at the top level of a run file, in a scenario
+and in an architecture entry.
 
 Shipped rule sets (``core``, ``extended``, ``spatial``, ``discriminative``)
 resolve from the package's data directory; anything containing a path
@@ -52,10 +54,14 @@ import yaml
 from .errors import ConfigurationError
 from .comms import ARCHITECTURE_KINDS, STRATEGIES, Architecture
 from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
-from .selection import DEFAULT_ENUMERATION_CAP
 from .world import ObservationConfig, RuleSet, ScenarioConfig, default_vocabulary
 
 SHIPPED_RULE_SETS = ("core", "extended", "spatial", "discriminative")
+
+RUN_CONFIG_KEYS = frozenset({
+    "scenario", "scenarios", "rule_sets", "architectures", "strategies", "k", "seeds",
+    "advantage_k",
+})
 
 
 def _load_yaml_text(text: str, source: str) -> Dict[str, Any]:
@@ -244,7 +250,6 @@ class RunConfig:
     ks: Tuple[int, ...]
     seeds: Tuple[int, ...]
     advantage_k: int = 3
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
         if not self.scenarios or not self.rule_sets or not self.architectures:
@@ -283,6 +288,9 @@ def load_run_config(
     seeds_override: Optional[Sequence[int]] = None,
 ) -> RunConfig:
     data = load_yaml_file(path)
+    unknown = set(data) - RUN_CONFIG_KEYS
+    if unknown:
+        raise ConfigurationError("%s: unknown keys %s" % (path, sorted(map(str, unknown))))
     base_dir = os.path.dirname(os.path.abspath(path))
     if ("scenario" in data) == ("scenarios" in data):
         raise ConfigurationError("%s: give exactly one of 'scenario' or 'scenarios'" % path)
@@ -317,7 +325,4 @@ def load_run_config(
         ks=_as_int_list(data.get("k", [0, 1, 2, 3, 4, 5]), "k"),
         seeds=seeds,
         advantage_k=_as_int(data.get("advantage_k", 3), "advantage_k"),
-        enumeration_cap=_as_int(
-            data.get("enumeration_cap", DEFAULT_ENUMERATION_CAP), "enumeration_cap"
-        ),
     )

@@ -16,34 +16,17 @@ the strategy failed to witness.
 from __future__ import annotations
 
 import csv
-import itertools
-import random
+import io
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .comms import (
-    MULTI_ZONE_LNA,
-    RANDOM,
-    SEMANTIC,
-    SENSOR_GNA,
-    SINGLE_ZONE_GNA,
-    Architecture,
-    zone_of,
-)
+from .comms import MULTI_ZONE_LNA, RANDOM, SEMANTIC, Architecture, downlink, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError
 from .logic import build_slot_map
 from .selection import KeyEngine
-from .world import (
-    CAR,
-    RuleSet,
-    ScenarioConfig,
-    chebyshev,
-    ground_entity,
-    init_world,
-    step,
-)
+from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 CSV_HEADER = (
     "architecture",
@@ -56,6 +39,8 @@ CSV_HEADER = (
     "adsr_mean",
     "adsr_std",
 )
+
+PER_SEED_HEADER = ("architecture", "rule_set", "strategy", "k", "seed", "hdsr", "adsr")
 
 
 @dataclass(frozen=True)
@@ -140,32 +125,6 @@ class Trajectory:
     views: Tuple[Mapping[int, StepView], ...]
 
 
-class _ActionTable:
-    """Memoized truth-mask to action resolution for one rule set."""
-
-    def __init__(self, rules: RuleSet):
-        self.rules = rules
-        self._priority = tuple(rules.priority_index(h.action) for h in rules.hypotheses)
-        self._actions = tuple(h.action for h in rules.hypotheses)
-        self._default_idx = rules.priority_index("Normal")
-        self._memo: Dict[int, str] = {}
-
-    def action_of(self, mask: int) -> str:
-        try:
-            return self._memo[mask]
-        except KeyError:
-            best_idx, best_action = self._default_idx, "Normal"
-            m = mask
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                if self._priority[i] < best_idx:
-                    best_idx, best_action = self._priority[i], self._actions[i]
-                m ^= low
-            self._memo[mask] = best_action
-            return best_action
-
-
 def build_trajectory(
     scenario: ScenarioConfig,
     rules: RuleSet,
@@ -184,72 +143,32 @@ def build_trajectory(
     T = scenario.vocabulary.T
     if engine is None:
         engine = KeyEngine(rules.hypotheses, T)
-    table = _ActionTable(rules)
     obs = scenario.observation
     world = init_world(scenario, seed)
     per_step: List[Dict[int, StepView]] = []
     for _ in range(scenario.steps):
-        agents = world.agents
-        positions = {a.id: a.position for a in agents}
-        fov_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
-        vic_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
-        for a, b in itertools.combinations(agents, 2):
-            d = chebyshev(positions[a.id], positions[b.id])
-            if d <= obs.r_vic:
-                vic_sets[a.id].add(b.id)
-                vic_sets[b.id].add(a.id)
-                if d <= obs.r_fov:
-                    fov_sets[a.id].add(b.id)
-                    fov_sets[b.id].add(a.id)
-        zone_by_id = {
-            a.id: zone_of(positions[a.id], world.grid, zones) for a in agents
-        }
-        uploads_all: Set[int] = set()
-        uploads_by_zone: Dict[Tuple[int, int], Set[int]] = {}
-        for a in agents:
-            if a.kind != CAR:
-                continue
-            contribution = {a.id} | fov_sets[a.id]
-            uploads_all |= contribution
-            uploads_by_zone.setdefault(zone_by_id[a.id], set()).update(contribution)
-
+        by_id = {a.id: a for a in world.agents}
         views: Dict[int, StepView] = {}
         actions: Dict[int, str] = {}
-        by_id = {a.id: a for a in agents}
-        for ego in agents:
-            if ego.kind != CAR:
-                continue
-            vic = sorted(vic_sets[ego.id])
-            fov = sorted(fov_sets[ego.id])
+        for ego_id, seen in ego_pools(world, obs, zones).items():
+            ego = by_id[ego_id]
             qbits = {
                 ent_id: ground_entity(world, ego, by_id[ent_id], slot_map, scenario).bits
-                for ent_id in vic
+                for ent_id in seen.vic_ids
             }
             fi_mask = 0
-            for ent_id in vic:
-                fi_mask |= engine.sat_mask(qbits[ent_id])
-            fi_action = table.action_of(fi_mask)
-            fov_set = fov_sets[ego.id]
-            sensor_pool = tuple(i for i in vic if i not in fov_set)
-            single_src = uploads_all
-            multi_src = uploads_by_zone.get(zone_by_id[ego.id], set())
-            single_pool = tuple(
-                i for i in vic if i in single_src and i not in fov_set
-            )
-            multi_pool = tuple(i for i in vic if i in multi_src and i not in fov_set)
-            views[ego.id] = StepView(
-                fov_ids=tuple(fov),
-                vic_ids=tuple(vic),
+            for bits in qbits.values():
+                fi_mask |= engine.sat_mask(bits)
+            fi_action = rules.action_of(fi_mask)
+            views[ego_id] = StepView(
+                fov_ids=seen.fov_ids,
+                vic_ids=seen.vic_ids,
                 qbits=qbits,
-                pools={
-                    SENSOR_GNA: sensor_pool,
-                    SINGLE_ZONE_GNA: single_pool,
-                    MULTI_ZONE_LNA: multi_pool,
-                },
+                pools=seen.pools,
                 fi_mask=fi_mask,
                 fi_action=fi_action,
             )
-            actions[ego.id] = fi_action
+            actions[ego_id] = fi_action
         per_step.append(views)
         world = step(world, actions)
     return Trajectory(
@@ -272,30 +191,20 @@ def evaluate_cell(
     strategy: str,
     k: int,
     engine: KeyEngine,
-    table: Optional[_ActionTable] = None,
 ) -> EpisodeTrace:
     """Score one (architecture, strategy, budget) cell on a trajectory.
 
     Random downlink draws are seeded per (seed, step, ego) so they are
     reproducible and shared across budgets on the same trajectory.
     """
-    if table is None:
-        table = _ActionTable(rules)
     records: List[TraceRecord] = []
     base_seed = trajectory.seed
+    seeded = strategy == RANDOM
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
             view = views[ego_id]
-            pool = view.pools[arch.kind]
-            if k <= 0 or not pool:
-                chosen: Tuple[int, ...] = ()
-            elif len(pool) <= k:
-                chosen = pool
-            elif strategy == SEMANTIC:
-                chosen = engine.select([(i, view.qbits[i]) for i in pool], k)
-            else:
-                rng = random.Random(_record_seed(base_seed, step_idx, ego_id))
-                chosen = tuple(rng.sample(pool, k))
+            rng_seed = _record_seed(base_seed, step_idx, ego_id) if seeded else 0
+            chosen = downlink(view.pools[arch.kind], view.qbits, k, strategy, engine, rng_seed)
             mask = 0
             for ent_id in view.fov_ids:
                 mask |= engine.sat_mask(view.qbits[ent_id])
@@ -308,7 +217,7 @@ def evaluate_cell(
                     fi_mask=view.fi_mask,
                     fi_action=view.fi_action,
                     strategy_mask=mask,
-                    strategy_action=table.action_of(mask),
+                    strategy_action=rules.action_of(mask),
                 )
             )
     return EpisodeTrace(n_hypotheses=trajectory.n_hypotheses, records=tuple(records))
@@ -324,13 +233,12 @@ def _run_task(
     scenario, rules, seed, architectures, strategies, ks = args
     zones = max((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), default=2)
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
-    table = _ActionTable(rules)
     trajectory = build_trajectory(scenario, rules, seed, zones=zones, engine=engine)
     rows = []
     for arch in architectures:
         for strategy in strategies:
             for k in ks:
-                trace = evaluate_cell(trajectory, rules, arch, strategy, k, engine, table)
+                trace = evaluate_cell(trajectory, rules, arch, strategy, k, engine)
                 rows.append(
                     MetricsRow(
                         architecture=arch.kind,
@@ -410,44 +318,29 @@ def aggregate(rows: Iterable[MetricsRow]) -> List[AggregateRow]:
     return out
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """CSV with "\n" line ends; floats print with six decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.6f" % v if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def aggregate_csv(aggregates: Iterable[AggregateRow]) -> str:
+    """One row per matrix cell, columns as in CSV_HEADER."""
+    return csv_text(CSV_HEADER, ([getattr(a, c) for c in CSV_HEADER] for a in aggregates))
+
+
+def per_seed_csv(rows: Iterable[MetricsRow]) -> str:
+    """One row per (cell, seed), columns as in PER_SEED_HEADER."""
+    return csv_text(PER_SEED_HEADER, ([getattr(r, c) for c in PER_SEED_HEADER] for r in rows))
+
+
 def write_csv(path: str, aggregates: Sequence[AggregateRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in aggregates:
-            writer.writerow(
-                [
-                    row.architecture,
-                    row.rule_set,
-                    row.strategy,
-                    str(row.k),
-                    str(row.seeds),
-                    "%.6f" % row.hdsr_mean,
-                    "%.6f" % row.hdsr_std,
-                    "%.6f" % row.adsr_mean,
-                    "%.6f" % row.adsr_std,
-                ]
-            )
-
-
-def per_seed_csv(path: str, rows: Sequence[MetricsRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("architecture", "rule_set", "strategy", "k", "seed", "hdsr", "adsr")
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.architecture,
-                    row.rule_set,
-                    row.strategy,
-                    str(row.k),
-                    str(row.seed),
-                    "%.6f" % row.hdsr,
-                    "%.6f" % row.adsr,
-                ]
-            )
+        fh.write(aggregate_csv(aggregates))
 
 
 def monotonicity_violations(rows: Iterable[MetricsRow]) -> List[Tuple[str, str, int, int, int]]:

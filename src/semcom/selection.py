@@ -18,12 +18,17 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
-from .logic import EvidenceItem, Hypothesis, distinct_q, hypothesis_satisfied_by
+from .logic import EvidenceItem, Hypothesis
 
 DEFAULT_ENUMERATION_CAP = 10**7
+
+SEMANTIC = "semantic"
+RANDOM = "random"
+
+STRATEGIES = (SEMANTIC, RANDOM)
 
 
 @dataclass(frozen=True)
@@ -40,29 +45,12 @@ class SelectionKey:
     K: int
     sorted_specificity_exponents: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        exps = self.sorted_specificity_exponents
-        if len(exps) != self.n_nonoverlap:
-            raise ConfigurationError("exponent list length must equal n_nonoverlap")
-        if any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
-            raise ConfigurationError("specificity exponents must be ascending")
-
     def as_tuple(self) -> Tuple[int, ...]:
         return (
             self.n_nonoverlap,
             self.K,
             *(-g for g in self.sorted_specificity_exponents),
         )
-
-
-def lex_compare(a: SelectionKey, b: SelectionKey) -> int:
-    """-1, 0, or 1 as a orders before, with, or after b."""
-    ta, tb = a.as_tuple(), b.as_tuple()
-    if ta < tb:
-        return -1
-    if ta > tb:
-        return 1
-    return 0
 
 
 class KeyEngine:
@@ -128,10 +116,17 @@ class KeyEngine:
 
         Entries must be sorted ascending by entity id; ties on kappa go
         to the first combination in id-lexicographic order, i.e. the
-        smallest sorted id tuple.
+        smallest sorted id tuple.  More than DEFAULT_ENUMERATION_CAP
+        candidate subsets raise FeasibilityError before any is scored.
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
+        n_subsets = comb(len(entries), k)
+        if n_subsets > DEFAULT_ENUMERATION_CAP:
+            raise FeasibilityError(
+                "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
+                % (len(entries), k, n_subsets, DEFAULT_ENUMERATION_CAP)
+            )
         masks = [self.sat_mask(qbits) for _, qbits in entries]
         patterns = [qbits for _, qbits in entries]
         full = self.full_mask
@@ -170,21 +165,49 @@ def comparison_key(
     subset = tuple(subset)
     if not subset:
         raise ConfigurationError("comparison key needs a non-empty subset")
-    qs = distinct_q(subset)
-    exponents = []
-    for h in hypotheses:
-        if not any(hypothesis_satisfied_by(q, h) for q in qs):
-            exponents.append(h.specificity_exponent(T))
-    exponents.sort()
-    return SelectionKey(
-        n_nonoverlap=len(exponents),
-        K=len(qs),
-        sorted_specificity_exponents=tuple(exponents),
-    )
+    return KeyEngine(hypotheses, T).key_for_patterns(it.q.bits for it in subset)
 
 
-def _sorted_by_entity(pool: Iterable[EvidenceItem]) -> List[EvidenceItem]:
-    return sorted(pool, key=lambda item: item.entity_id)
+def downlink(
+    pool: Sequence[int],
+    qbits: Mapping[int, int],
+    k: int,
+    strategy: str,
+    engine: Optional[KeyEngine],
+    rng_seed: int = 0,
+) -> Tuple[int, ...]:
+    """Ids of at most k pool entities to transmit.
+
+    The pool holds entity ids ascending and qbits maps each one to its
+    pattern.  k=0 sends nothing and a pool within budget goes whole.
+    Otherwise semantic sends the engine's kappa-lex-minimal k-subset and
+    random a uniform without-replacement sample drawn from rng_seed (the
+    engine may then be None).
+    """
+    if k < 0:
+        raise ConfigurationError("k must be non-negative")
+    if strategy not in STRATEGIES:
+        raise ConfigurationError(
+            "unknown strategy %r (choose from %s)" % (strategy, ", ".join(STRATEGIES))
+        )
+    if k == 0:
+        return ()
+    if len(pool) <= k:
+        return tuple(pool)
+    if strategy == SEMANTIC:
+        return engine.select([(i, qbits[i]) for i in pool], k)
+    return tuple(random.Random(rng_seed).sample(pool, k))
+
+
+def _by_entity(pool: Iterable[EvidenceItem], k: int) -> Dict[int, EvidenceItem]:
+    """Pool items keyed by entity id, ascending; rejects k < 1 and duplicate ids."""
+    if k < 1:
+        raise ConfigurationError("budget k must be at least 1")
+    items = sorted(pool, key=lambda item: item.entity_id)
+    by_id = {it.entity_id: it for it in items}
+    if len(by_id) != len(items):
+        raise ConfigurationError("pool contains duplicate entity ids")
+    return by_id
 
 
 def select_semantic(
@@ -192,7 +215,6 @@ def select_semantic(
     hypotheses: Sequence[Hypothesis],
     k: int,
     T: int,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     engine: Optional[KeyEngine] = None,
 ) -> FrozenSet[EvidenceItem]:
     """The kappa-lex-minimal size-k subset of the pool.
@@ -201,34 +223,17 @@ def select_semantic(
     the smallest sorted entity-id tuple, which also makes the result
     invariant under pool permutation.
     """
-    if k < 1:
-        raise ConfigurationError("budget k must be at least 1")
-    items = _sorted_by_entity(pool)
-    if len({it.entity_id for it in items}) != len(items):
-        raise ConfigurationError("pool contains duplicate entity ids")
-    if len(items) <= k:
-        return frozenset(items)
-    n_subsets = comb(len(items), k)
-    if n_subsets > enumeration_cap:
-        raise FeasibilityError(
-            "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
-            % (len(items), k, n_subsets, enumeration_cap)
-        )
+    by_id = _by_entity(pool, k)
     if engine is None:
         engine = KeyEngine(hypotheses, T)
-    chosen = engine.select([(it.entity_id, it.q.bits) for it in items], k)
-    by_id = {it.entity_id: it for it in items}
-    return frozenset(by_id[i] for i in chosen)
+    qbits = {i: it.q.bits for i, it in by_id.items()}
+    return frozenset(by_id[i] for i in downlink(tuple(by_id), qbits, k, SEMANTIC, engine))
 
 
 def select_random(
     pool: Iterable[EvidenceItem], k: int, rng_seed: int
 ) -> FrozenSet[EvidenceItem]:
     """Uniform without-replacement sample, reproducible from the seed."""
-    if k < 1:
-        raise ConfigurationError("budget k must be at least 1")
-    items = _sorted_by_entity(pool)
-    if len(items) <= k:
-        return frozenset(items)
-    rng = random.Random(rng_seed)
-    return frozenset(rng.sample(items, k))
+    by_id = _by_entity(pool, k)
+    chosen = downlink(tuple(by_id), {}, k, RANDOM, None, rng_seed)
+    return frozenset(by_id[i] for i in chosen)

@@ -50,7 +50,12 @@ class ObservationConfig:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Hypotheses plus a total action-priority order (index 0 wins)."""
+    """Hypotheses plus a total action-priority order (index 0 wins).
+
+    Truth vectors are bitmasks over the hypotheses (bit i for
+    hypotheses[i]); action_of resolves one to an action, memoized per
+    mask on the instance.
+    """
 
     name: str
     hypotheses: Tuple[Hypothesis, ...]
@@ -74,9 +79,26 @@ class RuleSet:
                 raise ConfigurationError(
                     "hypothesis %d action %r missing from priority order" % (h.id, h.action)
                 )
+        object.__setattr__(self, "_actions", {})
 
     def priority_index(self, action: str) -> int:
         return self.action_priority.index(action)
+
+    def action_of(self, mask: int) -> str:
+        """Highest-priority action among the triggered hypotheses.
+
+        Normal is always in the running, so an action ranked after it
+        never wins and no trigger at all gives Normal.
+        """
+        try:
+            return self._actions[mask]
+        except KeyError:
+            best = self.priority_index(DEFAULT_ACTION)
+            for i, h in enumerate(self.hypotheses):
+                if (mask >> i) & 1:
+                    best = min(best, self.priority_index(h.action))
+            action = self._actions[mask] = self.action_priority[best]
+            return action
 
 
 @dataclass(frozen=True)
@@ -440,15 +462,9 @@ def evaluate_hypotheses(
 
 
 def decide_action(truth_vector: Sequence[bool], rules: RuleSet) -> str:
-    """Highest-priority action among triggered hypotheses, else Normal."""
-    best = None
-    for triggered, h in zip(truth_vector, rules.hypotheses):
-        if not triggered:
-            continue
-        idx = rules.priority_index(h.action)
-        if best is None or idx < best[0]:
-            best = (idx, h.action)
-    return best[1] if best else DEFAULT_ACTION
+    """The rule set's action for a per-hypothesis truth vector."""
+    mask = sum(1 << i for i, triggered in enumerate(truth_vector) if triggered)
+    return rules.action_of(mask)
 
 
 def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:

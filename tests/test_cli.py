@@ -101,6 +101,18 @@ def test_sweep_emits_aggregate_and_summary(tmp_path, capsys):
     assert summary.strip() in stdout.strip()
 
 
+def test_sweep_summary_says_why_an_advantage_point_is_missing(tmp_path, capsys):
+    config = write_config(tmp_path, small_run(strategies=["semantic"], k=[0, 3]))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0] == "scenario mini: 4 rows, 2 aggregate cells"
+    assert summary[-1] == (
+        "  no advantage point for mini: "
+        "advantage point needs k=0 and k=3 rows for both strategies"
+    )
+
+
 def test_sweep_full_budget_grid_is_twelve_rows_per_cell(tmp_path):
     config = write_config(tmp_path, small_run(k=[0, 1, 2, 3, 4, 5], seeds=[1]))
     out = tmp_path / "out"

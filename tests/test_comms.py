@@ -1,6 +1,11 @@
 """Uplink pools per architecture and the downlink selection entry point."""
 
+import random
+from typing import Set
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcom.comms import (
     ARCHITECTURE_KINDS,
@@ -10,15 +15,15 @@ from semcom.comms import (
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
     Architecture,
-    build_pool,
     downlink,
+    ego_pools,
     pool_ids,
     zone_of,
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
-from semcom.logic import build_slot_map
-from semcom.selection import select_random
+from semcom.logic import EvidenceItem, QSentence, build_slot_map
+from semcom.selection import KeyEngine, select_random
 from semcom.world import (
     CAR,
     PEDESTRIAN,
@@ -28,7 +33,9 @@ from semcom.world import (
     WorldState,
     default_vocabulary,
     fov_entities,
+    ground_entity,
     init_world,
+    step,
     vicinity_entities,
 )
 
@@ -74,6 +81,36 @@ def cfg(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def reference_pool_ids(world, ego_id, arch, obs):
+    """Per-ego pool by definition: rescans every uploader's FOV."""
+    vic = set(vicinity_entities(world, ego_id, obs))
+    fov = set(fov_entities(world, ego_id, obs))
+    if arch.kind == SENSOR_GNA:
+        candidates = vic
+    else:
+        if arch.kind == MULTI_ZONE_LNA:
+            ego_zone = zone_of(world.agent(ego_id).position, world.grid, arch.zones)
+            uploaders = [
+                a for a in world.agents
+                if a.kind == CAR
+                and zone_of(a.position, world.grid, arch.zones) == ego_zone
+            ]
+        else:
+            uploaders = [a for a in world.agents if a.kind == CAR]
+        uploaded: Set[int] = set()
+        for a in uploaders:
+            uploaded.add(a.id)
+            uploaded.update(fov_entities(world, a.id, obs))
+        candidates = uploaded & vic
+    return tuple(sorted(candidates - fov - {ego_id}))
+
+
+def grounded(world, ego_id, ids):
+    """Pattern bits of each pool entity as the ego grounds it."""
+    ego = world.agent(ego_id)
+    return {i: ground_entity(world, ego, world.agent(i), SLOT_MAP, cfg()).bits for i in ids}
 
 
 def test_architecture_validation():
@@ -133,34 +170,61 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
     config = cfg(cars=8, pedestrians=4, observation=ObservationConfig(r_fov=4, r_vic=14))
     for seed in range(6):
         world = init_world(config, seed=seed)
-        for ego in world.agents:
-            if ego.kind != CAR:
-                continue
-            sensor = set(pool_ids(world, ego.id, arch(SENSOR_GNA), config.observation))
-            single = set(pool_ids(world, ego.id, arch(SINGLE_ZONE_GNA), config.observation))
-            multi = set(pool_ids(world, ego.id, arch(MULTI_ZONE_LNA), config.observation))
+        for ego_id, seen in ego_pools(world, config.observation).items():
+            sensor = set(seen.pools[SENSOR_GNA])
+            single = set(seen.pools[SINGLE_ZONE_GNA])
+            multi = set(seen.pools[MULTI_ZONE_LNA])
             assert multi <= single <= sensor
-            assert sensor <= set(vicinity_entities(world, ego.id, config.observation))
+            assert sensor <= set(vicinity_entities(world, ego_id, config.observation))
 
 
-def test_build_pool_grounds_in_ascending_id_order():
-    world = hand_scene()
-    pool = build_pool(world, 0, arch(SENSOR_GNA), OBS, SLOT_MAP, cfg())
-    assert [it.entity_id for it in pool] == [2, 3, 4]
-    assert all(it.q.width == VOCAB.T for it in pool)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    cars=st.integers(min_value=1, max_value=12),
+    pedestrians=st.integers(min_value=0, max_value=8),
+    r_fov=st.integers(min_value=1, max_value=6),
+    extra_vic=st.integers(min_value=0, max_value=12),
+    zones=st.integers(min_value=1, max_value=3),
+    steps=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_ego_pools_match_the_per_ego_reference(
+    seed, cars, pedestrians, r_fov, extra_vic, zones, steps
+):
+    obs = ObservationConfig(r_fov=r_fov, r_vic=r_fov + extra_vic)
+    world = init_world(cfg(cars=cars, pedestrians=pedestrians, observation=obs), seed=seed)
+    rng = random.Random(seed)
+    for _ in range(steps):
+        world = step(world, {a.id: rng.choice(("Stop", "Slow", "Normal", "Fast"))
+                             for a in world.agents if a.kind == CAR})
+    seen = ego_pools(world, obs, zones)
+    assert sorted(seen) == [a.id for a in world.agents if a.kind == CAR]
+    for ego_id, view in seen.items():
+        assert view.fov_ids == fov_entities(world, ego_id, obs)
+        assert view.vic_ids == vicinity_entities(world, ego_id, obs)
+        for kind in ARCHITECTURE_KINDS:
+            expected = reference_pool_ids(world, ego_id, arch(kind, zones), obs)
+            assert view.pools[kind] == expected
+
+
+def test_pool_ids_rejects_a_walker_ego():
+    with pytest.raises(ConfigurationError):
+        pool_ids(hand_scene(), 3, arch(SENSOR_GNA), OBS)
 
 
 def test_downlink_budget_edges():
     world = hand_scene()
     rules = load_rule_set("core", VOCAB)
-    pool = build_pool(world, 0, arch(SENSOR_GNA), OBS, SLOT_MAP, cfg())
-    assert downlink(pool, rules.hypotheses, 0, SEMANTIC, VOCAB.T) == frozenset()
-    assert downlink(pool, rules.hypotheses, 9, SEMANTIC, VOCAB.T) == frozenset(pool)
-    assert downlink((), rules.hypotheses, 2, RANDOM, VOCAB.T) == frozenset()
+    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    qbits = grounded(world, 0, pool)
+    assert downlink(pool, qbits, 0, SEMANTIC, engine) == ()
+    assert downlink(pool, qbits, 9, SEMANTIC, engine) == pool
+    assert downlink((), {}, 2, RANDOM, None) == ()
     with pytest.raises(ConfigurationError):
-        downlink(pool, rules.hypotheses, -1, SEMANTIC, VOCAB.T)
+        downlink(pool, qbits, -1, SEMANTIC, engine)
     with pytest.raises(ConfigurationError):
-        downlink(pool, rules.hypotheses, 1, "greedy", VOCAB.T)
+        downlink(pool, qbits, 1, "greedy", engine)
 
 
 def test_walker_near_crossing_wins_the_single_slot():
@@ -176,16 +240,18 @@ def test_walker_near_crossing_wins_the_single_slot():
         intersections=frozenset({(10, 16)}),
     )
     rules = load_rule_set("core", VOCAB)
-    pool = build_pool(world, 0, arch(SENSOR_GNA), OBS, SLOT_MAP, cfg())
-    assert [it.entity_id for it in pool] == [1, 2, 3]
-    chosen = downlink(pool, rules.hypotheses, 1, SEMANTIC, VOCAB.T)
-    assert {it.entity_id for it in chosen} == {3}
+    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    assert pool == (1, 2, 3)
+    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    assert downlink(pool, grounded(world, 0, pool), 1, SEMANTIC, engine) == (3,)
 
 
 def test_random_downlink_delegates_to_the_seeded_sampler():
     world = hand_scene()
-    rules = load_rule_set("core", VOCAB)
-    pool = build_pool(world, 0, arch(SENSOR_GNA), OBS, SLOT_MAP, cfg())
+    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    qbits = grounded(world, 0, pool)
+    items = [EvidenceItem(i, QSentence(bits, VOCAB.T)) for i, bits in qbits.items()]
     for seed in (0, 7, 123):
-        assert downlink(pool, rules.hypotheses, 2, RANDOM, VOCAB.T, rng_seed=seed) == \
-            select_random(pool, 2, rng_seed=seed)
+        chosen = downlink(pool, qbits, 2, RANDOM, None, rng_seed=seed)
+        assert chosen == tuple(random.Random(seed).sample(pool, 2))
+        assert {it.entity_id for it in select_random(items, 2, rng_seed=seed)} == set(chosen)

@@ -225,6 +225,14 @@ def test_run_rejects_bad_strategy_and_budgets(tmp_path):
         load_run_config(write_run(tmp_path, run_doc(seeds=[1, 1])))
 
 
+def test_run_rejects_unknown_top_level_keys(tmp_path):
+    # a misspelt key must not silently fall back to the defaults, and the
+    # retired enumeration_cap knob must not be silently ignored
+    doc = run_doc(stratgies=["semantic"], enumeration_cap=10)
+    with pytest.raises(ConfigurationError, match=r"\['enumeration_cap', 'stratgies'\]"):
+        load_run_config(write_run(tmp_path, doc))
+
+
 def test_multi_scenario_runs_share_a_vocabulary(tmp_path):
     doc = run_doc()
     del doc["scenario"]

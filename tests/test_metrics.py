@@ -315,10 +315,8 @@ def test_csv_bytes_are_pinned(tmp_path):
     assert out.read_bytes() == expected.encode("ascii")
 
 
-def test_per_seed_csv_shape(tmp_path):
-    out = tmp_path / "rows.csv"
-    per_seed_csv(str(out), rows_fixture())
-    lines = out.read_text().splitlines()
+def test_per_seed_csv_shape():
+    lines = per_seed_csv(rows_fixture()).splitlines()
     assert lines[0] == "architecture,rule_set,strategy,k,seed,hdsr,adsr"
     assert len(lines) == 4
     assert lines[1] == "sensor-gna,core,semantic,1,1,0.900000,0.800000"

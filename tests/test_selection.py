@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semcom.errors import ConfigurationError, FeasibilityError
-from semcom.logic import EvidenceItem, Hypothesis, QSentence
+from semcom.logic import EvidenceItem, Hypothesis, QSentence, distinct_q, hypothesis_satisfied_by
 from semcom.oracle import ClosedFormParams, closed_form_objective
 from semcom.selection import (
+    KeyEngine,
     SelectionKey,
     comparison_key,
-    lex_compare,
     select_random,
     select_semantic,
 )
@@ -31,6 +32,17 @@ def exact_objective(subset, hyps, T):
     return closed_form_objective(
         ClosedFormParams.from_subset(qs, hyps, T), bit_budget=1 << 17
     )
+
+
+def reference_key(subset, hyps, T):
+    """kappa by definition, one hypothesis_satisfied_by test per (pattern, hypothesis)."""
+    qs = distinct_q(subset)
+    exponents = sorted(
+        h.specificity_exponent(T)
+        for h in hyps
+        if not any(hypothesis_satisfied_by(q, h) for q in qs)
+    )
+    return (len(exponents), len(qs), *(-g for g in exponents))
 
 
 # ------------------------------------------------------------------- keys
@@ -58,23 +70,34 @@ def test_overlap_shrinks_the_key_head():
     uncovered = comparison_key([item(0, 0b0001, T)], [h], T)
     assert covered.n_nonoverlap == 0
     assert uncovered.n_nonoverlap == 1
-    assert lex_compare(covered, uncovered) == -1
+    assert covered.as_tuple() < uncovered.as_tuple()
 
 
 def test_lex_orders_on_nonoverlap_before_anything_else():
     a = SelectionKey(n_nonoverlap=0, K=3, sorted_specificity_exponents=())
     b = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(9,))
-    assert lex_compare(a, b) == -1
-    assert lex_compare(b, a) == 1
-    assert lex_compare(a, a) == 0
+    assert a.as_tuple() < b.as_tuple()
+    assert a.as_tuple() == SelectionKey(0, 3, ()).as_tuple()
 
 
 def test_lex_breaks_ties_toward_the_vaguest_uncovered_hypothesis():
     # same counts; the side whose smallest compatible region is larger wins
     a = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(3,))
     b = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(2,))
-    assert lex_compare(a, b) == -1
     assert a.as_tuple() < b.as_tuple()
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_engine_key_matches_the_definition(seed):
+    rng = random.Random(seed)
+    T, k, pool, hyps = random_instance(rng, (2, 3, 4, 5), 8, 4)
+    engine = KeyEngine(hyps, T)
+    for size in range(1, k + 1):
+        for subset in itertools.combinations(pool, size):
+            expected = reference_key(subset, hyps, T)
+            assert comparison_key(subset, hyps, T).as_tuple() == expected
+            assert engine.key_for_patterns(it.q.bits for it in subset).as_tuple() == expected
 
 
 # ------------------------------------------- agreement with the exact form
@@ -163,7 +186,7 @@ def test_growing_the_pool_never_worsens_the_best_key(seed):
     else:
         extra = item(10_000, rng.randrange(1 << T), T)
     best_after = comparison_key(select_semantic(pool + [extra], hyps, k, T), hyps, T)
-    assert lex_compare(best_after, best) <= 0
+    assert best_after.as_tuple() <= best.as_tuple()
 
 
 def test_selection_rejects_zero_budget_and_duplicate_ids():
@@ -179,7 +202,18 @@ def test_selection_refuses_enormous_enumerations():
     pool = [item(i, i % 8, 3) for i in range(30)]
     hyps = [Hypothesis.from_constraints(1, {0: 1}, "Stop")]
     with pytest.raises(FeasibilityError):
-        select_semantic(pool, hyps, 15, 3, enumeration_cap=10_000)
+        select_semantic(pool, hyps, 15, 3)
+
+
+def test_engine_refuses_enormous_enumerations_before_scoring_any():
+    # C(40, 15) is about 4e10: only the up-front cap check can return
+    hyps = [Hypothesis.from_constraints(1, {0: 1}, "Stop")]
+    engine = KeyEngine(hyps, 3)
+    entries = [(i, i % 8) for i in range(40)]
+    started = time.perf_counter()
+    with pytest.raises(FeasibilityError):
+        engine.select(entries, 15)
+    assert time.perf_counter() - started < 1.0
 
 
 # --------------------------------------------------------- random baseline

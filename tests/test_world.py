@@ -309,6 +309,17 @@ def test_action_defaults_to_normal_and_follows_priority():
     assert decide_action((False, False), rules) == "Normal"
     assert decide_action((False, True), rules) == "Slow"
     assert decide_action((True, True), rules) == "Stop"
+    assert rules.action_of(0b10) == "Slow"
+
+
+def test_an_action_ranked_after_normal_never_wins():
+    rules = RuleSet(
+        name="lazy",
+        hypotheses=(Hypothesis.from_constraints(1, {slot("IsCar"): 1}, "Fast"),),
+        action_priority=("Stop", "Normal", "Fast"),
+    )
+    assert decide_action((True,), rules) == "Normal"
+    assert rules.action_of(0b1) == "Normal"
 
 
 # ----------------------------------------------------------------- dynamics
