@@ -9,10 +9,6 @@ class ConfigurationError(SemcomError):
     """A vocabulary, rule set, or scenario config is malformed."""
 
 
-class GroundingError(SemcomError):
-    """A truth assignment does not cover every predicate slot."""
-
-
 class EnumerationInfeasibleError(SemcomError):
     """The requested exact computation is outside the enumeration bound."""
 

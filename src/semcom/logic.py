@@ -1,19 +1,19 @@
-"""Predicate vocabularies, Q-sentences, hypotheses, and grounding.
+"""Predicate vocabularies, Q-sentences and hypotheses.
 
 A Q-sentence is the complete true/false pattern over all T predicate
 slots for one (ego, entity) pair.  It is stored as a plain bit pattern:
-slot ``s`` maps to bit position ``s``, and a set sign flag becomes bit
-value 1.  Exactly one Q-sentence holds for a pair under a full truth
-assignment, which makes grounding a total function.
+slot ``s`` is the vocabulary's ``s``-th predicate and maps to bit
+position ``s``; a set sign flag becomes bit value 1.  The simulator
+grounds a pair into its unique Q-sentence (``world.ground_entity``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, Mapping, Tuple
 
-from .errors import ConfigurationError, GroundingError
+from .errors import ConfigurationError
 
 MAX_ENGINE_T = 62
 
@@ -22,9 +22,6 @@ class PredicateCategory(str, Enum):
     MONADIC = "monadic-on-entity"
     EGO_ENTITY = "dyadic-ego-entity"
     ENTITY_EGO = "dyadic-entity-ego"
-
-
-PredicateKey = Tuple[PredicateCategory, str]
 
 
 @dataclass(frozen=True)
@@ -57,30 +54,6 @@ class PredicateVocabulary:
             if pname == name:
                 return i
         raise ConfigurationError("unknown predicate %r" % name)
-
-
-@dataclass(frozen=True)
-class SlotMap:
-    """Deterministic bijection (category, name) -> slot index in [0, T)."""
-
-    by_key: Mapping[PredicateKey, int]
-    T: int
-
-    def slot(self, category: PredicateCategory, name: str) -> int:
-        try:
-            return self.by_key[(category, name)]
-        except KeyError:
-            raise GroundingError(
-                "no slot for predicate (%s, %s)" % (category.value, name)
-            ) from None
-
-
-def build_slot_map(vocab: PredicateVocabulary) -> SlotMap:
-    """Assign slots in declaration order; same vocabulary, same map."""
-    mapping: Dict[PredicateKey, int] = {}
-    for i, (name, category) in enumerate(vocab.predicates):
-        mapping[(category, name)] = i
-    return SlotMap(by_key=mapping, T=vocab.T)
 
 
 @dataclass(frozen=True, order=True)
@@ -169,35 +142,6 @@ class EvidenceItem:
 
     entity_id: int
     q: QSentence
-
-
-def ground_pair(truth_assignment: Mapping[PredicateKey, int], slot_map: SlotMap) -> QSentence:
-    """Fold a full truth assignment into the pair's unique Q-sentence.
-
-    Every predicate occurrence in the slot map must receive a bit;
-    partial evidence is rejected because the indicator model assumes
-    fully observed slots.
-    """
-    bits = 0
-    seen = 0
-    for key, slot in slot_map.by_key.items():
-        try:
-            val = truth_assignment[key]
-        except KeyError:
-            raise GroundingError(
-                "missing value for predicate (%s, %s)" % (key[0].value, key[1])
-            ) from None
-        if val not in (0, 1, True, False):
-            raise GroundingError("non-boolean value %r for %s" % (val, key[1]))
-        if val:
-            bits |= 1 << slot
-        seen += 1
-    if len(truth_assignment) != seen:
-        extra = set(truth_assignment) - set(slot_map.by_key)
-        raise GroundingError(
-            "truth assignment names unknown predicates: %s" % sorted(str(k) for k in extra)
-        )
-    return QSentence(bits, slot_map.T)
 
 
 def hypothesis_satisfied_by(q: QSentence, h: Hypothesis) -> bool:

@@ -24,7 +24,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .comms import MULTI_ZONE_LNA, RANDOM, SEMANTIC, Architecture, downlink, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError
-from .logic import build_slot_map
 from .selection import KeyEngine
 from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
 
@@ -118,8 +117,6 @@ class StepView:
 
 @dataclass(frozen=True)
 class Trajectory:
-    scenario_name: str
-    rule_set_name: str
     seed: int
     n_hypotheses: int
     views: Tuple[Mapping[int, StepView], ...]
@@ -139,10 +136,8 @@ def build_trajectory(
     using the given zone grid, so every matrix cell replays the same
     states.
     """
-    slot_map = build_slot_map(scenario.vocabulary)
-    T = scenario.vocabulary.T
     if engine is None:
-        engine = KeyEngine(rules.hypotheses, T)
+        engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     obs = scenario.observation
     world = init_world(scenario, seed)
     per_step: List[Dict[int, StepView]] = []
@@ -153,7 +148,7 @@ def build_trajectory(
         for ego_id, seen in ego_pools(world, obs, zones).items():
             ego = by_id[ego_id]
             qbits = {
-                ent_id: ground_entity(world, ego, by_id[ent_id], slot_map, scenario).bits
+                ent_id: ground_entity(world, ego, by_id[ent_id], scenario).bits
                 for ent_id in seen.vic_ids
             }
             fi_mask = 0
@@ -172,8 +167,6 @@ def build_trajectory(
         per_step.append(views)
         world = step(world, actions)
     return Trajectory(
-        scenario_name=scenario.name,
-        rule_set_name=rules.name,
         seed=seed,
         n_hypotheses=len(rules.hypotheses),
         views=tuple(per_step),
@@ -265,9 +258,11 @@ def sweep(
     """Per-seed metrics for the full matrix, deterministically ordered.
 
     Tasks are independent per (rule set, seed); with jobs > 1 they run
-    in worker processes and results are merged by sorting, so the output
-    does not depend on the degree of parallelism.
+    in at most one worker process per task and results are merged by
+    sorting, so the output does not depend on the degree of parallelism.
     """
+    if jobs < 1:
+        raise ConfigurationError("jobs must be at least 1, got %d" % jobs)
     zone_grids = {a.zones for a in architectures if a.kind == MULTI_ZONE_LNA}
     if len(zone_grids) > 1:
         raise ConfigurationError(
@@ -279,8 +274,9 @@ def sweep(
         for seed in seeds
     ]
     rows: List[MetricsRow] = []
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_task, tasks):
                 rows.extend(chunk)
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigurationError,
@@ -40,33 +40,6 @@ DEFAULT_BIT_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 # Enumeration path (T <= 2)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AttributiveConstituentId:
-    """Bit pattern over Q-sentence space: bit i set <=> Q_i realized."""
-
-    mask: int
-    T: int
-
-    def __post_init__(self) -> None:
-        q = 1 << self.T
-        if not 0 <= self.mask < (1 << q):
-            raise ConfigurationError("mask out of range for T=%d" % self.T)
-
-    def realizes(self, q: QSentence) -> bool:
-        return bool((self.mask >> q.bits) & 1)
-
-
-@dataclass(frozen=True)
-class OracleConstituent:
-    """A set of attributive constituents asserted to exist."""
-
-    members: FrozenSet[AttributiveConstituentId]
-
-    @property
-    def width(self) -> int:
-        return len(self.members)
-
 
 def total_constituents(T: int) -> int:
     """Size of the full constituent space: 2**(2**Q) with Q = 2**T."""
@@ -85,16 +58,13 @@ def _check_enumeration_bound(T: int) -> None:
 
 
 def _obs_mask(evidence_qs: Iterable[QSentence], T: int) -> int:
+    """Q-set as a bitmask over Q-sentence space (evidence or a hypothesis region)."""
     mask = 0
     for q in evidence_qs:
         if q.width != T:
             raise ConfigurationError("Q-sentence width %d does not match T=%d" % (q.width, T))
         mask |= 1 << q.bits
     return mask
-
-
-def _qset_mask(qs: Iterable[QSentence], T: int) -> int:
-    return _obs_mask(qs, T)
 
 
 def _good_attributive_mask(obs_mask: int, hyp_mask: Optional[int], T: int) -> int:
@@ -136,26 +106,7 @@ def joint_compatible_count(
 ) -> int:
     """|C(e and phi)| by full enumeration."""
     _check_enumeration_bound(T)
-    return _count_compatible(_obs_mask(evidence_qs, T), _qset_mask(hypothesis_qs, T), T)
-
-
-def is_constituent_compatible(
-    constituent: OracleConstituent,
-    evidence_qs: Iterable[QSentence],
-    T: int,
-    hypothesis_qs: Optional[Iterable[QSentence]] = None,
-) -> bool:
-    """Membership test used by the enumeration loops, exposed for tests."""
-    _check_enumeration_bound(T)
-    obs = _obs_mask(evidence_qs, T)
-    hyp = _qset_mask(hypothesis_qs, T) if hypothesis_qs is not None else None
-    for member in constituent.members:
-        if (member.mask & obs) != obs:
-            continue
-        if hyp is not None and not (member.mask & hyp):
-            continue
-        return True
-    return False
+    return _count_compatible(_obs_mask(evidence_qs, T), _obs_mask(hypothesis_qs, T), T)
 
 
 def evidence_probability(evidence_qs: Iterable[QSentence], T: int) -> Fraction:
@@ -434,55 +385,6 @@ def exact_objective_compare(a: ClosedFormParams, b: ClosedFormParams) -> int:
         add(e, -c)
         add(e + a.alpha, c)
     return _dyadic_sign(diff)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic dominance descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DominantTerm:
-    """Symbolic descriptor of the exponentially dominant objective term.
-
-    The dominant term is 2**(-gamma_min); gamma_min factors as
-    2**(Q-K-H_min) * (2**H_min - 1), so (K, H_min) orders it without
-    ever forming the big integer: a larger K shrinks gamma_min past any
-    H difference, and at equal K a smaller H_min means a smaller
-    gamma_min.  all_overlapping marks the distinguished exact-zero case.
-    """
-
-    all_overlapping: bool
-    K: int
-    h_min_exponent: Optional[int]
-
-    def gamma_min_sort_key(self) -> Tuple[int, int]:
-        """Sorts ascending by gamma_min (i.e. descending by term size)."""
-        if self.all_overlapping:
-            raise ConfigurationError("no gamma_min: every hypothesis is witnessed")
-        assert self.h_min_exponent is not None
-        return (-self.K, self.h_min_exponent)
-
-
-def asymptotic_objective(params: ClosedFormParams) -> DominantTerm:
-    """Identify the dominant term symbolically via (K, H_min)."""
-    nonover = params.nonoverlapping()
-    if not nonover:
-        return DominantTerm(all_overlapping=True, K=params.K, h_min_exponent=None)
-    h_min_exp = min(params.T - hp.z for hp in nonover)
-    return DominantTerm(all_overlapping=False, K=params.K, h_min_exponent=h_min_exp)
-
-
-def exact_gamma_min(
-    term: DominantTerm, T: int, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> int:
-    """gamma_min as a literal big integer; tiny T only."""
-    if term.all_overlapping:
-        raise ConfigurationError("no gamma_min: every hypothesis is witnessed")
-    q = 1 << T
-    _require_budget(q - term.K, bit_budget, "exact gamma_min")
-    assert term.h_min_exponent is not None
-    h = 1 << term.h_min_exponent
-    return (1 << (q - term.K)) - (1 << (q - term.K - h))
 
 
 # ---------------------------------------------------------------------------

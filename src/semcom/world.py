@@ -5,27 +5,21 @@ decision-making agents; pedestrians are scripted walkers that shuttle
 across intersections or circle block corners at constant pace, with
 pauses baked into their routes as repeated cells.  Movement is
 route-index arithmetic (so a state plus decided actions fully determines
-the next state), observation is Chebyshev closed balls, and grounding
-evaluates ten built-in predicates against simulator ground truth.
+the next state), and grounding evaluates the vocabulary's built-in
+predicates against simulator ground truth.  Who observes whom (Chebyshev
+closed balls) is ``comms.ego_pools``; which hypotheses a Q-sentence
+witnesses is ``selection.KeyEngine.sat_mask``; the decision is
+``RuleSet.action_of``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
-from .logic import (
-    EvidenceItem,
-    Hypothesis,
-    PredicateCategory,
-    PredicateVocabulary,
-    QSentence,
-    SlotMap,
-    ground_pair,
-    hypothesis_satisfied_by,
-)
+from .logic import Hypothesis, PredicateCategory, PredicateVocabulary, QSentence
 
 Cell = Tuple[int, int]
 
@@ -395,76 +389,19 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
 
 
 # ---------------------------------------------------------------------------
-# Observation and grounding
+# Grounding
 # ---------------------------------------------------------------------------
 
 def ground_entity(
-    world: WorldState,
-    ego: AgentState,
-    ent: AgentState,
-    slot_map: SlotMap,
-    scenario: ScenarioConfig,
+    world: WorldState, ego: AgentState, ent: AgentState, scenario: ScenarioConfig
 ) -> QSentence:
-    """Evaluate every vocabulary predicate for the (ego, entity) pair."""
-    assignment = {}
-    for name, category in scenario.vocabulary.predicates:
-        fn = BUILTIN_PREDICATES[name][1]
-        assignment[(category, name)] = 1 if fn(world, ego, ent, scenario) else 0
-    return ground_pair(assignment, slot_map)
-
-
-def vicinity_entities(
-    world: WorldState, ego_id: int, obs: ObservationConfig
-) -> Tuple[int, ...]:
-    """Ids within the closed vicinity ball, ego excluded, ascending."""
-    ego = world.agent(ego_id)
-    return tuple(
-        a.id
-        for a in world.agents
-        if a.id != ego_id and chebyshev(a.position, ego.position) <= obs.r_vic
-    )
-
-
-def fov_entities(world: WorldState, ego_id: int, obs: ObservationConfig) -> Tuple[int, ...]:
-    ego = world.agent(ego_id)
-    return tuple(
-        a.id
-        for a in world.agents
-        if a.id != ego_id and chebyshev(a.position, ego.position) <= obs.r_fov
-    )
-
-
-def observe_fov(
-    world: WorldState,
-    ego_id: int,
-    obs: ObservationConfig,
-    slot_map: SlotMap,
-    scenario: ScenarioConfig,
-) -> FrozenSet[EvidenceItem]:
-    """One grounded EvidenceItem per entity in the closed FOV ball."""
-    ego = world.agent(ego_id)
-    items = []
-    for ent_id in fov_entities(world, ego_id, obs):
-        ent = world.agent(ent_id)
-        items.append(EvidenceItem(ent_id, ground_entity(world, ego, ent, slot_map, scenario)))
-    return frozenset(items)
-
-
-def evaluate_hypotheses(
-    evidence: Iterable[EvidenceItem], rules: RuleSet
-) -> Tuple[bool, ...]:
-    """Existential evaluation: hypothesis i true iff some item witnesses it."""
-    items = tuple(evidence)
-    out = []
-    for h in rules.hypotheses:
-        out.append(any(hypothesis_satisfied_by(item.q, h) for item in items))
-    return tuple(out)
-
-
-def decide_action(truth_vector: Sequence[bool], rules: RuleSet) -> str:
-    """The rule set's action for a per-hypothesis truth vector."""
-    mask = sum(1 << i for i, triggered in enumerate(truth_vector) if triggered)
-    return rules.action_of(mask)
+    """The pair's Q-sentence: bit i is set iff the vocabulary's i-th predicate holds."""
+    vocab = scenario.vocabulary
+    bits = 0
+    for i, (name, _) in enumerate(vocab.predicates):
+        if BUILTIN_PREDICATES[name][1](world, ego, ent, scenario):
+            bits |= 1 << i
+    return QSentence(bits, vocab.T)
 
 
 def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:

@@ -149,6 +149,14 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "psychic" in capsys.readouterr().err
 
 
+def test_jobs_below_one_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, small_run())
+    for command in ("sweep", "run"):
+        args = [command, "--config", config, "--out", str(tmp_path / "o"), "--jobs", "0"]
+        assert cli.main(args) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert cli.main(["run", "--config", missing, "--out", str(tmp_path)]) == 2

@@ -22,7 +22,7 @@ from semcom.comms import (
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
-from semcom.logic import EvidenceItem, QSentence, build_slot_map
+from semcom.logic import EvidenceItem, QSentence
 from semcom.selection import KeyEngine, select_random
 from semcom.world import (
     CAR,
@@ -31,16 +31,14 @@ from semcom.world import (
     ObservationConfig,
     ScenarioConfig,
     WorldState,
+    chebyshev,
     default_vocabulary,
-    fov_entities,
     ground_entity,
     init_world,
     step,
-    vicinity_entities,
 )
 
 VOCAB = default_vocabulary()
-SLOT_MAP = build_slot_map(VOCAB)
 OBS = ObservationConfig(r_fov=3, r_vic=12)
 
 
@@ -83,10 +81,19 @@ def cfg(**overrides):
     return ScenarioConfig(**base)
 
 
+def ball(world, ego_id, radius):
+    """Ids within the closed Chebyshev ball around an agent, itself excluded, ascending."""
+    centre = world.agent(ego_id).position
+    return tuple(
+        a.id for a in world.agents
+        if a.id != ego_id and chebyshev(a.position, centre) <= radius
+    )
+
+
 def reference_pool_ids(world, ego_id, arch, obs):
     """Per-ego pool by definition: rescans every uploader's FOV."""
-    vic = set(vicinity_entities(world, ego_id, obs))
-    fov = set(fov_entities(world, ego_id, obs))
+    vic = set(ball(world, ego_id, obs.r_vic))
+    fov = set(ball(world, ego_id, obs.r_fov))
     if arch.kind == SENSOR_GNA:
         candidates = vic
     else:
@@ -102,7 +109,7 @@ def reference_pool_ids(world, ego_id, arch, obs):
         uploaded: Set[int] = set()
         for a in uploaders:
             uploaded.add(a.id)
-            uploaded.update(fov_entities(world, a.id, obs))
+            uploaded.update(ball(world, a.id, obs.r_fov))
         candidates = uploaded & vic
     return tuple(sorted(candidates - fov - {ego_id}))
 
@@ -110,7 +117,7 @@ def reference_pool_ids(world, ego_id, arch, obs):
 def grounded(world, ego_id, ids):
     """Pattern bits of each pool entity as the ego grounds it."""
     ego = world.agent(ego_id)
-    return {i: ground_entity(world, ego, world.agent(i), SLOT_MAP, cfg()).bits for i in ids}
+    return {i: ground_entity(world, ego, world.agent(i), cfg()).bits for i in ids}
 
 
 def test_architecture_validation():
@@ -151,7 +158,7 @@ def test_pool_never_includes_fov_or_ego():
     for kind in ARCHITECTURE_KINDS:
         ids = set(pool_ids(world, 0, arch(kind), OBS))
         assert 0 not in ids
-        assert ids.isdisjoint(fov_entities(world, 0, OBS))
+        assert ids.isdisjoint(ball(world, 0, OBS.r_fov))
 
 
 def test_alone_in_zone_gets_an_empty_local_pool():
@@ -175,7 +182,7 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
             single = set(seen.pools[SINGLE_ZONE_GNA])
             multi = set(seen.pools[MULTI_ZONE_LNA])
             assert multi <= single <= sensor
-            assert sensor <= set(vicinity_entities(world, ego_id, config.observation))
+            assert sensor <= set(ball(world, ego_id, config.observation.r_vic))
 
 
 @given(
@@ -200,8 +207,8 @@ def test_ego_pools_match_the_per_ego_reference(
     seen = ego_pools(world, obs, zones)
     assert sorted(seen) == [a.id for a in world.agents if a.kind == CAR]
     for ego_id, view in seen.items():
-        assert view.fov_ids == fov_entities(world, ego_id, obs)
-        assert view.vic_ids == vicinity_entities(world, ego_id, obs)
+        assert view.fov_ids == ball(world, ego_id, obs.r_fov)
+        assert view.vic_ids == ball(world, ego_id, obs.r_vic)
         for kind in ARCHITECTURE_KINDS:
             expected = reference_pool_ids(world, ego_id, arch(kind, zones), obs)
             assert view.pools[kind] == expected

@@ -1,4 +1,4 @@
-"""Grounding, slot maps, and hypothesis satisfaction."""
+"""Vocabularies, grounding in vocabulary order, and hypothesis satisfaction."""
 
 import itertools
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.errors import ConfigurationError, GroundingError
+from semcom.errors import ConfigurationError
 from semcom.logic import (
     EvidenceItem,
     Hypothesis,
@@ -14,12 +14,23 @@ from semcom.logic import (
     PredicateCategory,
     PredicateVocabulary,
     QSentence,
-    build_slot_map,
     distinct_q,
-    ground_pair,
     hypothesis_satisfied_by,
 )
-from semcom.world import DEFAULT_PREDICATE_ORDER, default_vocabulary
+from semcom.world import (
+    BUILTIN_PREDICATES,
+    CAR,
+    DEFAULT_PREDICATE_ORDER,
+    PEDESTRIAN,
+    AgentState,
+    ObservationConfig,
+    ScenarioConfig,
+    WorldState,
+    default_vocabulary,
+    ground_entity,
+    init_world,
+    step,
+)
 
 MON = PredicateCategory.MONADIC
 EGO_ENT = PredicateCategory.EGO_ENTITY
@@ -39,9 +50,6 @@ def test_slots_follow_declaration_order():
     )
     assert vocab.T == 3
     assert [vocab.slot_of(n) for n in "ABC"] == [0, 1, 2]
-    slot_map = build_slot_map(vocab)
-    assert slot_map.T == 3
-    assert slot_map.slot(EGO_ENT, "B") == 1
 
 
 def test_default_vocabulary_is_ten_wide():
@@ -78,54 +86,86 @@ def test_vocabulary_rejects_widths_past_engine_bound():
 def test_slot_lookup_unknown_name():
     with pytest.raises(ConfigurationError):
         two_slot_vocab().slot_of("Cold")
-    with pytest.raises(GroundingError):
-        build_slot_map(two_slot_vocab()).slot(MON, "Cold")
 
 
 # ------------------------------------------------------------------ grounding
 
 
-def test_ground_pair_all_false_is_zero():
-    slot_map = build_slot_map(two_slot_vocab())
-    q = ground_pair({(MON, "Hot"): 0, (EGO_ENT, "Behind"): 0}, slot_map)
-    assert q == QSentence(bits=0, width=2)
+def vocabulary_of(names):
+    return PredicateVocabulary(
+        predicates=tuple((n, BUILTIN_PREDICATES[n][0]) for n in names)
+    )
 
 
-def test_ground_pair_sets_one_bit_per_true_slot():
-    slot_map = build_slot_map(two_slot_vocab())
-    assert ground_pair({(MON, "Hot"): 1, (EGO_ENT, "Behind"): 0}, slot_map).bits == 0b01
-    assert ground_pair({(MON, "Hot"): 0, (EGO_ENT, "Behind"): 1}, slot_map).bits == 0b10
-    assert ground_pair({(MON, "Hot"): 1, (EGO_ENT, "Behind"): 1}, slot_map).bits == 0b11
+def scenario_with(vocab):
+    return ScenarioConfig(
+        name="t", grid=40, roads=(10, 30), cars=6, pedestrians=4,
+        observation=ObservationConfig(r_fov=5, r_vic=15), steps=2,
+        vocabulary=vocab,
+    )
 
 
-def test_ground_pair_requires_total_assignment():
-    slot_map = build_slot_map(two_slot_vocab())
-    with pytest.raises(GroundingError):
-        ground_pair({(MON, "Hot"): 1}, slot_map)
-    with pytest.raises(GroundingError):
-        ground_pair(
-            {(MON, "Hot"): 1, (EGO_ENT, "Behind"): 0, (MON, "Stray"): 1}, slot_map
-        )
+def still(aid, kind, pos):
+    return AgentState(id=aid, kind=kind, route=(pos,), route_pos=0)
+
+
+def test_grounding_follows_the_vocabulary_declaration_order():
+    default = default_vocabulary()
+    reversed_vocab = vocabulary_of(tuple(reversed(DEFAULT_PREDICATE_ORDER)))
+    subset = vocabulary_of(("Near", "IsPedestrian", "AheadOf"))
+    for seed in range(3):
+        world = init_world(scenario_with(default), seed=seed)
+        world = step(world, {a.id: "Normal" for a in world.agents if a.kind == CAR})
+        for ego in world.agents:
+            for ent in world.agents:
+                if ent.id == ego.id:
+                    continue
+                for vocab in (reversed_vocab, subset):
+                    cfg = scenario_with(vocab)
+                    q = ground_entity(world, ego, ent, cfg)
+                    assert q.width == vocab.T
+                    for name, _ in vocab.predicates:
+                        truth = BUILTIN_PREDICATES[name][1](world, ego, ent, cfg)
+                        assert q.bit(vocab.slot_of(name)) == int(truth)
+                # slot i of the default order is slot T-1-i reversed
+                q_default = ground_entity(world, ego, ent, scenario_with(default))
+                q_reversed = ground_entity(world, ego, ent, scenario_with(reversed_vocab))
+                assert str(q_reversed) == str(q_default)[::-1]
 
 
 def test_grounding_is_functional():
-    slot_map = build_slot_map(two_slot_vocab())
-    a = ground_pair({(MON, "Hot"): 1, (EGO_ENT, "Behind"): 0}, slot_map)
-    b = ground_pair({(EGO_ENT, "Behind"): 0, (MON, "Hot"): 1}, slot_map)
-    assert a == b
+    def scene():
+        return WorldState(
+            grid=40,
+            agents=(still(0, CAR, (10, 10)), still(1, PEDESTRIAN, (11, 10))),
+            intersections=frozenset(),
+        )
+
+    cfg = scenario_with(default_vocabulary())
+    a, b = scene(), scene()
+    assert ground_entity(a, a.agents[0], a.agents[1], cfg) == ground_entity(
+        b, b.agents[0], b.agents[1], cfg
+    )
 
 
 def test_three_entity_scene_grounds_to_hand_checked_patterns():
-    # ego observes three entities; truth values filled in by hand
-    slot_map = build_slot_map(two_slot_vocab())
-    scene = [
-        (101, {(MON, "Hot"): 1, (EGO_ENT, "Behind"): 1}),
-        (102, {(MON, "Hot"): 0, (EGO_ENT, "Behind"): 1}),
-        (103, {(MON, "Hot"): 0, (EGO_ENT, "Behind"): 0}),
-    ]
+    # ego observes three entities under a two-slot (IsPedestrian, Close)
+    # vocabulary; close_radius is 2
+    ego = still(0, CAR, (10, 10))
+    scene = WorldState(
+        grid=40,
+        agents=(
+            ego,
+            still(101, PEDESTRIAN, (11, 10)),   # pedestrian, close
+            still(102, CAR, (12, 12)),          # car, close
+            still(103, CAR, (20, 10)),          # car, far
+        ),
+        intersections=frozenset(),
+    )
+    cfg = scenario_with(vocabulary_of(("IsPedestrian", "Close")))
     items = [
-        EvidenceItem(entity_id=eid, q=ground_pair(assignment, slot_map))
-        for eid, assignment in scene
+        EvidenceItem(entity_id=ent.id, q=ground_entity(scene, ego, ent, cfg))
+        for ent in scene.agents[1:]
     ]
     assert [it.q.bits for it in items] == [0b11, 0b10, 0b00]
     assert len(distinct_q(items)) == 3

@@ -15,8 +15,8 @@ from semcom.comms import (
     pool_ids,
 )
 from semcom.config import load_rule_set
+from semcom import metrics
 from semcom.errors import ConfigurationError, UndefinedMetricError
-from semcom.logic import build_slot_map
 from semcom.metrics import (
     AggregateRow,
     EpisodeTrace,
@@ -199,7 +199,6 @@ def test_trajectory_pools_and_masks_match_the_public_api():
     # replay the recorded episode through world/comms and compare
     cfg = scenario(cars=5, pedestrians=2, steps=5)
     rules = load_rule_set("core", VOCAB)
-    slot_map = build_slot_map(VOCAB)
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, seed=3)
     world = init_world(cfg, seed=3)
@@ -265,6 +264,52 @@ def test_sweep_runs_in_parallel_identically():
     serial = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3))
     parallel = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3), jobs=2)
     assert serial == parallel
+
+
+def recording_pool(monkeypatch):
+    """Replace the process pool with an in-process fake; returns its max_workers log."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
+    sizes = recording_pool(monkeypatch)
+    cfg = scenario(cars=3, pedestrians=1, steps=2)
+    rules = [load_rule_set("core", VOCAB)]
+    archs = [Architecture(kind=SENSOR_GNA)]
+    serial = sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1, 2), jobs=1)
+    assert sizes == []
+    assert sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1, 2), jobs=512) == serial
+    assert sizes == [2]
+    assert sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1,), jobs=8) == [
+        r for r in serial if r.seed == 1
+    ]
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
+    sizes = recording_pool(monkeypatch)
+    cfg = scenario(cars=3, pedestrians=1, steps=2)
+    rules = [load_rule_set("core", VOCAB)]
+    with pytest.raises(ConfigurationError, match="jobs"):
+        sweep(cfg, rules, [Architecture(kind=SENSOR_GNA)], (SEMANTIC,), (1,), (1, 2), jobs=jobs)
+    assert sizes == []
 
 
 def test_sweep_rejects_conflicting_zone_grids():

@@ -18,8 +18,6 @@ from semcom.errors import EnumerationInfeasibleError, FeasibilityError
 from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
-    DominantTerm,
-    asymptotic_objective,
     closed_form_confirmation,
     closed_form_evidence_probability,
     closed_form_objective,
@@ -29,7 +27,6 @@ from semcom.oracle import (
     content,
     degree_of_confirmation,
     evidence_probability,
-    exact_gamma_min,
     exact_objective_compare,
     hypothesis_probability,
     joint_compatible_count,
@@ -215,28 +212,32 @@ def test_hypothesis_probability_matches_joint_with_empty_evidence():
 # ------------------------------------------------ asymptotics and comparison
 
 
+def gamma_min(p):
+    """Exponent of the dominant objective term 2**(-gamma_min)."""
+    return min(p.gamma(hp) for hp in p.nonoverlapping())
+
+
 def test_dominant_term_prefers_more_evidence():
-    small_k = asymptotic_objective(params_for([0], [{2: 1}], 3))
-    big_k = asymptotic_objective(params_for([0, 1, 2], [{2: 1}], 3))
-    assert exact_gamma_min(small_k, 3) > exact_gamma_min(big_k, 3)
+    small_k = params_for([0], [{2: 1}], 3)
+    big_k = params_for([0, 1, 2], [{2: 1}], 3)
+    assert gamma_min(small_k) > gamma_min(big_k)
 
 
 def test_dominant_term_prefers_vaguer_hypotheses():
-    vague = asymptotic_objective(params_for([0], [{2: 1}], 3))
-    sharp = asymptotic_objective(params_for([0], [{0: 1, 1: 1, 2: 1}], 3))
-    assert exact_gamma_min(vague, 3) > exact_gamma_min(sharp, 3)
+    vague = params_for([0], [{2: 1}], 3)
+    sharp = params_for([0], [{0: 1, 1: 1, 2: 1}], 3)
+    assert gamma_min(vague) > gamma_min(sharp)
 
 
 def test_gamma_min_hand_value():
-    term = asymptotic_objective(params_for([0], [{2: 1}], 3))
-    assert term == DominantTerm(all_overlapping=False, K=1, h_min_exponent=2)
-    # 2**(8-1) - 2**(8-1-4)
-    assert exact_gamma_min(term, 3) == 120
+    p = params_for([0], [{2: 1}], 3)
+    # K = 1, H_min = 2**(3-1) = 4: 2**(8-1) - 2**(8-1-4)
+    assert gamma_min(p) == 120
 
 
 def test_all_overlap_flag():
-    term = asymptotic_objective(params_for([0b111], [{0: 1}], 3))
-    assert term.all_overlapping
+    p = params_for([0b111], [{0: 1}], 3)
+    assert p.nonoverlapping() == ()
 
 
 def _random_params(rng, T):

@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcom.comms import ego_pools
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
-from semcom.logic import (
-    EvidenceItem,
-    Hypothesis,
-    PredicateCategory,
-    PredicateVocabulary,
-    QSentence,
-    build_slot_map,
-)
+from semcom.logic import Hypothesis, PredicateCategory, PredicateVocabulary
+from semcom.selection import KeyEngine
 from semcom.world import (
     CAR,
     PEDESTRIAN,
@@ -23,20 +18,14 @@ from semcom.world import (
     ScenarioConfig,
     WorldState,
     chebyshev,
-    decide_action,
     default_vocabulary,
-    evaluate_hypotheses,
-    fov_entities,
     ground_entity,
     init_world,
-    observe_fov,
     step,
     validate_vocabulary,
-    vicinity_entities,
 )
 
 VOCAB = default_vocabulary()
-SLOT_MAP = build_slot_map(VOCAB)
 
 
 def scenario(**overrides):
@@ -64,6 +53,15 @@ def hand_world(agents, grid=40, intersections=frozenset()):
 
 def slot(name):
     return VOCAB.slot_of(name)
+
+
+def truth_mask(rules, patterns):
+    """Hypotheses witnessed by some observed pattern, as the sweep computes it."""
+    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    mask = 0
+    for bits in patterns:
+        mask |= engine.sat_mask(bits)
+    return mask
 
 
 # ----------------------------------------------------------------- configs
@@ -180,25 +178,28 @@ def test_visibility_boundary_is_inclusive():
             static_agent(4, CAR, (18, 10)),   # one past
         ]
     )
-    assert fov_entities(world, 0, obs) == (1,)
-    assert vicinity_entities(world, 0, obs) == (1, 2, 3)
+    view = ego_pools(world, obs)[0]
+    assert view.fov_ids == (1,)
+    assert view.vic_ids == (1, 2, 3)
 
 
 def test_fov_is_contained_in_vicinity():
+    # only cars decide, so only cars get a view
     cfg = scenario(cars=8, pedestrians=4)
     world = init_world(cfg, seed=11)
-    for a in world.agents:
-        fov = set(fov_entities(world, a.id, cfg.observation))
-        vic = set(vicinity_entities(world, a.id, cfg.observation))
-        assert fov <= vic
-        assert a.id not in vic
+    views = ego_pools(world, cfg.observation)
+    assert sorted(views) == [a.id for a in world.agents if a.kind == CAR]
+    for ego_id, view in views.items():
+        assert set(view.fov_ids) <= set(view.vic_ids)
+        assert ego_id not in view.vic_ids
 
 
 def test_isolated_ego_sees_nothing():
     world = hand_world([static_agent(0, CAR, (10, 10)), static_agent(1, CAR, (39, 39))])
     obs = ObservationConfig(r_fov=3, r_vic=7)
-    assert fov_entities(world, 0, obs) == ()
-    assert observe_fov(world, 0, obs, SLOT_MAP, scenario()) == frozenset()
+    view = ego_pools(world, obs)[0]
+    assert view.fov_ids == ()
+    assert view.vic_ids == ()
 
 
 # ----------------------------------------------------------------- grounding
@@ -218,7 +219,7 @@ def test_grounding_matches_hand_truth_assignment():
                        intersections=frozenset({(14, 10)}))
     cfg = scenario()
 
-    q1 = ground_entity(world, ego, ahead_same, SLOT_MAP, cfg)
+    q1 = ground_entity(world, ego, ahead_same, cfg)
     assert q1.bit(slot("IsCar")) == 1
     assert q1.bit(slot("IsPedestrian")) == 0
     assert q1.bit(slot("InIntersection")) == 1
@@ -230,13 +231,13 @@ def test_grounding_matches_hand_truth_assignment():
     assert q1.bit(slot("Facing")) == 0     # heading east, away from ego
     assert q1.bit(slot("SameHeading")) == 1
 
-    q2 = ground_entity(world, ego, left_facing, SLOT_MAP, cfg)
+    q2 = ground_entity(world, ego, left_facing, cfg)
     assert q2.bit(slot("IsPedestrian")) == 1
     assert q2.bit(slot("AheadOf")) == 0    # perpendicular to ego heading
     assert q2.bit(slot("LeftOf")) == 1
     assert q2.bit(slot("Facing")) == 1     # walking south toward ego row
 
-    q3 = ground_entity(world, ego, behind_far, SLOT_MAP, cfg)
+    q3 = ground_entity(world, ego, behind_far, cfg)
     assert q3.bit(slot("AheadOf")) == 0
     assert q3.bit(slot("Near")) == 0       # distance 7
     assert q3.bit(slot("Facing")) == 0
@@ -248,8 +249,8 @@ def test_close_and_near_use_scenario_radii():
     world = hand_world([ego, other])
     near_cfg = scenario(close_radius=3, near_radius=6)
     far_cfg = scenario(close_radius=2, near_radius=3)
-    assert ground_entity(world, ego, other, SLOT_MAP, near_cfg).bit(slot("Close")) == 1
-    assert ground_entity(world, ego, other, SLOT_MAP, far_cfg).bit(slot("Close")) == 0
+    assert ground_entity(world, ego, other, near_cfg).bit(slot("Close")) == 1
+    assert ground_entity(world, ego, other, far_cfg).bit(slot("Close")) == 0
 
 
 def test_dwelling_pedestrian_grounds_as_not_moving():
@@ -261,7 +262,7 @@ def test_dwelling_pedestrian_grounds_as_not_moving():
     ped_after = walked.agent(1)
     assert ped_after.position == (12, 10)
     assert ped_after.moved is False
-    q = ground_entity(walked, walked.agent(0), ped_after, SLOT_MAP, scenario())
+    q = ground_entity(walked, walked.agent(0), ped_after, scenario())
     assert q.bit(slot("IsMoving")) == 0
 
 
@@ -281,35 +282,29 @@ def stop_slow_rules():
 
 def test_hypotheses_are_existential_over_evidence():
     rules = stop_slow_rules()
-    ped_q = QSentence(bits=1 << slot("IsPedestrian"), width=VOCAB.T)
-    car_q = QSentence(bits=1 << slot("IsCar"), width=VOCAB.T)
-    assert evaluate_hypotheses([], rules) == (False, False)
-    assert evaluate_hypotheses([EvidenceItem(entity_id=5, q=ped_q)], rules) == (True, False)
-    both = [EvidenceItem(entity_id=5, q=ped_q), EvidenceItem(entity_id=6, q=car_q)]
-    assert evaluate_hypotheses(both, rules) == (True, True)
+    ped = 1 << slot("IsPedestrian")
+    car = 1 << slot("IsCar")
+    assert truth_mask(rules, []) == 0b00
+    assert truth_mask(rules, [ped]) == 0b01
+    assert truth_mask(rules, [ped, car]) == 0b11
 
 
 @given(st.sets(st.integers(min_value=0, max_value=1023), max_size=6), st.data())
 @settings(max_examples=100)
 def test_more_evidence_never_retracts_a_hypothesis(bits, data):
     rules = stop_slow_rules()
-    pool = [
-        EvidenceItem(entity_id=i, q=QSentence(bits=b, width=VOCAB.T))
-        for i, b in enumerate(sorted(bits))
-    ]
+    pool = sorted(bits)
     sub_size = data.draw(st.integers(min_value=0, max_value=len(pool)))
-    sub = pool[:sub_size]
-    before = evaluate_hypotheses(sub, rules)
-    after = evaluate_hypotheses(pool, rules)
-    assert all(not b or a for b, a in zip(before, after))
+    before = truth_mask(rules, pool[:sub_size])
+    after = truth_mask(rules, pool)
+    assert before & ~after == 0
 
 
 def test_action_defaults_to_normal_and_follows_priority():
     rules = stop_slow_rules()
-    assert decide_action((False, False), rules) == "Normal"
-    assert decide_action((False, True), rules) == "Slow"
-    assert decide_action((True, True), rules) == "Stop"
+    assert rules.action_of(0b00) == "Normal"
     assert rules.action_of(0b10) == "Slow"
+    assert rules.action_of(0b11) == "Stop"
 
 
 def test_an_action_ranked_after_normal_never_wins():
@@ -318,7 +313,6 @@ def test_an_action_ranked_after_normal_never_wins():
         hypotheses=(Hypothesis.from_constraints(1, {slot("IsCar"): 1}, "Fast"),),
         action_priority=("Stop", "Normal", "Fast"),
     )
-    assert decide_action((True,), rules) == "Normal"
     assert rules.action_of(0b1) == "Normal"
 
 
@@ -373,6 +367,7 @@ def test_two_step_trace_is_reproducible():
     # frozen from a hand-audited run: five cars, two walkers, seed 7
     cfg = scenario(cars=5, pedestrians=2, steps=2)
     rules = load_rule_set("core", VOCAB)
+    engine = KeyEngine(rules.hypotheses, VOCAB.T)
     world = init_world(cfg, seed=7)
     assert [(a.id, a.position) for a in world.agents] == [
         (0, (20, 30)), (1, (21, 10)), (2, (10, 18)), (3, (30, 14)),
@@ -381,11 +376,12 @@ def test_two_step_trace_is_reproducible():
     seen = []
     for _ in range(2):
         actions = {}
-        for a in world.agents:
-            if a.kind != CAR:
-                continue
-            ev = observe_fov(world, a.id, cfg.observation, SLOT_MAP, cfg)
-            actions[a.id] = decide_action(evaluate_hypotheses(ev, rules), rules)
+        for ego_id, view in ego_pools(world, cfg.observation).items():
+            ego = world.agent(ego_id)
+            mask = 0
+            for ent_id in view.fov_ids:
+                mask |= engine.sat_mask(ground_entity(world, ego, world.agent(ent_id), cfg).bits)
+            actions[ego_id] = rules.action_of(mask)
         world = step(world, actions)
         seen.append((dict(sorted(actions.items())), [a.position for a in world.agents]))
     assert seen == [
