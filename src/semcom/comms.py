@@ -105,12 +105,3 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int = 2) -> Dict
         )
     return out
 
-
-def pool_ids(
-    world: WorldState, ego_id: int, arch: Architecture, obs: ObservationConfig
-) -> Tuple[int, ...]:
-    """Entity ids the architecture can offer the car ego_id, ascending."""
-    try:
-        return ego_pools(world, obs, arch.zones)[ego_id].pools[arch.kind]
-    except KeyError:
-        raise ConfigurationError("no car with id %d" % ego_id) from None

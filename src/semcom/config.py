@@ -230,13 +230,6 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
     )
 
 
-def load_scenario(path: str) -> ScenarioConfig:
-    data = load_yaml_file(path)
-    if "scenario" in data:
-        data = data["scenario"]
-    return scenario_from_config(data, source=path)
-
-
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
@@ -263,8 +256,20 @@ class RunConfig:
                 )
         if any(k < 0 for k in self.ks):
             raise ConfigurationError("budgets must be non-negative")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("duplicate seeds")
+        # Each of these keys the CSV rows or files; a repeat merges or overwrites them.
+        for what, values in (
+            ("scenario name", [s.name for s in self.scenarios]),
+            ("rule set name", [r.name for r in self.rule_sets]),
+            ("architecture kind", [a.kind for a in self.architectures]),
+            ("strategy", self.strategies),
+            ("budget", self.ks),
+            ("seed", self.seeds),
+        ):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(
+                    "duplicate %s: %s" % (what, ", ".join(map(str, repeated)))
+                )
 
 
 def _architectures_from_config(obj: Any, source: str) -> Tuple[Architecture, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from .errors import ConfigurationError
 
@@ -136,20 +136,8 @@ class Hypothesis:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
-    """One grounded observation: the Q-sentence of an (ego, entity) pair."""
-
-    entity_id: int
-    q: QSentence
-
-
 def hypothesis_satisfied_by(q: QSentence, h: Hypothesis) -> bool:
     """True iff every fixed slot of h matches q (the overlap predicate)."""
     h.validate_width(q.width)
     return all(q.bit(s) == v for s, v in h.fixed_slots)
 
-
-def distinct_q(pool: Iterable[EvidenceItem]) -> FrozenSet[QSentence]:
-    """The set of distinct Q-sentences in a pool; K is its cardinality."""
-    return frozenset(item.q for item in pool)

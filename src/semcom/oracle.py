@@ -134,13 +134,8 @@ def degree_of_confirmation(
 # Content, entropy, mutual information (enumeration path)
 # ---------------------------------------------------------------------------
 
-def content(c_value: Fraction) -> Fraction:
-    """cont(phi) = 1 - c(phi): the share of world states a truth excludes."""
-    return 1 - Fraction(c_value)
-
-
 def semantic_entropy(hypotheses_qs: Sequence[Iterable[QSentence]], T: int) -> Fraction:
-    """H_s(Phi) = sum_i c(phi_i) * cont(phi_i), exact."""
+    """H_s(Phi) = sum_i c(phi_i) * cont(phi_i), exact, with cont = 1 - c."""
     total = Fraction(0)
     for qs in hypotheses_qs:
         c = hypothesis_probability(tuple(qs), T)
@@ -263,10 +258,18 @@ class ClosedFormParams:
         return cls(T=T, K=len(qs), hypotheses=tuple(hyp_params))
 
 
-def _require_budget(exponent: int, bit_budget: int, what: str) -> None:
-    if exponent > bit_budget:
+def _require_budget(params: ClosedFormParams, doublings: int, bit_budget: int, what: str) -> None:
+    """Refuse a 2**(alpha * 2**doublings) denominator over the bit budget.
+
+    alpha = 2**(Q-K) is never built here: alpha * 2**d > budget holds iff
+    Q - K + d >= budget.bit_length(), so a wide T is refused before any
+    2**T-bit integer is allocated.
+    """
+    exponent = params.Q - params.K + doublings
+    if bit_budget < 1 or exponent >= bit_budget.bit_length():
         raise FeasibilityError(
-            "%s needs a 2**%d denominator, over the %d-bit budget" % (what, exponent, bit_budget)
+            "%s needs a 2**(2**%d) denominator, over the %d-bit budget"
+            % (what, exponent, bit_budget)
         )
 
 
@@ -274,7 +277,7 @@ def closed_form_evidence_probability(
     params: ClosedFormParams, bit_budget: int = DEFAULT_BIT_BUDGET
 ) -> Fraction:
     """c(e) = 1 - v with v = 2**(-alpha)."""
-    _require_budget(params.alpha, bit_budget, "c(e)")
+    _require_budget(params, 0, bit_budget, "c(e)")
     return 1 - Fraction(1, 1 << params.alpha)
 
 
@@ -284,9 +287,8 @@ def closed_form_confirmation(
     """c(phi_i | e): exactly 1 when witnessed, else (1-u_i)/(1-v)."""
     if hp.overlaps:
         return Fraction(1)
-    gamma = params.gamma(hp)
-    _require_budget(params.alpha, bit_budget, "c(phi|e)")
-    u = Fraction(1, 1 << gamma)
+    _require_budget(params, 0, bit_budget, "c(phi|e)")
+    u = Fraction(1, 1 << params.gamma(hp))
     v = Fraction(1, 1 << params.alpha)
     return (1 - u) / (1 - v)
 
@@ -303,7 +305,7 @@ def closed_form_objective(
     nonover = params.nonoverlapping()
     if not nonover:
         return Fraction(0)
-    _require_budget(2 * params.alpha, bit_budget, "objective F")
+    _require_budget(params, 1, bit_budget, "objective F")
     v = Fraction(1, 1 << params.alpha)
     total = Fraction(0)
     for hp in nonover:

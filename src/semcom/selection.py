@@ -7,21 +7,26 @@ live at scales like 2**-2**30), so subsets are ranked by the key
 
 with the non-overlapping specificities H sorted ascending.  Everything
 is exponent arithmetic: H = 2**(T-Z) is never formed, only T-Z, because
-ordering by exponent equals ordering by value.  Minimizing kappa
-lexicographically prefers subsets that witness more hypotheses, then
-fewer distinct Q-sentences, then larger minimum specificity.
+ordering by exponent equals ordering by value.  kappa is therefore the
+plain integer tuple (n_nonoverlap, K, -(T-Z_(1)), -(T-Z_(2)), ...),
+compared as Python compares tuples.  Minimizing it prefers subsets that
+witness more hypotheses, then fewer distinct Q-sentences, then larger
+minimum specificity.
+
+A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
+ranks its k-subsets by kappa and ``downlink`` applies the budget and the
+strategy; the sweep and the tests both go through them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
-from .logic import EvidenceItem, Hypothesis
+from .logic import Hypothesis
 
 DEFAULT_ENUMERATION_CAP = 10**7
 
@@ -31,36 +36,13 @@ RANDOM = "random"
 STRATEGIES = (SEMANTIC, RANDOM)
 
 
-@dataclass(frozen=True)
-class SelectionKey:
-    """The comparison key kappa as small integers.
-
-    sorted_specificity_exponents holds T-Z per non-overlapping
-    hypothesis, ascending (so ascending H).  Comparison is lexicographic
-    on (n_nonoverlap, K, -H_(1), -H_(2), ...); since the lists only meet
-    when n_nonoverlap ties, their lengths always match there.
-    """
-
-    n_nonoverlap: int
-    K: int
-    sorted_specificity_exponents: Tuple[int, ...]
-
-    def as_tuple(self) -> Tuple[int, ...]:
-        return (
-            self.n_nonoverlap,
-            self.K,
-            *(-g for g in self.sorted_specificity_exponents),
-        )
-
-
 class KeyEngine:
     """Key computation for one fixed (hypotheses, T) pair, with caches.
 
     Satisfaction masks per distinct Q-sentence turn the key into
     OR/popcount work, and exponent tails are memoized per
     uncovered-hypothesis mask.  One engine per rule set is the intended
-    usage; all public selection functions delegate here so there is a
-    single implementation of the ordering.
+    usage; it is the single implementation of the ordering.
     """
 
     def __init__(self, hypotheses: Sequence[Hypothesis], T: int):
@@ -98,18 +80,14 @@ class KeyEngine:
             self._tails[uncovered] = tail
             return tail
 
-    def key_for_patterns(self, qbits_list: Iterable[int]) -> SelectionKey:
+    def key_for_patterns(self, qbits_list: Iterable[int]) -> Tuple[int, ...]:
+        """kappa of the patterns as (n_nonoverlap, K, -(T-Z), ...), the tuple select compares."""
         distinct = set(qbits_list)
         covered = 0
         for qbits in distinct:
             covered |= self.sat_mask(qbits)
         uncovered = self.full_mask & ~covered
-        tail = self._tail(uncovered)
-        return SelectionKey(
-            n_nonoverlap=uncovered.bit_count(),
-            K=len(distinct),
-            sorted_specificity_exponents=tuple(-g for g in tail),
-        )
+        return (uncovered.bit_count(), len(distinct)) + self._tail(uncovered)
 
     def select(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
         """kappa-lex-minimal k-subset of (entity_id, qbits) entries.
@@ -158,16 +136,6 @@ class KeyEngine:
         return tuple(entries[i][0] for i in best_combo)
 
 
-def comparison_key(
-    subset: Iterable[EvidenceItem], hypotheses: Sequence[Hypothesis], T: int
-) -> SelectionKey:
-    """Compute kappa for one candidate subset."""
-    subset = tuple(subset)
-    if not subset:
-        raise ConfigurationError("comparison key needs a non-empty subset")
-    return KeyEngine(hypotheses, T).key_for_patterns(it.q.bits for it in subset)
-
-
 def downlink(
     pool: Sequence[int],
     qbits: Mapping[int, int],
@@ -197,43 +165,3 @@ def downlink(
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)
     return tuple(random.Random(rng_seed).sample(pool, k))
-
-
-def _by_entity(pool: Iterable[EvidenceItem], k: int) -> Dict[int, EvidenceItem]:
-    """Pool items keyed by entity id, ascending; rejects k < 1 and duplicate ids."""
-    if k < 1:
-        raise ConfigurationError("budget k must be at least 1")
-    items = sorted(pool, key=lambda item: item.entity_id)
-    by_id = {it.entity_id: it for it in items}
-    if len(by_id) != len(items):
-        raise ConfigurationError("pool contains duplicate entity ids")
-    return by_id
-
-
-def select_semantic(
-    pool: Iterable[EvidenceItem],
-    hypotheses: Sequence[Hypothesis],
-    k: int,
-    T: int,
-    engine: Optional[KeyEngine] = None,
-) -> FrozenSet[EvidenceItem]:
-    """The kappa-lex-minimal size-k subset of the pool.
-
-    Pools at or under budget are returned whole.  Ties on kappa go to
-    the smallest sorted entity-id tuple, which also makes the result
-    invariant under pool permutation.
-    """
-    by_id = _by_entity(pool, k)
-    if engine is None:
-        engine = KeyEngine(hypotheses, T)
-    qbits = {i: it.q.bits for i, it in by_id.items()}
-    return frozenset(by_id[i] for i in downlink(tuple(by_id), qbits, k, SEMANTIC, engine))
-
-
-def select_random(
-    pool: Iterable[EvidenceItem], k: int, rng_seed: int
-) -> FrozenSet[EvidenceItem]:
-    """Uniform without-replacement sample, reproducible from the seed."""
-    by_id = _by_entity(pool, k)
-    chosen = downlink(tuple(by_id), {}, k, RANDOM, None, rng_seed)
-    return frozenset(by_id[i] for i in chosen)

@@ -3,16 +3,19 @@
 For randomly generated instances, every pair of size-k subsets is
 compared twice: by the symbolic key kappa and by the exact objective F
 (sparse dyadic sign arithmetic, no approximation).  The exact value of
-F depends only on the signature (K, sorted non-overlap specificity
-exponents), so subsets are grouped by signature and only distinct
-signatures are compared, which keeps the quadratic pair count cheap.
+F depends only on K and the sorted non-overlap specificity exponents,
+and kappa = (n_nonoverlap, K, -(T-Z), ...) holds exactly those (its tail
+has n_nonoverlap entries).  So subsets are grouped by kappa, equal-kappa
+pairs are agreements by construction, and only distinct kappas are
+compared exactly, which keeps the quadratic pair count cheap.
 
 Agreement taxonomy per pair, with the exact-F order as the reference:
 
 * ``agreements``      -- strict F order matched by strict kappa order,
                          or both tied.
 * ``disagreements``   -- strict F order, kappa strictly reversed.
-* ``key_ties_f_differs`` -- kappa tied but F strictly ordered.
+* ``key_ties_f_differs`` -- kappa tied but F strictly ordered (always 0:
+                         equal kappa means equal F).
 * ``f_ties_key_strict``  -- F tied but kappa strictly ordered (recorded,
                          not failed: dominance collapses distinct keys
                          onto equal objective values, e.g. fully
@@ -27,7 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .logic import EvidenceItem, Hypothesis, QSentence
+from .errors import ConfigurationError
+from .logic import Hypothesis
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
 from .selection import KeyEngine
 
@@ -82,12 +86,12 @@ def random_instance(
     n_max: int = 8,
     k_max: int = 3,
     m_max: int = 6,
-) -> Tuple[int, int, List[EvidenceItem], List[Hypothesis]]:
-    """One random selection instance: pool plus hypothesis set."""
+) -> Tuple[int, int, List[Tuple[int, int]], List[Hypothesis]]:
+    """One random selection instance: (entity_id, qbits) pool plus hypothesis set."""
     T = rng.choice(list(T_choices))
     n = rng.randint(2, n_max)
     k = rng.randint(1, min(k_max, n - 1))
-    pool = [EvidenceItem(i, QSentence(rng.randrange(1 << T), T)) for i in range(n)]
+    pool = [(i, rng.randrange(1 << T)) for i in range(n)]
     hypotheses = []
     for hid in range(rng.randint(1, m_max)):
         z = rng.randint(1, T)
@@ -97,14 +101,10 @@ def random_instance(
     return T, k, pool, hypotheses
 
 
-Signature = Tuple[int, Tuple[int, ...]]
-
-
-def _signature_params(sig: Signature, T: int) -> ClosedFormParams:
-    """Rebuild closed-form params from (K, non-overlap exponents)."""
-    K, exps = sig
-    hyps = tuple(HypothesisParams(z=T - g, overlaps=False) for g in exps)
-    return ClosedFormParams(T=T, K=K, hypotheses=hyps)
+def _key_params(key: Tuple[int, ...], T: int) -> ClosedFormParams:
+    """Closed-form params of a kappa: K = key[1], one non-overlap Z = T + g per tail entry g."""
+    hyps = tuple(HypothesisParams(z=T + g, overlaps=False) for g in key[2:])
+    return ClosedFormParams(T=T, K=key[1], hypotheses=hyps)
 
 
 def validate_key_ordering(
@@ -116,48 +116,39 @@ def validate_key_ordering(
     max_examples: int = 10,
 ) -> ValidationReport:
     """Compare kappa ordering with exact-F ordering over random instances."""
+    if trials < 0:
+        raise ConfigurationError("trials must be non-negative, got %d" % trials)
+    if not T_choices or min(T_choices) < 1:
+        raise ConfigurationError("slot counts must be a non-empty list of positive integers")
+    if n_max < 2:
+        raise ConfigurationError("max pool size must be at least 2, got %d" % n_max)
+    if k_max < 1:
+        raise ConfigurationError("max budget must be at least 1, got %d" % k_max)
     rng = random.Random(seed)
     report = ValidationReport(trials=trials)
     started = time.perf_counter()
     for trial in range(trials):
         T, k, pool, hypotheses = random_instance(rng, T_choices, n_max, k_max)
         engine = KeyEngine(hypotheses, T)
-        groups: Dict[Tuple[Tuple[int, ...], Signature], List[Tuple[int, ...]]] = {}
+        groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for combo in itertools.combinations(pool, k):
-            key = engine.key_for_patterns(it.q.bits for it in combo)
-            sig: Signature = (key.K, key.sorted_specificity_exponents)
-            groups.setdefault((key.as_tuple(), sig), []).append(
-                tuple(it.entity_id for it in combo)
-            )
-        # Same kappa implies the same signature, hence the same exact F:
-        # only distinct group representatives need exact comparison.
+            key = engine.key_for_patterns(q for _, q in combo)
+            groups.setdefault(key, []).append(tuple(i for i, _ in combo))
         reps = list(groups.items())
-        for (key_a, sig_a), members_a in reps:
-            size_a = len(members_a)
-            report.total_pairs += size_a * (size_a - 1) // 2
-            report.agreements += size_a * (size_a - 1) // 2
-        sign_cache: Dict[Tuple[Signature, Signature], int] = {}
-        for i in range(len(reps)):
-            (key_a, sig_a), members_a = reps[i]
+        for _, members in reps:
+            same = len(members) * (len(members) - 1) // 2
+            report.total_pairs += same
+            report.agreements += same
+        params = [_key_params(key, T) for key, _ in reps]
+        for i, (key_a, members_a) in enumerate(reps):
             for j in range(i + 1, len(reps)):
-                (key_b, sig_b), members_b = reps[j]
+                key_b, members_b = reps[j]
                 pairs = len(members_a) * len(members_b)
                 report.total_pairs += pairs
-                key_sign = -1 if key_a < key_b else (1 if key_a > key_b else 0)
-                if sig_a == sig_b:
-                    f_sign = 0
-                else:
-                    cached = sign_cache.get((sig_a, sig_b))
-                    if cached is None:
-                        cached = exact_objective_compare(
-                            _signature_params(sig_a, T), _signature_params(sig_b, T)
-                        )
-                        sign_cache[(sig_a, sig_b)] = cached
-                    f_sign = cached
+                key_sign = -1 if key_a < key_b else 1
+                f_sign = exact_objective_compare(params[i], params[j])
                 if f_sign == key_sign:
                     report.agreements += pairs
-                elif key_sign == 0:
-                    report.key_ties_f_differs += pairs
                 elif f_sign == 0:
                     report.f_ties_key_strict += pairs
                 else:
@@ -168,7 +159,7 @@ def validate_key_ordering(
                                 trial=trial,
                                 T=T,
                                 k=k,
-                                pool_patterns=tuple(it.q.bits for it in pool),
+                                pool_patterns=tuple(q for _, q in pool),
                                 hypotheses=tuple(h.fixed_slots for h in hypotheses),
                                 subset_a=members_a[0],
                                 subset_b=members_b[0],

@@ -153,12 +153,6 @@ class WorldState:
     intersections: FrozenSet[Cell]
     step: int = 0
 
-    def agent(self, agent_id: int) -> AgentState:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise ConfigurationError("no agent with id %d" % agent_id)
-
 
 def chebyshev(a: Cell, b: Cell) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))

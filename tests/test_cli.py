@@ -4,6 +4,7 @@ import csv
 import io
 from fractions import Fraction
 
+import pytest
 import yaml
 
 from semcom import cli
@@ -72,6 +73,13 @@ def test_oracle_k_and_z_filters(capsys):
     assert cli.main(["oracle", "--t", "2", "--k-values", "1", "--z-values", "2"]) == 0
     rows = rows_from(capsys.readouterr().out)
     assert {(r["K"], r["Z"]) for r in rows} == {("1", "2")}
+
+
+def test_oracle_refuses_a_wide_table_with_exit_two(capsys):
+    # at T=62, K=0 the first row's c(e) needs a 2**(2**62)-bit denominator: refused
+    # by the bit budget, not by running out of memory
+    assert cli.main(["oracle", "--t", "62", "--k-values", "0", "--z-values", "1"]) == 2
+    assert "bit budget" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- run and sweep
@@ -198,3 +206,20 @@ def test_key_validation_empty_run_exits_zero(capsys):
     assert cli.main(["validate-key", "--trials", "0"]) == 0
     out = capsys.readouterr().out
     assert "trials: 0" in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--trials", "-1"], "trials"),
+        (["--n-max", "1"], "pool size"),
+        (["--k-max", "0"], "budget"),
+        (["--t-values", "0"], "slot counts"),
+        (["--t-values", "3,-2"], "slot counts"),
+    ],
+)
+def test_key_validation_rejects_impossible_arguments(capsys, args, message):
+    assert cli.main(["validate-key", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err

@@ -17,13 +17,11 @@ from semcom.comms import (
     Architecture,
     downlink,
     ego_pools,
-    pool_ids,
     zone_of,
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
-from semcom.logic import EvidenceItem, QSentence
-from semcom.selection import KeyEngine, select_random
+from semcom.selection import KeyEngine
 from semcom.world import (
     CAR,
     PEDESTRIAN,
@@ -83,7 +81,7 @@ def cfg(**overrides):
 
 def ball(world, ego_id, radius):
     """Ids within the closed Chebyshev ball around an agent, itself excluded, ascending."""
-    centre = world.agent(ego_id).position
+    centre = {a.id: a for a in world.agents}[ego_id].position
     return tuple(
         a.id for a in world.agents
         if a.id != ego_id and chebyshev(a.position, centre) <= radius
@@ -98,7 +96,8 @@ def reference_pool_ids(world, ego_id, arch, obs):
         candidates = vic
     else:
         if arch.kind == MULTI_ZONE_LNA:
-            ego_zone = zone_of(world.agent(ego_id).position, world.grid, arch.zones)
+            ego_pos = {a.id: a for a in world.agents}[ego_id].position
+            ego_zone = zone_of(ego_pos, world.grid, arch.zones)
             uploaders = [
                 a for a in world.agents
                 if a.kind == CAR
@@ -116,8 +115,13 @@ def reference_pool_ids(world, ego_id, arch, obs):
 
 def grounded(world, ego_id, ids):
     """Pattern bits of each pool entity as the ego grounds it."""
-    ego = world.agent(ego_id)
-    return {i: ground_entity(world, ego, world.agent(i), cfg()).bits for i in ids}
+    by_id = {a.id: a for a in world.agents}
+    return {i: ground_entity(world, by_id[ego_id], by_id[i], cfg()).bits for i in ids}
+
+
+def pools_of(world):
+    """Car 0's pool per architecture kind (2x2 zones), as the sweep reads them."""
+    return ego_pools(world, OBS)[0].pools
 
 
 def test_architecture_validation():
@@ -140,23 +144,23 @@ def test_zone_partition_is_half_open():
 
 
 def test_hand_scene_pools_match_manual_enumeration():
-    world = hand_scene()
-    assert pool_ids(world, 0, arch(SENSOR_GNA), OBS) == (2, 3, 4)
-    assert pool_ids(world, 0, arch(SINGLE_ZONE_GNA), OBS) == (2, 3)
-    assert pool_ids(world, 0, arch(MULTI_ZONE_LNA), OBS) == (3,)
+    pools = pools_of(hand_scene())
+    assert pools[SENSOR_GNA] == (2, 3, 4)
+    assert pools[SINGLE_ZONE_GNA] == (2, 3)
+    assert pools[MULTI_ZONE_LNA] == (3,)
 
 
 def test_unseen_walker_reaches_only_the_sensor_pool():
-    world = hand_scene()
-    assert 4 in pool_ids(world, 0, arch(SENSOR_GNA), OBS)
-    assert 4 not in pool_ids(world, 0, arch(SINGLE_ZONE_GNA), OBS)
-    assert 4 not in pool_ids(world, 0, arch(MULTI_ZONE_LNA), OBS)
+    pools = pools_of(hand_scene())
+    assert 4 in pools[SENSOR_GNA]
+    assert 4 not in pools[SINGLE_ZONE_GNA]
+    assert 4 not in pools[MULTI_ZONE_LNA]
 
 
 def test_pool_never_includes_fov_or_ego():
     world = hand_scene()
     for kind in ARCHITECTURE_KINDS:
-        ids = set(pool_ids(world, 0, arch(kind), OBS))
+        ids = set(pools_of(world)[kind])
         assert 0 not in ids
         assert ids.isdisjoint(ball(world, 0, OBS.r_fov))
 
@@ -169,8 +173,8 @@ def test_alone_in_zone_gets_an_empty_local_pool():
             static_agent(3, PEDESTRIAN, (5, 10)),  # ego zone, but no transmitter
         ]
     )
-    assert pool_ids(world, 0, arch(MULTI_ZONE_LNA), OBS) == ()
-    assert pool_ids(world, 0, arch(SENSOR_GNA), OBS) == (2, 3)
+    assert pools_of(world)[MULTI_ZONE_LNA] == ()
+    assert pools_of(world)[SENSOR_GNA] == (2, 3)
 
 
 def test_pools_nest_across_architectures_on_simulated_worlds():
@@ -214,16 +218,11 @@ def test_ego_pools_match_the_per_ego_reference(
             assert view.pools[kind] == expected
 
 
-def test_pool_ids_rejects_a_walker_ego():
-    with pytest.raises(ConfigurationError):
-        pool_ids(hand_scene(), 3, arch(SENSOR_GNA), OBS)
-
-
 def test_downlink_budget_edges():
     world = hand_scene()
     rules = load_rule_set("core", VOCAB)
     engine = KeyEngine(rules.hypotheses, VOCAB.T)
-    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    pool = pools_of(world)[SENSOR_GNA]
     qbits = grounded(world, 0, pool)
     assert downlink(pool, qbits, 0, SEMANTIC, engine) == ()
     assert downlink(pool, qbits, 9, SEMANTIC, engine) == pool
@@ -247,7 +246,7 @@ def test_walker_near_crossing_wins_the_single_slot():
         intersections=frozenset({(10, 16)}),
     )
     rules = load_rule_set("core", VOCAB)
-    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    pool = pools_of(world)[SENSOR_GNA]
     assert pool == (1, 2, 3)
     engine = KeyEngine(rules.hypotheses, VOCAB.T)
     assert downlink(pool, grounded(world, 0, pool), 1, SEMANTIC, engine) == (3,)
@@ -255,10 +254,8 @@ def test_walker_near_crossing_wins_the_single_slot():
 
 def test_random_downlink_delegates_to_the_seeded_sampler():
     world = hand_scene()
-    pool = pool_ids(world, 0, arch(SENSOR_GNA), OBS)
+    pool = pools_of(world)[SENSOR_GNA]
     qbits = grounded(world, 0, pool)
-    items = [EvidenceItem(i, QSentence(bits, VOCAB.T)) for i, bits in qbits.items()]
     for seed in (0, 7, 123):
         chosen = downlink(pool, qbits, 2, RANDOM, None, rng_seed=seed)
         assert chosen == tuple(random.Random(seed).sample(pool, 2))
-        assert {it.entity_id for it in select_random(items, 2, rng_seed=seed)} == set(chosen)

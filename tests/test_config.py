@@ -9,7 +9,6 @@ from semcom.config import (
     SHIPPED_RULE_SETS,
     load_rule_set,
     load_run_config,
-    load_scenario,
     rule_set_from_config,
     scenario_from_config,
     vocabulary_from_config,
@@ -149,15 +148,6 @@ def test_scenario_type_checks():
         scenario_from_config(dict(SCENARIO_DOC, roads="10,30"))
 
 
-def test_scenario_file(tmp_path):
-    path = tmp_path / "s.yaml"
-    path.write_text(
-        "name: filecase\ngrid: 40\nroads: [10, 30]\ncars: 3\npedestrians: 1\n"
-        "r_fov: 4\nr_vic: 12\nsteps: 5\n"
-    )
-    assert load_scenario(str(path)).name == "filecase"
-
-
 # -------------------------------------------------------------------- runs
 
 
@@ -223,6 +213,30 @@ def test_run_rejects_bad_strategy_and_budgets(tmp_path):
         load_run_config(write_run(tmp_path, run_doc(k=[-1])))
     with pytest.raises(ConfigurationError):
         load_run_config(write_run(tmp_path, run_doc(seeds=[1, 1])))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"k": [1, 2, 1]}, "duplicate budget: 1"),
+        ({"strategies": ["semantic", "semantic"]}, "duplicate strategy: semantic"),
+        ({"seeds": [3, 1, 3]}, "duplicate seed: 3"),
+        (
+            {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna", "zones": 3}]},
+            "duplicate architecture kind: sensor-gna",
+        ),
+        ({"rule_sets": ["core", "spatial", "core"]}, "duplicate rule set name: core"),
+        (
+            {"scenario": None, "scenarios": [dict(SCENARIO_DOC), dict(SCENARIO_DOC, grid=50)]},
+            "duplicate scenario name: mini",
+        ),
+    ],
+)
+def test_run_rejects_repeated_list_entries(tmp_path, overrides, message):
+    # each list keys CSV rows or files: a repeat would merge or overwrite them
+    doc = {key: value for key, value in run_doc(**overrides).items() if value is not None}
+    with pytest.raises(ConfigurationError, match=message):
+        load_run_config(write_run(tmp_path, doc))
 
 
 def test_run_rejects_unknown_top_level_keys(tmp_path):

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from semcom.errors import ConfigurationError
 from semcom.logic import (
-    EvidenceItem,
     Hypothesis,
     MAX_ENGINE_T,
     PredicateCategory,
     PredicateVocabulary,
     QSentence,
-    distinct_q,
     hypothesis_satisfied_by,
 )
 from semcom.world import (
@@ -163,12 +161,8 @@ def test_three_entity_scene_grounds_to_hand_checked_patterns():
         intersections=frozenset(),
     )
     cfg = scenario_with(vocabulary_of(("IsPedestrian", "Close")))
-    items = [
-        EvidenceItem(entity_id=ent.id, q=ground_entity(scene, ego, ent, cfg))
-        for ent in scene.agents[1:]
-    ]
-    assert [it.q.bits for it in items] == [0b11, 0b10, 0b00]
-    assert len(distinct_q(items)) == 3
+    patterns = [ground_entity(scene, ego, ent, cfg).bits for ent in scene.agents[1:]]
+    assert patterns == [0b11, 0b10, 0b00]
 
 
 # ----------------------------------------------------------------- Q-sentences
@@ -264,30 +258,3 @@ def test_dropping_a_constraint_never_unsatisfies(case):
     for drop in fixed:
         weaker = {s: b for s, b in fixed.items() if s != drop}
         assert hypothesis_satisfied_by(q, Hypothesis.from_constraints(2, weaker, "Stop"))
-
-
-# --------------------------------------------------------------- distinct_q
-
-
-def test_distinct_q_collapses_repeated_patterns():
-    items = [
-        EvidenceItem(entity_id=1, q=QSentence(bits=0b01, width=2)),
-        EvidenceItem(entity_id=2, q=QSentence(bits=0b01, width=2)),
-        EvidenceItem(entity_id=3, q=QSentence(bits=0b11, width=2)),
-    ]
-    assert distinct_q(items) == frozenset(
-        {QSentence(bits=0b01, width=2), QSentence(bits=0b11, width=2)}
-    )
-    assert distinct_q([]) == frozenset()
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=999), st.integers(0, 15)),
-        max_size=12,
-        unique_by=lambda t: t[0],
-    )
-)
-def test_distinct_q_matches_set_of_bit_patterns(pairs):
-    pool = [EvidenceItem(entity_id=i, q=QSentence(bits=b, width=4)) for i, b in pairs]
-    assert {q.bits for q in distinct_q(pool)} == {b for _, b in pairs}

@@ -12,7 +12,7 @@ from semcom.comms import (
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
     Architecture,
-    pool_ids,
+    ego_pools,
 )
 from semcom.config import load_rule_set
 from semcom import metrics
@@ -202,12 +202,11 @@ def test_trajectory_pools_and_masks_match_the_public_api():
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, seed=3)
     world = init_world(cfg, seed=3)
-    kind_arch = {kind: Architecture(kind=kind) for kind in
-                 (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)}
     for step_views in traj.views:
+        seen = ego_pools(world, cfg.observation)
         for ego_id, view in step_views.items():
-            for kind, a in kind_arch.items():
-                assert view.pools[kind] == pool_ids(world, ego_id, a, cfg.observation)
+            for kind in (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA):
+                assert view.pools[kind] == seen[ego_id].pools[kind]
             expected_mask = 0
             for ent in view.vic_ids:
                 expected_mask |= engine.sat_mask(view.qbits[ent])

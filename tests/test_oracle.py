@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom.errors import EnumerationInfeasibleError, FeasibilityError
-from semcom.logic import Hypothesis, QSentence
+from semcom.logic import MAX_ENGINE_T, Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
     closed_form_confirmation,
@@ -24,7 +24,6 @@ from semcom.oracle import (
     closed_form_table,
     compatible_count,
     conditional_semantic_entropy,
-    content,
     degree_of_confirmation,
     evidence_probability,
     exact_objective_compare,
@@ -100,11 +99,6 @@ def test_confirmation_from_counts():
     assert Fraction(joint, compatible_count(ev, 2)) == Fraction(252, 255)
 
 
-def test_content_is_one_minus_confirmation():
-    assert content(Fraction(1)) == 0
-    assert content(Fraction(252, 255)) == Fraction(3, 255)
-
-
 # ------------------------------------------------------- closed forms
 
 
@@ -158,12 +152,31 @@ def test_overlapping_hypothesis_contributes_nothing():
 
 
 def test_closed_form_rejects_oversized_exponents():
-    # width 5 puts 2**31 bits in play, far past the default budget
-    params = params_for([0], [{0: 1}], 5)
-    with pytest.raises(FeasibilityError):
-        closed_form_objective(params)
-    with pytest.raises(FeasibilityError):
-        closed_form_evidence_probability(params)
+    # width 5 puts 2**31 bits in play, far past the default budget; at the
+    # widest engine width alpha itself would be a 2**62-bit integer, so
+    # the refusal must come before alpha is built
+    for T in (5, MAX_ENGINE_T):
+        params = params_for([0], [{0: 1}], T)
+        with pytest.raises(FeasibilityError):
+            closed_form_objective(params)
+        with pytest.raises(FeasibilityError):
+            closed_form_evidence_probability(params)
+        with pytest.raises(FeasibilityError):
+            closed_form_confirmation(params, params.hypotheses[0])
+    # the budget bounds alpha for c(e) and c(phi|e) and 2*alpha for F:
+    # here alpha = 2**(Q-K) = 8 exactly
+    params = params_for([0], [{0: 1}], 2)
+    assert closed_form_evidence_probability(params, bit_budget=8) == Fraction(255, 256)
+    assert closed_form_confirmation(params, params.hypotheses[0], bit_budget=8) > 0
+    assert closed_form_objective(params, bit_budget=16) > 0
+    for refused in (
+        lambda: closed_form_evidence_probability(params, bit_budget=7),
+        lambda: closed_form_confirmation(params, params.hypotheses[0], bit_budget=7),
+        lambda: closed_form_objective(params, bit_budget=15),
+        lambda: closed_form_evidence_probability(params, bit_budget=0),
+    ):
+        with pytest.raises(FeasibilityError):
+            refused()
 
 
 @given(st.integers(min_value=0, max_value=3), st.data())

@@ -9,26 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semcom.errors import ConfigurationError, FeasibilityError
-from semcom.logic import EvidenceItem, Hypothesis, QSentence, distinct_q, hypothesis_satisfied_by
+from semcom.errors import FeasibilityError
+from semcom.logic import Hypothesis, QSentence, hypothesis_satisfied_by
 from semcom.oracle import ClosedFormParams, closed_form_objective
-from semcom.selection import (
-    KeyEngine,
-    SelectionKey,
-    comparison_key,
-    select_random,
-    select_semantic,
-)
+from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
-
-
-def item(eid, bits, T):
-    return EvidenceItem(entity_id=eid, q=QSentence(bits=bits, width=T))
 
 
 def exact_objective(subset, hyps, T):
     # K=1 at width 4 already needs a 2**16-bit denominator
-    qs = frozenset(it.q for it in subset)
+    qs = frozenset(QSentence(bits, T) for _, bits in subset)
     return closed_form_objective(
         ClosedFormParams.from_subset(qs, hyps, T), bit_budget=1 << 17
     )
@@ -36,13 +26,17 @@ def exact_objective(subset, hyps, T):
 
 def reference_key(subset, hyps, T):
     """kappa by definition, one hypothesis_satisfied_by test per (pattern, hypothesis)."""
-    qs = distinct_q(subset)
+    qs = {QSentence(bits, T) for _, bits in subset}
     exponents = sorted(
         h.specificity_exponent(T)
         for h in hyps
         if not any(hypothesis_satisfied_by(q, h) for q in qs)
     )
     return (len(exponents), len(qs), *(-g for g in exponents))
+
+
+def ids(subset):
+    return tuple(i for i, _ in subset)
 
 
 # ------------------------------------------------------------------- keys
@@ -54,37 +48,42 @@ def test_key_for_two_disjoint_hypotheses_in_a_wide_vocabulary():
     narrow = Hypothesis.from_constraints(
         2, {27: 1, 28: 1, 29: 1, 30: 1, 31: 1}, "Slow"
     )
-    subset = [item(0, 0b001, T), item(1, 0b010, T), item(2, 0b100, T)]
-    key = comparison_key(subset, [broad, narrow], T)
-    assert key.n_nonoverlap == 2
-    assert key.K == 3
-    # unfixed-slot exponents, smallest compatible region first
-    assert key.sorted_specificity_exponents == (29, 32)
-    assert key.as_tuple() == (2, 3, -29, -32)
+    key = KeyEngine([broad, narrow], T).key_for_patterns([0b001, 0b010, 0b100])
+    # two uncovered, three patterns, then the unfixed-slot exponents of
+    # the uncovered hypotheses, smallest compatible region first
+    assert key == (2, 3, -29, -32)
 
 
 def test_overlap_shrinks_the_key_head():
-    T = 4
-    h = Hypothesis.from_constraints(1, {3: 1}, "Stop")
-    covered = comparison_key([item(0, 0b1000, T)], [h], T)
-    uncovered = comparison_key([item(0, 0b0001, T)], [h], T)
-    assert covered.n_nonoverlap == 0
-    assert uncovered.n_nonoverlap == 1
-    assert covered.as_tuple() < uncovered.as_tuple()
+    engine = KeyEngine([Hypothesis.from_constraints(1, {3: 1}, "Stop")], 4)
+    covered = engine.key_for_patterns([0b1000])
+    uncovered = engine.key_for_patterns([0b0001])
+    assert covered == (0, 1)
+    assert uncovered == (1, 1, -3)
+    assert covered < uncovered
 
 
 def test_lex_orders_on_nonoverlap_before_anything_else():
-    a = SelectionKey(n_nonoverlap=0, K=3, sorted_specificity_exponents=())
-    b = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(9,))
-    assert a.as_tuple() < b.as_tuple()
-    assert a.as_tuple() == SelectionKey(0, 3, ()).as_tuple()
+    # witnessing the hypothesis beats sending fewer distinct patterns
+    engine = KeyEngine([Hypothesis.from_constraints(1, {3: 1}, "Stop")], 4)
+    witnessed = engine.key_for_patterns([0b1000, 0b0001, 0b0010])
+    fewer = engine.key_for_patterns([0b0001, 0b0010])
+    assert witnessed == (0, 3)
+    assert fewer == (1, 2, -3)
+    assert witnessed < fewer
 
 
 def test_lex_breaks_ties_toward_the_vaguest_uncovered_hypothesis():
-    # same counts; the side whose smallest compatible region is larger wins
-    a = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(3,))
-    b = SelectionKey(n_nonoverlap=1, K=2, sorted_specificity_exponents=(2,))
-    assert a.as_tuple() < b.as_tuple()
+    # same counts; the side whose uncovered hypothesis has the larger
+    # compatible region (fewer fixed slots) wins
+    vague = Hypothesis.from_constraints(1, {3: 1}, "Stop")
+    specific = Hypothesis.from_constraints(2, {0: 1, 1: 1}, "Slow")
+    engine = KeyEngine([vague, specific], 4)
+    leaves_vague = engine.key_for_patterns([0b0011, 0b0100])
+    leaves_specific = engine.key_for_patterns([0b1000, 0b0100])
+    assert leaves_vague == (1, 2, -3)
+    assert leaves_specific == (1, 2, -2)
+    assert leaves_vague < leaves_specific
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -96,8 +95,7 @@ def test_engine_key_matches_the_definition(seed):
     for size in range(1, k + 1):
         for subset in itertools.combinations(pool, size):
             expected = reference_key(subset, hyps, T)
-            assert comparison_key(subset, hyps, T).as_tuple() == expected
-            assert engine.key_for_patterns(it.q.bits for it in subset).as_tuple() == expected
+            assert engine.key_for_patterns(bits for _, bits in subset) == expected
 
 
 # ------------------------------------------- agreement with the exact form
@@ -115,10 +113,10 @@ def test_key_order_matches_exact_objective_on_a_frozen_instance():
     # semcom.validation measures how often the two orders part ways, and
     # key ties always coincide with objective ties.
     T, k, pool, hyps = frozen_instance(9, 4, 6, 2)
-    subsets = list(itertools.combinations(pool, k))
+    engine = KeyEngine(hyps, T)
     scored = [
-        (comparison_key(s, hyps, T).as_tuple(), exact_objective(s, hyps, T))
-        for s in subsets
+        (engine.key_for_patterns(bits for _, bits in s), exact_objective(s, hyps, T))
+        for s in itertools.combinations(pool, k)
     ]
     for (ka, fa), (kb, fb) in itertools.combinations(scored, 2):
         assert (ka < kb) == (fa < fb)
@@ -127,47 +125,53 @@ def test_key_order_matches_exact_objective_on_a_frozen_instance():
 
 def test_selection_attains_exact_minimum_on_a_frozen_instance():
     T, k, pool, hyps = frozen_instance(68, 4, 7, 3)
-    chosen = select_semantic(pool, hyps, k, T)
+    chosen = KeyEngine(hyps, T).select(pool, k)
     best = min(
         exact_objective(s, hyps, T) for s in itertools.combinations(pool, k)
     )
-    assert exact_objective(chosen, hyps, T) == best
+    assert exact_objective([e for e in pool if e[0] in chosen], hyps, T) == best
 
 
 # -------------------------------------------------------------- selection
 
 
 def test_whole_pool_returned_when_budget_exceeds_it():
-    pool = [item(i, i, 3) for i in range(3)]
-    hyps = [Hypothesis.from_constraints(1, {2: 1}, "Stop")]
-    assert select_semantic(pool, hyps, 5, 3) == frozenset(pool)
+    engine = KeyEngine([Hypothesis.from_constraints(1, {2: 1}, "Stop")], 3)
+    assert engine.select([(0, 0), (1, 1), (2, 2)], 5) == (0, 1, 2)
 
 
 def test_single_slot_goes_to_the_only_covering_entity():
-    T = 3
-    hyps = [Hypothesis.from_constraints(1, {2: 1}, "Stop")]
-    pool = [item(0, 0b001, T), item(1, 0b100, T), item(2, 0b010, T)]
-    chosen = select_semantic(pool, hyps, 1, T)
-    assert {it.entity_id for it in chosen} == {1}
-
-
-def test_selection_ignores_pool_order():
-    T, k, pool, hyps = frozen_instance(68, 4, 7, 3)
-    rng = random.Random(0)
-    reference = select_semantic(pool, hyps, k, T)
-    for _ in range(10):
-        shuffled = pool[:]
-        rng.shuffle(shuffled)
-        assert select_semantic(shuffled, hyps, k, T) == reference
+    engine = KeyEngine([Hypothesis.from_constraints(1, {2: 1}, "Stop")], 3)
+    assert engine.select([(0, 0b001), (1, 0b100), (2, 0b010)], 1) == (1,)
 
 
 def test_key_collapses_duplicate_patterns():
     # K counts distinct patterns, so a repeated entity leaves the key alone
-    T = 4
-    hyps = [Hypothesis.from_constraints(1, {3: 1}, "Stop")]
-    subset = [item(0, 0b0001, T), item(1, 0b0010, T)]
-    doubled = subset + [item(2, 0b0001, T)]
-    assert comparison_key(doubled, hyps, T) == comparison_key(subset, hyps, T)
+    engine = KeyEngine([Hypothesis.from_constraints(1, {3: 1}, "Stop")], 4)
+    assert engine.key_for_patterns([0b0001, 0b0010, 0b0001]) == engine.key_for_patterns(
+        [0b0001, 0b0010]
+    )
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_select_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
+    # brute force over every k-subset, ranked by the definitional key and
+    # then by sorted id tuple; copies of earlier patterns make K ties and
+    # interchangeable entities common, so the id tie-break is exercised
+    rng = random.Random(seed)
+    T, _, pool, hyps = random_instance(rng, (2, 3, 4, 5), 8, 1)
+    pool = [
+        (i, pool[rng.randrange(i)][1] if i and rng.random() < 0.4 else bits)
+        for i, bits in pool
+    ]
+    engine = KeyEngine(hyps, T)
+    for k in range(1, len(pool)):
+        expected = min(
+            itertools.combinations(pool, k),
+            key=lambda c: (reference_key(c, hyps, T), ids(c)),
+        )
+        assert engine.select(pool, k) == ids(expected)
 
 
 @given(st.integers(min_value=0, max_value=2000))
@@ -180,29 +184,25 @@ def test_growing_the_pool_never_worsens_the_best_key(seed):
     rng = random.Random(seed)
     T, k, pool, hyps = random_instance(rng, (3, 4), 6, 2)
     assume(len(pool) > k)
-    best = comparison_key(select_semantic(pool, hyps, k, T), hyps, T)
+    engine = KeyEngine(hyps, T)
+
+    def best_key(entries):
+        qbits = dict(entries)
+        return engine.key_for_patterns(qbits[i] for i in engine.select(entries, k))
+
     if rng.random() < 0.5:
-        extra = EvidenceItem(entity_id=10_000, q=rng.choice(pool).q)
+        extra = (10_000, rng.choice(pool)[1])
     else:
-        extra = item(10_000, rng.randrange(1 << T), T)
-    best_after = comparison_key(select_semantic(pool + [extra], hyps, k, T), hyps, T)
-    assert best_after.as_tuple() <= best.as_tuple()
-
-
-def test_selection_rejects_zero_budget_and_duplicate_ids():
-    pool = [item(0, 1, 3), item(1, 2, 3)]
-    hyps = [Hypothesis.from_constraints(1, {0: 1}, "Stop")]
-    with pytest.raises(ConfigurationError):
-        select_semantic(pool, hyps, 0, 3)
-    with pytest.raises(ConfigurationError):
-        select_semantic(pool + [item(0, 4, 3)], hyps, 1, 3)
+        extra = (10_000, rng.randrange(1 << T))
+    assert best_key(pool + [extra]) <= best_key(pool)
 
 
 def test_selection_refuses_enormous_enumerations():
-    pool = [item(i, i % 8, 3) for i in range(30)]
-    hyps = [Hypothesis.from_constraints(1, {0: 1}, "Stop")]
+    # the sweep's entry point passes the engine's cap through unchanged
+    engine = KeyEngine([Hypothesis.from_constraints(1, {0: 1}, "Stop")], 3)
+    pool = tuple(range(30))
     with pytest.raises(FeasibilityError):
-        select_semantic(pool, hyps, 15, 3)
+        downlink(pool, {i: i % 8 for i in pool}, 15, SEMANTIC, engine)
 
 
 def test_engine_refuses_enormous_enumerations_before_scoring_any():
@@ -220,19 +220,18 @@ def test_engine_refuses_enormous_enumerations_before_scoring_any():
 
 
 def test_random_selection_is_reproducible():
-    pool = [item(i, i, 3) for i in range(6)]
-    assert select_random(pool, 2, rng_seed=42) == select_random(pool, 2, rng_seed=42)
-    assert select_random(pool, 6, rng_seed=0) == frozenset(pool)
-    assert select_random(pool, 9, rng_seed=0) == frozenset(pool)
+    pool = tuple(range(6))
+    assert downlink(pool, {}, 2, RANDOM, None, 42) == downlink(pool, {}, 2, RANDOM, None, 42)
+    assert downlink(pool, {}, 6, RANDOM, None, 0) == pool
+    assert downlink(pool, {}, 9, RANDOM, None, 0) == pool
 
 
 def test_random_selection_draws_pairs_uniformly():
-    pool = [item(i, i, 3) for i in range(5)]
+    pool = tuple(range(5))
     counts = Counter()
     draws = 10_000
     for seed in range(draws):
-        chosen = select_random(pool, 2, rng_seed=seed)
-        counts[tuple(sorted(it.entity_id for it in chosen))] += 1
+        counts[tuple(sorted(downlink(pool, {}, 2, RANDOM, None, seed)))] += 1
     assert len(counts) == 10
     # each pair has p = 1/10; allow five standard deviations
     expected = draws / 10

@@ -259,10 +259,11 @@ def test_dwelling_pedestrian_grounds_as_not_moving():
     ped = moving_agent(1, PEDESTRIAN, [(12, 10), (12, 10), (13, 10)], pos=0)
     world = hand_world([ego, ped])
     walked = step(world, {0: "Stop"})
-    ped_after = walked.agent(1)
+    by_id = {a.id: a for a in walked.agents}
+    ped_after = by_id[1]
     assert ped_after.position == (12, 10)
     assert ped_after.moved is False
-    q = ground_entity(walked, walked.agent(0), ped_after, scenario())
+    q = ground_entity(walked, by_id[0], ped_after, scenario())
     assert q.bit(slot("IsMoving")) == 0
 
 
@@ -332,10 +333,10 @@ def test_cars_advance_by_action_speed():
     car = moving_agent(0, CAR, route)
     world = hand_world([car])
     for action, dist in [("Stop", 0), ("Slow", 1), ("Normal", 2), ("Fast", 3)]:
-        moved = step(world, {0: action})
-        assert moved.agent(0).position == (10 + dist, 10)
-        assert moved.agent(0).moved is (dist > 0)
-        assert moved.agent(0).last_action == action
+        moved = {a.id: a for a in step(world, {0: action}).agents}[0]
+        assert moved.position == (10 + dist, 10)
+        assert moved.moved is (dist > 0)
+        assert moved.last_action == action
 
 
 def test_all_stop_freezes_a_car_only_world():
@@ -360,7 +361,7 @@ def test_pedestrians_walk_one_cell_regardless_of_car_actions():
 def test_route_wraps_around():
     route = ((0, 0), (1, 0), (1, 1), (0, 1))
     world = hand_world([moving_agent(0, CAR, route, pos=3)], grid=8)
-    assert step(world, {0: "Slow"}).agent(0).position == (0, 0)
+    assert {a.id: a for a in step(world, {0: "Slow"}).agents}[0].position == (0, 0)
 
 
 def test_two_step_trace_is_reproducible():
@@ -376,11 +377,11 @@ def test_two_step_trace_is_reproducible():
     seen = []
     for _ in range(2):
         actions = {}
+        by_id = {a.id: a for a in world.agents}
         for ego_id, view in ego_pools(world, cfg.observation).items():
-            ego = world.agent(ego_id)
             mask = 0
             for ent_id in view.fov_ids:
-                mask |= engine.sat_mask(ground_entity(world, ego, world.agent(ent_id), cfg).bits)
+                mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id], cfg).bits)
             actions[ego_id] = rules.action_of(mask)
         world = step(world, actions)
         seen.append((dict(sorted(actions.items())), [a.position for a in world.agents]))
