@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from . import metrics
 from .config import RunConfig, load_run_config
-from .errors import SemcomError
+from .errors import ConfigurationError, SemcomError
 from .oracle import closed_form_table
 from .validation import validate_key_ordering
 
@@ -112,8 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     t = args.t
-    k_values = args.k_values if args.k_values is not None else list(range((1 << t) + 1))
-    z_values = args.z_values if args.z_values is not None else list(range(1, t + 1))
+    if t < 1:
+        # the default K axis 0..2**t needs t first
+        raise ConfigurationError("--t must be at least 1, got %d" % t)
+    k_values = args.k_values if args.k_values is not None else range((1 << t) + 1)
+    z_values = args.z_values if args.z_values is not None else range(1, t + 1)
     rows = []
     for k in k_values:
         for row in closed_form_table(t, k, z_values):

@@ -399,7 +399,13 @@ def closed_form_table(T: int, K: int, z_values: Sequence[int]) -> List[Dict[str,
     Each Z is treated as a single non-overlapping hypothesis when K + H
     fits inside Q, otherwise as witnessed.  At T <= 2 every row is
     cross-checked against the enumeration oracle before being emitted.
+    T and every Z are checked before any row is built.
     """
+    if T < 1:
+        raise ConfigurationError("T must be at least 1, got %d" % T)
+    for z in z_values:
+        if not 1 <= z <= T:
+            raise ConfigurationError("Z=%d outside [1, T=%d]" % (z, T))
     rows: List[Dict[str, str]] = []
     q = 1 << T
     for z in z_values:

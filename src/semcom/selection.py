@@ -16,19 +16,31 @@ minimum specificity.
 A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
 ranks its k-subsets by kappa and ``downlink`` applies the budget and the
 strategy; the sweep and the tests both go through them.
+
+``select`` has two paths with one result.  Up to SUBSET_LOOP_MAX
+candidate subsets it scores each in turn.  Above that it searches sets
+of satisfaction-mask classes: kappa depends only on the OR of the chosen
+patterns' masks and on K, and a crowded pool holds far fewer distinct
+masks than it has k-subsets.  The loop stays for small pools, where the
+search's fixed cost per call exceeds the whole enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from math import comb
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 
 DEFAULT_ENUMERATION_CAP = 10**7
+# C(n, k) up to which select scores subsets one by one.  The mask-class
+# search costs more per call than this many subsets do, and most pools of
+# a desk-sized sweep fall below it.
+SUBSET_LOOP_MAX = 200
 
 SEMANTIC = "semantic"
 RANDOM = "random"
@@ -96,6 +108,11 @@ class KeyEngine:
         to the first combination in id-lexicographic order, i.e. the
         smallest sorted id tuple.  More than DEFAULT_ENUMERATION_CAP
         candidate subsets raise FeasibilityError before any is scored.
+
+        Up to SUBSET_LOOP_MAX candidate subsets are scored one by one;
+        above that the search runs over sets of satisfaction-mask
+        classes and returns the same subset.  The cap holds on both
+        paths, so it still bounds C(n, k).
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
@@ -105,6 +122,12 @@ class KeyEngine:
                 "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
                 % (len(entries), k, n_subsets, DEFAULT_ENUMERATION_CAP)
             )
+        if n_subsets <= SUBSET_LOOP_MAX:
+            return self._select_by_subsets(entries, k)
+        return self._select_by_masks(entries, k)
+
+    def _select_by_subsets(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
+        """select by scoring every k-subset in id-lexicographic order."""
         masks = [self.sat_mask(qbits) for _, qbits in entries]
         patterns = [qbits for _, qbits in entries]
         full = self.full_mask
@@ -134,6 +157,116 @@ class KeyEngine:
             best_head = head
             best_combo = combo
         return tuple(entries[i][0] for i in best_combo)
+
+    def _select_by_masks(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
+        """select by searching sets of satisfaction-mask classes.
+
+        kappa of a subset depends only on the set M of mask classes its
+        patterns fall in (through the OR of their masks) and on K, its
+        number of distinct patterns.  Step 1 scores every M of at most k
+        classes with the fewest patterns that can hold k entries while
+        taking one pattern from each class of M; kappa* is the smallest
+        score.  Step 2 walks the entries in order and takes one whenever
+        some M scoring kappa* can still be completed to exactly K*
+        patterns and k entries from the entries after it, which yields
+        the smallest sorted id tuple.
+        """
+        patterns = [qbits for _, qbits in entries]
+        counts = Counter(patterns)
+        classes: Dict[int, List[int]] = {}  # sat mask -> its distinct patterns
+        for qbits in counts:
+            classes.setdefault(self.sat_mask(qbits), []).append(qbits)
+        best: Optional[Tuple[int, ...]] = None
+        kept: List[Tuple[int, ...]] = []
+        for size in range(min(k, len(classes)) + 1):
+            for chosen in itertools.combinations(classes, size):
+                covered = 0
+                for m in chosen:
+                    covered |= m
+                uncovered = self.full_mask & ~covered
+                if best is not None and uncovered.bit_count() > best[0]:
+                    continue
+                order = _greedy_counts(
+                    [[counts[q] for q in classes[m]] for m in chosen], ()
+                )
+                n_patterns, held = size, sum(order[:size])
+                while held < k and n_patterns < len(order):
+                    held += order[n_patterns]
+                    n_patterns += 1
+                if held < k:
+                    continue
+                key = (uncovered.bit_count(), n_patterns) + self._tail(uncovered)
+                if best is None or key < best:
+                    best, kept = key, [chosen]
+                elif key == best:
+                    kept.append(chosen)
+        n_best = best[1]
+
+        mask_of = {q: m for m, members in classes.items() for q in members}
+        picked: List[int] = []
+        taken: AbstractSet[int] = frozenset()  # patterns of the picked entries
+        after = counts.copy()  # pattern -> entries after the current one
+        for idx, qbits in enumerate(patterns):
+            if len(picked) == k:
+                break
+            after[qbits] -= 1
+            trial = taken | {qbits}
+            trial_masks = {mask_of[q] for q in trial}
+            n_new = n_best - len(trial)
+            needed = k - len(picked) - 1
+            if not 0 <= n_new <= needed:
+                continue
+            # entries the new patterns must hold beyond what trial's can
+            short = needed - sum(after[q] for q in trial)
+            if any(
+                trial_masks.issubset(chosen)
+                and _completes(classes, chosen, trial, trial_masks, after, n_new, short)
+                for chosen in kept
+            ):
+                picked.append(idx)
+                taken = trial
+        return tuple(entries[i][0] for i in picked)
+
+
+def _completes(
+    classes: Mapping[int, Sequence[int]],
+    chosen: Sequence[int],
+    taken: AbstractSet[int],
+    taken_masks: AbstractSet[int],
+    after: Mapping[int, int],
+    n_new: int,
+    short: int,
+) -> bool:
+    """Whether exactly n_new patterns outside taken, each with an entry
+    left in after, can hold at least short entries while the classes of
+    chosen not yet in taken_masks each gain one of them."""
+    required: List[List[int]] = []
+    optional: List[int] = []
+    for m in chosen:
+        free = [after[q] for q in classes[m] if q not in taken and after[q]]
+        if m in taken_masks:
+            optional.extend(free)
+        elif free:
+            required.append(free)
+        else:
+            return False
+    order = _greedy_counts(required, optional)
+    return len(required) <= n_new <= len(order) and sum(order[:n_new]) >= short
+
+
+def _greedy_counts(required: Sequence[Sequence[int]], optional: Iterable[int]) -> List[int]:
+    """Entry counts ordered so that every prefix from len(required) on
+    holds the most entries possible with one count from each required
+    group: the largest count of each group, then all others, largest
+    first."""
+    heads: List[int] = []
+    rest = list(optional)
+    for group in required:
+        ordered = sorted(group, reverse=True)
+        heads.append(ordered[0])
+        rest.extend(ordered[1:])
+    rest.sort(reverse=True)
+    return heads + rest
 
 
 def downlink(

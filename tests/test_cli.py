@@ -2,6 +2,7 @@
 
 import csv
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,31 @@ def test_oracle_refuses_a_wide_table_with_exit_two(capsys):
     # at T=62, K=0 the first row's c(e) needs a 2**(2**62)-bit denominator: refused
     # by the bit budget, not by running out of memory
     assert cli.main(["oracle", "--t", "62", "--k-values", "0", "--z-values", "1"]) == 2
+    assert "bit budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "-1"],
+        ["--t", "0"],
+        ["--t", "2", "--z-values", "3"],
+        ["--t", "2", "--k-values", "1", "--z-values", "0"],
+    ],
+)
+def test_oracle_rejects_bad_t_and_z_with_exit_two(argv, capsys):
+    assert cli.main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_oracle_refuses_t_30_at_the_first_row(capsys):
+    # the default K axis has 2**30 + 1 values; the first row's bit-budget
+    # check must refuse before any of the rest are touched
+    started = time.perf_counter()
+    assert cli.main(["oracle", "--t", "30"]) == 2
+    assert time.perf_counter() - started < 1.0
     assert "bit budget" in capsys.readouterr().err
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.errors import EnumerationInfeasibleError, FeasibilityError
+from semcom.errors import ConfigurationError, EnumerationInfeasibleError, FeasibilityError
 from semcom.logic import MAX_ENGINE_T, Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
@@ -305,3 +305,15 @@ def test_table_marks_unavoidable_overlap():
     assert rows[0]["overlap"] == "1"
     assert Fraction(rows[0]["c_phi_given_e"]) == 1
     assert Fraction(rows[0]["F_term"]) == 0
+
+
+def test_table_checks_t_and_every_z_before_any_row():
+    with pytest.raises(ConfigurationError):
+        closed_form_table(0, 0, [])
+    with pytest.raises(ConfigurationError):
+        closed_form_table(-1, 0, [1])
+    # Z = 3 > T would be a negative shift; Z = 0 is checked as early
+    with pytest.raises(ConfigurationError):
+        closed_form_table(2, 1, [1, 3])
+    with pytest.raises(ConfigurationError):
+        closed_form_table(2, 1, [0])

@@ -4,16 +4,20 @@ import itertools
 import random
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semcom.comms import ego_pools
+from semcom.config import load_rule_set
 from semcom.errors import FeasibilityError
 from semcom.logic import Hypothesis, QSentence, hypothesis_satisfied_by
 from semcom.oracle import ClosedFormParams, closed_form_objective
-from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
+from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
+from semcom.world import ObservationConfig, ScenarioConfig, ground_entity, init_world
 
 
 def exact_objective(subset, hyps, T):
@@ -172,6 +176,58 @@ def test_select_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
             key=lambda c: (reference_key(c, hyps, T), ids(c)),
         )
         assert engine.select(pool, k) == ids(expected)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
+    # the mask-class search is called directly: through select, pools
+    # this small have at most C(12, 6) = 924 subsets and mostly take the
+    # subset loop
+    rng = random.Random(seed)
+    T, _, pool, hyps = random_instance(rng, (2, 3, 4, 5), 12, 1)
+    pool = [
+        (i, pool[rng.randrange(i)][1] if i and rng.random() < 0.4 else bits)
+        for i, bits in pool
+    ]
+    engine = KeyEngine(hyps, T)
+    for k in range(len(pool) + 1):
+        expected = min(
+            itertools.combinations(pool, k),
+            key=lambda c: (reference_key(c, hyps, T), ids(c)),
+        )
+        assert engine._select_by_masks(pool, k) == ids(expected)
+
+
+def test_select_matches_brute_force_on_crowded_pools():
+    # every pool of two dense one-step worlds large enough for the mask
+    # search at k = 4, against the minimum over all C(n, 4) subsets
+    scenario = ScenarioConfig(
+        name="dense", grid=60, roads=(10, 30, 50), cars=40, pedestrians=60,
+        observation=ObservationConfig(r_fov=3, r_vic=15), steps=1,
+    )
+    rules = load_rule_set("core", scenario.vocabulary)
+    engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
+    k = 4
+    checked = 0
+    for seed in (1, 2):
+        world = init_world(scenario, seed)
+        by_id = {a.id: a for a in world.agents}
+        for ego_id, seen in ego_pools(world, scenario.observation).items():
+            ego = by_id[ego_id]
+            for pool in seen.pools.values():
+                if comb(len(pool), k) <= SUBSET_LOOP_MAX:
+                    continue
+                entries = [
+                    (i, ground_entity(world, ego, by_id[i], scenario).bits) for i in pool
+                ]
+                expected = min(
+                    itertools.combinations(entries, k),
+                    key=lambda c: (engine.key_for_patterns(q for _, q in c), ids(c)),
+                )
+                assert engine.select(entries, k) == ids(expected)
+                checked += 1
+    assert checked > 100
 
 
 @given(st.integers(min_value=0, max_value=2000))
