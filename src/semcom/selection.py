@@ -22,7 +22,9 @@ candidate subsets it scores each in turn.  Above that it searches sets
 of satisfaction-mask classes: kappa depends only on the OR of the chosen
 patterns' masks and on K, and a crowded pool holds far fewer distinct
 masks than it has k-subsets.  The loop stays for small pools, where the
-search's fixed cost per call exceeds the whole enumeration.
+search's fixed cost per call exceeds the whole enumeration, and for
+pools whose masks are so varied that the sets of at most k of them
+outnumber the k-subsets.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 
 DEFAULT_ENUMERATION_CAP = 10**7
-# C(n, k) up to which select scores subsets one by one.  The mask-class
-# search costs more per call than this many subsets do, and most pools of
-# a desk-sized sweep fall below it.
+# C(n, k) up to which select always scores subsets one by one: there the
+# mask-class search's fixed cost per call exceeds the whole enumeration,
+# and most pools of a desk-sized sweep are that small.
 SUBSET_LOOP_MAX = 200
 
 SEMANTIC = "semantic"
@@ -109,10 +111,11 @@ class KeyEngine:
         smallest sorted id tuple.  More than DEFAULT_ENUMERATION_CAP
         candidate subsets raise FeasibilityError before any is scored.
 
-        Up to SUBSET_LOOP_MAX candidate subsets are scored one by one;
-        above that the search runs over sets of satisfaction-mask
-        classes and returns the same subset.  The cap holds on both
-        paths, so it still bounds C(n, k).
+        Up to SUBSET_LOOP_MAX candidate subsets are scored one by one.
+        Above that the search runs over the sets of at most k
+        satisfaction-mask classes when there are fewer of those than
+        subsets, and returns the same subset.  Either path scores at
+        most C(n, k) candidates, which the cap bounds.
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
@@ -122,9 +125,12 @@ class KeyEngine:
                 "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
                 % (len(entries), k, n_subsets, DEFAULT_ENUMERATION_CAP)
             )
-        if n_subsets <= SUBSET_LOOP_MAX:
-            return self._select_by_subsets(entries, k)
-        return self._select_by_masks(entries, k)
+        if n_subsets > SUBSET_LOOP_MAX:
+            n_masks = len({self.sat_mask(qbits) for _, qbits in entries})
+            n_mask_sets = sum(comb(n_masks, size) for size in range(min(k, n_masks) + 1))
+            if n_mask_sets < n_subsets:
+                return self._select_by_masks(entries, k)
+        return self._select_by_subsets(entries, k)
 
     def _select_by_subsets(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
         """select by scoring every k-subset in id-lexicographic order."""

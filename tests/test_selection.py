@@ -200,8 +200,9 @@ def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
 
 
 def test_select_matches_brute_force_on_crowded_pools():
-    # every pool of two dense one-step worlds large enough for the mask
-    # search at k = 4, against the minimum over all C(n, 4) subsets
+    # every pool of two dense one-step worlds with more than
+    # SUBSET_LOOP_MAX subsets at k = 4, which select answers by the mask
+    # search, against the minimum over all C(n, 4) subsets
     scenario = ScenarioConfig(
         name="dense", grid=60, roads=(10, 30, 50), cars=40, pedestrians=60,
         observation=ObservationConfig(r_fov=3, r_vic=15), steps=1,
@@ -269,6 +270,21 @@ def test_engine_refuses_enormous_enumerations_before_scoring_any():
     started = time.perf_counter()
     with pytest.raises(FeasibilityError):
         engine.select(entries, 15)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets():
+    # 24 entries with 24 distinct masks: C(24, 20) = 10626 subsets, but
+    # about 1.7e7 sets of at most 20 mask classes
+    T = 5
+    hyps = [
+        Hypothesis.from_constraints(i, {s: (i >> s) & 1 for s in range(T)}, "Stop")
+        for i in range(24)
+    ]
+    engine = KeyEngine(hyps, T)
+    started = time.perf_counter()
+    # every subset has the same kappa, so the smallest ids win
+    assert engine.select([(i, i) for i in range(24)], 20) == tuple(range(20))
     assert time.perf_counter() - started < 1.0
 
 
