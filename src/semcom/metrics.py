@@ -48,13 +48,16 @@ class TraceRecord:
     agent_id: int
     fi_mask: int
     fi_action: str
-    strategy_mask: int
-    strategy_action: str
+    strategy_masks: Tuple[int, ...]  # one per cell of the trace, in its order
+
+
+Cell = Tuple[str, str, int]  # (architecture kind, strategy, k)
 
 
 @dataclass(frozen=True)
 class EpisodeTrace:
     n_hypotheses: int
+    cells: Tuple[Cell, ...]
     records: Tuple[TraceRecord, ...]
 
 
@@ -82,20 +85,21 @@ class AggregateRow:
     adsr_std: float
 
 
-def hypothesis_dsr(trace: EpisodeTrace) -> float:
-    """Fraction of (step, agent, hypothesis) evaluations matching FI."""
+def hypothesis_dsr(trace: EpisodeTrace, column: int) -> float:
+    """Fraction of (step, agent, hypothesis) evaluations of one cell matching FI."""
     if not trace.records or trace.n_hypotheses == 0:
         raise UndefinedMetricError("H-DSR over an empty trace")
     total = len(trace.records) * trace.n_hypotheses
-    mismatches = sum((r.fi_mask ^ r.strategy_mask).bit_count() for r in trace.records)
+    mismatches = sum((r.fi_mask ^ r.strategy_masks[column]).bit_count() for r in trace.records)
     return (total - mismatches) / total
 
 
-def action_dsr(trace: EpisodeTrace) -> float:
-    """Fraction of (step, agent) decisions matching FI."""
+def action_dsr(trace: EpisodeTrace, column: int, rules: RuleSet) -> float:
+    """Fraction of (step, agent) decisions of one cell matching FI."""
     if not trace.records:
         raise UndefinedMetricError("A-DSR over an empty trace")
-    matches = sum(1 for r in trace.records if r.strategy_action == r.fi_action)
+    action_of = rules.action_of
+    matches = sum(1 for r in trace.records if action_of(r.strategy_masks[column]) == r.fi_action)
     return matches / len(trace.records)
 
 
@@ -151,9 +155,7 @@ def build_trajectory(
                 ent_id: ground_entity(world, ego, by_id[ent_id], scenario).bits
                 for ent_id in seen.vic_ids
             }
-            fi_mask = 0
-            for bits in qbits.values():
-                fi_mask |= engine.sat_mask(bits)
+            fi_mask = _witnessed(engine, qbits, seen.vic_ids)
             fi_action = rules.action_of(fi_mask)
             views[ego_id] = StepView(
                 fov_ids=seen.fov_ids,
@@ -173,47 +175,46 @@ def build_trajectory(
     )
 
 
+def _witnessed(engine: KeyEngine, qbits: Mapping[int, int], ids: Iterable[int]) -> int:
+    """Bitmask of the hypotheses that some entity in ids satisfies."""
+    mask = 0
+    for ent_id in ids:
+        mask |= engine.sat_mask(qbits[ent_id])
+    return mask
+
+
 def _record_seed(base_seed: int, step_idx: int, ego_id: int) -> int:
     return ((base_seed * 1000003 + step_idx) * 1000003 + ego_id) & 0x7FFFFFFF
 
 
-def evaluate_cell(
-    trajectory: Trajectory,
-    rules: RuleSet,
-    arch: Architecture,
-    strategy: str,
-    k: int,
-    engine: KeyEngine,
-) -> EpisodeTrace:
-    """Score one (architecture, strategy, budget) cell on a trajectory.
+def evaluate_cell(trajectory: Trajectory, cells: Sequence[Cell], engine: KeyEngine) -> EpisodeTrace:
+    """Score every (architecture kind, strategy, budget) cell in one pass.
 
-    Random downlink draws are seeded per (seed, step, ego) so they are
-    reproducible and shared across budgets on the same trajectory.
+    Random downlink draws are seeded per (seed, step, ego), not per
+    cell, so they are reproducible and shared across architectures and
+    budgets.  A view's chosen evidence therefore depends only on
+    (pool, strategy, min(k, len(pool))), and each such key runs
+    downlink once per view.
     """
+    cells = tuple(cells)
     records: List[TraceRecord] = []
-    base_seed = trajectory.seed
-    seeded = strategy == RANDOM
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
             view = views[ego_id]
-            rng_seed = _record_seed(base_seed, step_idx, ego_id) if seeded else 0
-            chosen = downlink(view.pools[arch.kind], view.qbits, k, strategy, engine, rng_seed)
-            mask = 0
-            for ent_id in view.fov_ids:
-                mask |= engine.sat_mask(view.qbits[ent_id])
-            for ent_id in chosen:
-                mask |= engine.sat_mask(view.qbits[ent_id])
-            records.append(
-                TraceRecord(
-                    step=step_idx,
-                    agent_id=ego_id,
-                    fi_mask=view.fi_mask,
-                    fi_action=view.fi_action,
-                    strategy_mask=mask,
-                    strategy_action=rules.action_of(mask),
-                )
-            )
-    return EpisodeTrace(n_hypotheses=trajectory.n_hypotheses, records=tuple(records))
+            rng_seed = _record_seed(trajectory.seed, step_idx, ego_id)
+            fov_mask = _witnessed(engine, view.qbits, view.fov_ids)
+            chosen: Dict[Tuple[Tuple[int, ...], str, int], int] = {}
+            masks = []
+            for kind, strategy, k in cells:
+                pool = view.pools[kind]
+                key = (pool, strategy, k if k < len(pool) else len(pool))
+                mask = chosen.get(key)
+                if mask is None:
+                    ids = downlink(pool, view.qbits, k, strategy, engine, rng_seed)
+                    mask = chosen[key] = fov_mask | _witnessed(engine, view.qbits, ids)
+                masks.append(mask)
+            records.append(TraceRecord(step_idx, ego_id, view.fi_mask, view.fi_action, tuple(masks)))
+    return EpisodeTrace(trajectory.n_hypotheses, cells, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +228,20 @@ def _run_task(
     zones = max((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), default=2)
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     trajectory = build_trajectory(scenario, rules, seed, zones=zones, engine=engine)
-    rows = []
-    for arch in architectures:
-        for strategy in strategies:
-            for k in ks:
-                trace = evaluate_cell(trajectory, rules, arch, strategy, k, engine)
-                rows.append(
-                    MetricsRow(
-                        architecture=arch.kind,
-                        rule_set=rules.name,
-                        strategy=strategy,
-                        k=k,
-                        seed=seed,
-                        hdsr=hypothesis_dsr(trace),
-                        adsr=action_dsr(trace),
-                    )
-                )
-    return rows
+    cells = [(arch.kind, strategy, k) for arch in architectures for strategy in strategies for k in ks]
+    trace = evaluate_cell(trajectory, cells, engine)
+    return [
+        MetricsRow(
+            architecture=kind,
+            rule_set=rules.name,
+            strategy=strategy,
+            k=k,
+            seed=seed,
+            hdsr=hypothesis_dsr(trace, column),
+            adsr=action_dsr(trace, column, rules),
+        )
+        for column, (kind, strategy, k) in enumerate(cells)
+    ]
 
 
 def sweep(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -85,6 +86,7 @@ def _good_attributive_mask(obs_mask: int, hyp_mask: Optional[int], T: int) -> in
     return good
 
 
+@lru_cache(maxsize=None)  # T=2 has at most 16 x 17 distinct inputs
 def _count_compatible(obs_mask: int, hyp_mask: Optional[int], T: int) -> int:
     good = _good_attributive_mask(obs_mask, hyp_mask, T)
     n_ac = 1 << (1 << T)

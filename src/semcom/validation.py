@@ -28,12 +28,13 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
-from .selection import KeyEngine
+from .selection import DEFAULT_ENUMERATION_CAP, KeyEngine
 
 
 @dataclass
@@ -115,7 +116,10 @@ def validate_key_ordering(
     k_max: int = 3,
     max_examples: int = 10,
 ) -> ValidationReport:
-    """Compare kappa ordering with exact-F ordering over random instances."""
+    """Compare kappa ordering with exact-F ordering over random instances.
+
+    A trial over DEFAULT_ENUMERATION_CAP k-subsets raises FeasibilityError.
+    """
     if trials < 0:
         raise ConfigurationError("trials must be non-negative, got %d" % trials)
     if not T_choices or min(T_choices) < 1:
@@ -129,6 +133,11 @@ def validate_key_ordering(
     started = time.perf_counter()
     for trial in range(trials):
         T, k, pool, hypotheses = random_instance(rng, T_choices, n_max, k_max)
+        if comb(len(pool), k) > DEFAULT_ENUMERATION_CAP:
+            raise FeasibilityError(
+                "trial %d: C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
+                % (trial, len(pool), k, comb(len(pool), k), DEFAULT_ENUMERATION_CAP)
+            )
         engine = KeyEngine(hypotheses, T)
         groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for combo in itertools.combinations(pool, k):

@@ -7,6 +7,7 @@ subset pairs against the exact objective, which is documented in the
 project decision notes rather than papered over here.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -14,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from semcom import cli
-from semcom.comms import RANDOM, SEMANTIC, SENSOR_GNA, Architecture
+from semcom.comms import RANDOM, SEMANTIC, SENSOR_GNA
 from semcom.config import load_run_config
 from semcom.logic import Hypothesis, QSentence
 from semcom.metrics import (
@@ -42,6 +43,9 @@ from semcom.selection import KeyEngine
 from semcom.validation import validate_key_ordering
 
 ROOT = Path(__file__).resolve().parents[1]
+# sha256 of `semcom sweep` / `semcom run` on configs/smoke.yaml
+SMOKE_SHA256 = "118eb6f1c71b771668984a75eb760d1ac1468ca7ac38fe20925fa5ccc45d52b9"
+SMOKE_PER_SEED_SHA256 = "0556ca7a3df1c057f21d7cb0515141f3b07c67e56b78be54766a7ece8f6e62d2"
 
 
 def report(criterion, ok, detail):
@@ -218,7 +222,7 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
     rules = run.rule_sets[0]
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     k_cover = scenario.cars + scenario.pedestrians - 1
-    arch = Architecture(kind=SENSOR_GNA)
+    cells = [(SENSOR_GNA, strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     seeds_checked = 0
     for seed in run.seeds:
         trajectory = build_trajectory(scenario, rules, seed)
@@ -227,10 +231,10 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
             default=0,
         )
         assert k_cover >= occupancy
-        for strategy in (SEMANTIC, RANDOM):
-            trace = evaluate_cell(trajectory, rules, arch, strategy, k_cover, engine)
-            assert hypothesis_dsr(trace) == 1.0
-            assert action_dsr(trace) == 1.0
+        trace = evaluate_cell(trajectory, cells, engine)
+        for column in range(len(cells)):
+            assert hypothesis_dsr(trace, column) == 1.0
+            assert action_dsr(trace, column, rules) == 1.0
         seeds_checked += 1
     assert report(
         7, True, "k=%d covers every vicinity, %d seeds exact" % (k_cover, seeds_checked)
@@ -251,4 +255,10 @@ def test_criterion_8_identical_configs_reproduce_byte_identical_csvs(tmp_path):
     assert cli.main(["run", "--config", config, "--out", str(outs[1])]) == 0
     per_seed = [(p / "smoke_per_seed.csv").read_bytes() for p in outs[:2]]
     assert per_seed[0] == per_seed[1]
-    assert report(8, True, "aggregate and per-seed CSVs byte-identical across reruns")
+    # pinned bytes: a refactor that moves any output byte fails here, not
+    # only a rerun that disagrees with itself
+    assert hashlib.sha256(blobs[0]).hexdigest() == SMOKE_SHA256
+    assert hashlib.sha256(per_seed[0]).hexdigest() == SMOKE_PER_SEED_SHA256
+    assert report(
+        8, True, "aggregate and per-seed CSVs byte-identical across reruns and to the pinned digests"
+    )

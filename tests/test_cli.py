@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import time
 from fractions import Fraction
 
@@ -242,9 +243,15 @@ def test_key_validation_empty_run_exits_zero(capsys):
         (["--k-max", "0"], "budget"),
         (["--t-values", "0"], "slot counts"),
         (["--t-values", "3,-2"], "slot counts"),
+        # trial 0 draws n=50, k=29: C(50, 29) is about 6.7e13 subsets
+        (["--trials", "1", "--seed", "0", "--n-max", "60", "--k-max", "30"], "enumeration cap"),
     ],
 )
-def test_key_validation_rejects_impossible_arguments(capsys, args, message):
+def test_key_validation_rejects_impossible_arguments(capsys, monkeypatch, args, message):
+    def refuse(*_):
+        raise AssertionError("subsets enumerated before the arguments were checked")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
     assert cli.main(["validate-key", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,11 +12,13 @@ from semcom.comms import (
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
     Architecture,
+    downlink,
     ego_pools,
 )
 from semcom.config import load_rule_set
 from semcom import metrics
 from semcom.errors import ConfigurationError, UndefinedMetricError
+from semcom.logic import Hypothesis
 from semcom.metrics import (
     AggregateRow,
     EpisodeTrace,
@@ -38,6 +40,7 @@ from semcom.metrics import (
 from semcom.selection import KeyEngine
 from semcom.world import (
     ObservationConfig,
+    RuleSet,
     ScenarioConfig,
     default_vocabulary,
     init_world,
@@ -62,57 +65,71 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-def record(step_no, ego, fi_mask, strat_mask, fi_action="Normal", strat_action="Normal"):
+RULES = RuleSet(
+    name="two",
+    hypotheses=(
+        Hypothesis.from_constraints(0, {0: 1}, "Stop"),
+        Hypothesis.from_constraints(1, {1: 1}, "Slow"),
+    ),
+    action_priority=("Stop", "Slow", "Normal"),
+)  # action of a mask: bit 0 -> Stop, else bit 1 -> Slow, else Normal
+
+
+def record(step_no, ego, fi_mask, *strategy_masks):
     return TraceRecord(
         step=step_no,
         agent_id=ego,
         fi_mask=fi_mask,
-        fi_action=fi_action,
-        strategy_mask=strat_mask,
-        strategy_action=strat_action,
+        fi_action=RULES.action_of(fi_mask),
+        strategy_masks=strategy_masks,
     )
+
+
+def trace_of(n_hypotheses, records):
+    cells = tuple((SENSOR_GNA, SEMANTIC, k) for k in range(len(records[0].strategy_masks)))
+    return EpisodeTrace(n_hypotheses=n_hypotheses, cells=cells, records=tuple(records))
 
 
 # ------------------------------------------------------------------ metrics
 
 
 def test_perfect_trace_scores_one():
-    trace = EpisodeTrace(
-        n_hypotheses=4,
-        records=(record(0, 0, 0b1010, 0b1010), record(1, 0, 0b0001, 0b0001)),
-    )
-    assert hypothesis_dsr(trace) == 1.0
-    assert action_dsr(trace) == 1.0
+    trace = trace_of(4, [record(0, 0, 0b1010, 0b1010), record(1, 0, 0b0001, 0b0001)])
+    assert hypothesis_dsr(trace, 0) == 1.0
+    assert action_dsr(trace, 0, RULES) == 1.0
 
 
 def test_one_bit_off_in_a_hundred_evaluations():
     records = [record(s, 0, 0b1111111111, 0b1111111111) for s in range(9)]
-    records.append(record(9, 0, 0b1111111111, 0b1111111110))
-    trace = EpisodeTrace(n_hypotheses=10, records=tuple(records))
-    assert hypothesis_dsr(trace) == 0.99
-    assert action_dsr(trace) == 1.0
+    records.append(record(9, 0, 0b1111111111, 0b0111111111))
+    trace = trace_of(10, records)
+    assert hypothesis_dsr(trace, 0) == 0.99
+    assert action_dsr(trace, 0, RULES) == 1.0
 
 
 def test_action_dsr_counts_matching_records():
-    trace = EpisodeTrace(
-        n_hypotheses=1,
-        records=(
-            record(0, 0, 1, 1, "Stop", "Stop"),
-            record(0, 1, 1, 0, "Stop", "Normal"),
-            record(1, 0, 0, 0, "Slow", "Slow"),
-            record(1, 1, 1, 0, "Stop", "Slow"),
-        ),
+    trace = trace_of(
+        2,
+        [
+            record(0, 0, 0b01, 0b01, 0b01),  # Stop, Stop
+            record(0, 1, 0b01, 0b00, 0b01),  # Stop, Normal
+            record(1, 0, 0b11, 0b01, 0b11),  # Stop, Stop with one hypothesis missed
+            record(1, 1, 0b11, 0b10, 0b11),  # Stop, Slow
+        ],
     )
-    assert action_dsr(trace) == 0.5
-    assert hypothesis_dsr(trace) == 0.5
+    assert action_dsr(trace, 0, RULES) == 0.5
+    assert hypothesis_dsr(trace, 0) == 0.625
+    # each metric reads only its own column
+    assert action_dsr(trace, 1, RULES) == 1.0
+    assert hypothesis_dsr(trace, 1) == 1.0
 
 
 def test_empty_trace_has_no_defined_score():
-    empty = EpisodeTrace(n_hypotheses=3, records=())
+    empty = EpisodeTrace(n_hypotheses=3, cells=((SENSOR_GNA, SEMANTIC, 1),), records=())
     with pytest.raises(UndefinedMetricError):
-        hypothesis_dsr(empty)
+        hypothesis_dsr(empty, 0)
     with pytest.raises(UndefinedMetricError):
-        action_dsr(empty)
+        action_dsr(empty, 0, RULES)
 
 
 def test_record_order_does_not_matter():
@@ -121,10 +138,10 @@ def test_record_order_does_not_matter():
         for s in range(4)
         for e in range(3)
     ]
-    trace = EpisodeTrace(n_hypotheses=4, records=tuple(records))
-    shuffled = EpisodeTrace(n_hypotheses=4, records=tuple(reversed(records)))
-    assert hypothesis_dsr(trace) == hypothesis_dsr(shuffled)
-    assert action_dsr(trace) == action_dsr(shuffled)
+    trace = trace_of(4, records)
+    shuffled = trace_of(4, list(reversed(records)))
+    assert hypothesis_dsr(trace, 0) == hypothesis_dsr(shuffled, 0)
+    assert action_dsr(trace, 0, RULES) == action_dsr(shuffled, 0, RULES)
 
 
 # ------------------------------------------------------- matrix evaluation
@@ -139,14 +156,12 @@ def test_full_budget_under_sensor_uplink_is_lossless():
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
     k_cover = cfg.cars + cfg.pedestrians - 1
+    cells = [(SENSOR_GNA, strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     for seed in (1, 2, 3):
-        traj = build_trajectory(cfg, rules, seed)
-        for strategy in (SEMANTIC, RANDOM):
-            trace = evaluate_cell(
-                traj, rules, Architecture(kind=SENSOR_GNA), strategy, k_cover, engine
-            )
-            assert hypothesis_dsr(trace) == 1.0
-            assert action_dsr(trace) == 1.0
+        trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
+        for column in range(len(cells)):
+            assert hypothesis_dsr(trace, column) == 1.0
+            assert action_dsr(trace, column, rules) == 1.0
 
 
 def test_perfect_hypothesis_recovery_implies_perfect_actions():
@@ -154,45 +169,94 @@ def test_perfect_hypothesis_recovery_implies_perfect_actions():
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, seed=5)
-    for kind in (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA):
-        for k in (0, 1, 2, 13):
-            trace = evaluate_cell(
-                traj, rules, Architecture(kind=kind), SEMANTIC, k, engine
-            )
-            for rec in trace.records:
-                if rec.fi_mask == rec.strategy_mask:
-                    assert rec.fi_action == rec.strategy_action
+    cells = [
+        (kind, SEMANTIC, k)
+        for kind in (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
+        for k in (0, 1, 2, 13)
+    ]
+    trace = evaluate_cell(traj, cells, engine)
+    for rec in trace.records:
+        for mask in rec.strategy_masks:
+            if rec.fi_mask == mask:
+                assert rec.fi_action == rules.action_of(mask)
 
 
 def test_zero_budget_loses_to_a_single_semantic_slot():
     cfg = scenario(cars=8, pedestrians=6, steps=10)
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
-    arch = Architecture(kind=SENSOR_GNA)
+    cells = [(SENSOR_GNA, SEMANTIC, 0), (SENSOR_GNA, SEMANTIC, 1)]
     base, one = [], []
     for seed in range(1, 25):
-        traj = build_trajectory(cfg, rules, seed)
-        base.append(action_dsr(evaluate_cell(traj, rules, arch, SEMANTIC, 0, engine)))
-        one.append(action_dsr(evaluate_cell(traj, rules, arch, SEMANTIC, 1, engine)))
+        trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
+        base.append(action_dsr(trace, 0, rules))
+        one.append(action_dsr(trace, 1, rules))
     assert statistics.fmean(base) < statistics.fmean(one)
 
 
 def test_matrix_cells_replay_one_shared_trajectory():
-    # the full-information fields must not depend on the evaluated cell
+    # the full-information fields must not depend on the evaluated cells
     cfg = scenario()
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, seed=9)
-    traces = [
-        evaluate_cell(traj, rules, Architecture(kind=SENSOR_GNA), s, k, engine)
-        for s in (SEMANTIC, RANDOM)
-        for k in (0, 2)
-    ]
+    cells = [(SENSOR_GNA, s, k) for s in (SEMANTIC, RANDOM) for k in (0, 2)]
+    traces = [evaluate_cell(traj, [cell], engine) for cell in cells]
+    traces.append(evaluate_cell(traj, cells, engine))
     fi_sides = {
         tuple((r.step, r.agent_id, r.fi_mask, r.fi_action) for r in t.records)
         for t in traces
     }
     assert len(fi_sides) == 1
+
+
+def per_cell_masks(traj, cells, engine):
+    """strategy_masks by (step, ego), from one downlink call per (step, ego, cell)."""
+    out = {}
+    for step_no, step_views in enumerate(traj.views):
+        for ego_id, view in step_views.items():
+            rng_seed = _record_seed(traj.seed, step_no, ego_id)
+            masks = []
+            for kind, strategy, k in cells:
+                chosen = downlink(view.pools[kind], view.qbits, k, strategy, engine, rng_seed)
+                mask = 0
+                for ent in view.fov_ids + chosen:
+                    mask |= engine.sat_mask(view.qbits[ent])
+                masks.append(mask)
+            out[(step_no, ego_id)] = tuple(masks)
+    return out
+
+
+@pytest.mark.parametrize("rule_set", ["core", "extended"])
+def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set):
+    cfg = scenario(cars=8, pedestrians=5, steps=6)
+    rules = load_rule_set(rule_set, VOCAB)
+    engine = engine_for(rules)
+    k_over = cfg.cars + cfg.pedestrians  # more than any pool holds
+    kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
+    cells = [(kind, s, k) for kind in kinds for s in (SEMANTIC, RANDOM) for k in (0, 1, 2, 3, k_over)]
+    shared = distinct = crowded = 0
+    for seed in (1, 2, 3):
+        traj = build_trajectory(cfg, rules, seed, engine=engine)
+        for order in (cells, cells[::-1]):
+            trace = evaluate_cell(traj, order, engine)
+            assert trace.cells == tuple(order)
+            assert trace.n_hypotheses == len(rules.hypotheses)
+            expected = per_cell_masks(traj, order, engine)
+            assert [(r.step, r.agent_id) for r in trace.records] == sorted(expected)
+            for rec in trace.records:
+                view = traj.views[rec.step][rec.agent_id]
+                assert (rec.fi_mask, rec.fi_action) == (view.fi_mask, view.fi_action)
+                assert rec.strategy_masks == expected[(rec.step, rec.agent_id)]
+        for step_views in traj.views:
+            for view in step_views.values():
+                pools = [view.pools[kind] for kind in kinds]
+                crowded += len(pools[0]) > 3
+                shared += pools[0] == pools[1] != ()
+                distinct += len(set(pools)) == 3
+    # the memo is exercised: pools above every k < k_over, pools two
+    # architectures share, and views where all three differ
+    assert crowded and shared and distinct
 
 
 def test_trajectory_pools_and_masks_match_the_public_api():
@@ -222,9 +286,8 @@ def test_random_strategy_matches_the_standalone_sampler():
     engine = engine_for(rules)
     seed = 4
     traj = build_trajectory(cfg, rules, seed=seed)
-    arch = Architecture(kind=SENSOR_GNA)
     k = 2
-    trace = evaluate_cell(traj, rules, arch, RANDOM, k, engine)
+    trace = evaluate_cell(traj, [(SENSOR_GNA, RANDOM, k)], engine)
     by_key = {(r.step, r.agent_id): r for r in trace.records}
     for step_no, step_views in enumerate(traj.views):
         for ego_id, view in step_views.items():
@@ -239,7 +302,7 @@ def test_random_strategy_matches_the_standalone_sampler():
                 chosen = pool
             for ent in chosen:
                 expected |= engine.sat_mask(view.qbits[ent])
-            assert by_key[(step_no, ego_id)].strategy_mask == expected
+            assert by_key[(step_no, ego_id)].strategy_masks == (expected,)
 
 
 def test_sweep_layout_and_determinism():
