@@ -115,6 +115,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if t < 1:
         # the default K axis 0..2**t needs t first
         raise ConfigurationError("--t must be at least 1, got %d" % t)
+    for flag, values in (("--k-values", args.k_values), ("--z-values", args.z_values)):
+        repeated = sorted({v for v in values or () if values.count(v) > 1})
+        if repeated:
+            raise ConfigurationError("duplicate %s: %s" % (flag, ", ".join(map(str, repeated))))
     k_values = args.k_values if args.k_values is not None else range((1 << t) + 1)
     z_values = args.z_values if args.z_values is not None else range(1, t + 1)
     rows = []

@@ -8,15 +8,14 @@ at most k of them, by semantic value or uniformly at random.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from .errors import ConfigurationError
 # The downlink choice and its strategy names live in selection, next to
 # the key; they are part of this module's public surface.
 from .selection import RANDOM, SEMANTIC, STRATEGIES, downlink
-from .world import CAR, ObservationConfig, WorldState, chebyshev
+from .world import CAR, ObservationConfig, WorldState
 
 SENSOR_GNA = "sensor-gna"
 SINGLE_ZONE_GNA = "single-zone-gna"
@@ -66,22 +65,31 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int = 2) -> Dict
     multi-zone-lna: as single-zone, but only uploads from cars in the
         ego's zone of the zones x zones grid reach it.
 
-    One pairwise pass fills every agent's FOV and vicinity ball.
+    One pairwise pass over coordinate lists fills every agent's FOV and
+    vicinity ball with inline Chebyshev comparisons.
     """
     agents = world.agents
-    positions = {a.id: a.position for a in agents}
-    fov_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
-    vic_sets: Dict[int, Set[int]] = {a.id: set() for a in agents}
-    for a, b in itertools.combinations(agents, 2):
-        d = chebyshev(positions[a.id], positions[b.id])
-        if d <= obs.r_vic:
-            vic_sets[a.id].add(b.id)
-            vic_sets[b.id].add(a.id)
-            if d <= obs.r_fov:
-                fov_sets[a.id].add(b.id)
-                fov_sets[b.id].add(a.id)
+    ids = [a.id for a in agents]
+    xs = [a.position[0] for a in agents]
+    ys = [a.position[1] for a in agents]
+    r_vic, r_fov = obs.r_vic, obs.r_fov
+    vic_lists: List[List[int]] = [[] for _ in agents]
+    fov_lists: List[List[int]] = [[] for _ in agents]
+    for i in range(len(agents)):
+        xi, yi, id_i, vic_i, fov_i = xs[i], ys[i], ids[i], vic_lists[i], fov_lists[i]
+        for j in range(i + 1, len(agents)):
+            dx = xs[j] - xi
+            dy = ys[j] - yi
+            if -r_vic <= dx <= r_vic and -r_vic <= dy <= r_vic:
+                vic_i.append(ids[j])
+                vic_lists[j].append(id_i)
+                if -r_fov <= dx <= r_fov and -r_fov <= dy <= r_fov:
+                    fov_i.append(ids[j])
+                    fov_lists[j].append(id_i)
+    vic_sets = dict(zip(ids, vic_lists))
+    fov_sets = {id_: set(fov) for id_, fov in zip(ids, fov_lists)}
     cars = [a for a in agents if a.kind == CAR]
-    zone_by_id = {a.id: zone_of(positions[a.id], world.grid, zones) for a in cars}
+    zone_by_id = {a.id: zone_of(a.position, world.grid, zones) for a in cars}
     uploads_all: Set[int] = set()
     uploads_by_zone: Dict[Tuple[int, int], Set[int]] = {}
     for a in cars:

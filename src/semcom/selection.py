@@ -68,6 +68,11 @@ class KeyEngine:
         self.T = T
         self.exponents = tuple(h.specificity_exponent(T) for h in hypotheses)
         self.full_mask = (1 << len(hypotheses)) - 1
+        # (care, value) per hypothesis: a pattern satisfies it iff qbits & care == value
+        self._slot_masks = tuple(
+            (sum(1 << s for s, _ in h.fixed_slots), sum(v << s for s, v in h.fixed_slots))
+            for h in hypotheses
+        )
         self._sat: Dict[int, int] = {}
         self._tails: Dict[int, Tuple[int, ...]] = {}
 
@@ -77,8 +82,8 @@ class KeyEngine:
             return self._sat[qbits]
         except KeyError:
             mask = 0
-            for i, h in enumerate(self.hypotheses):
-                if all((qbits >> s) & 1 == v for s, v in h.fixed_slots):
+            for i, (care, value) in enumerate(self._slot_masks):
+                if qbits & care == value:
                     mask |= 1 << i
             self._sat[qbits] = mask
             return mask
@@ -172,35 +177,45 @@ class KeyEngine:
         number of distinct patterns.  Step 1 scores every M of at most k
         classes with the fewest patterns that can hold k entries while
         taking one pattern from each class of M; kappa* is the smallest
-        score.  Step 2 walks the entries in order and takes one whenever
-        some M scoring kappa* can still be completed to exactly K*
-        patterns and k entries from the entries after it, which yields
-        the smallest sorted id tuple.
+        score.  Each class's counts are sorted once: K is |M| when the
+        classes' largest counts (their heads) already sum to k, and only
+        otherwise are the other counts merged in, largest first.  Step 2
+        walks the entries in order and takes one whenever some M scoring
+        kappa* can still be completed to exactly K* patterns and k
+        entries from the entries after it, which yields the smallest
+        sorted id tuple.
         """
         patterns = [qbits for _, qbits in entries]
         counts = Counter(patterns)
         classes: Dict[int, List[int]] = {}  # sat mask -> its distinct patterns
         for qbits in counts:
             classes.setdefault(self.sat_mask(qbits), []).append(qbits)
+        # each class's entry counts, largest first: its head, then its tail
+        ordered = {
+            m: sorted((counts[q] for q in members), reverse=True) for m, members in classes.items()
+        }
         best: Optional[Tuple[int, ...]] = None
         kept: List[Tuple[int, ...]] = []
         for size in range(min(k, len(classes)) + 1):
             for chosen in itertools.combinations(classes, size):
                 covered = 0
+                held = 0
                 for m in chosen:
                     covered |= m
+                    held += ordered[m][0]
                 uncovered = self.full_mask & ~covered
                 if best is not None and uncovered.bit_count() > best[0]:
                     continue
-                order = _greedy_counts(
-                    [[counts[q] for q in classes[m]] for m in chosen], ()
-                )
-                n_patterns, held = size, sum(order[:size])
-                while held < k and n_patterns < len(order):
-                    held += order[n_patterns]
-                    n_patterns += 1
+                n_patterns = size
                 if held < k:
-                    continue
+                    # one pattern per class holds too few: add the largest tail counts
+                    for extra in sorted((c for m in chosen for c in ordered[m][1:]), reverse=True):
+                        held += extra
+                        n_patterns += 1
+                        if held >= k:
+                            break
+                    else:
+                        continue
                 key = (uncovered.bit_count(), n_patterns) + self._tail(uncovered)
                 if best is None or key < best:
                     best, kept = key, [chosen]

@@ -33,6 +33,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
+from .oracle import DEFAULT_BIT_BUDGET
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
 from .selection import DEFAULT_ENUMERATION_CAP, KeyEngine
 
@@ -118,7 +119,9 @@ def validate_key_ordering(
 ) -> ValidationReport:
     """Compare kappa ordering with exact-F ordering over random instances.
 
-    A trial over DEFAULT_ENUMERATION_CAP k-subsets raises FeasibilityError.
+    A trial over DEFAULT_ENUMERATION_CAP k-subsets raises FeasibilityError,
+    and so, before any trial, does a slot count T whose objective
+    exponents (alpha = 2**(2**T - K)) need more than DEFAULT_BIT_BUDGET bits.
     """
     if trials < 0:
         raise ConfigurationError("trials must be non-negative, got %d" % trials)
@@ -128,6 +131,12 @@ def validate_key_ordering(
         raise ConfigurationError("max pool size must be at least 2, got %d" % n_max)
     if k_max < 1:
         raise ConfigurationError("max budget must be at least 1, got %d" % k_max)
+    widest = max(T_choices)
+    if widest >= DEFAULT_BIT_BUDGET.bit_length():  # 2**T > DEFAULT_BIT_BUDGET
+        raise FeasibilityError(
+            "slot count T=%d: exact objective exponents reach 2**(2**%d - K), "
+            "over the %d-bit budget" % (widest, widest, DEFAULT_BIT_BUDGET)
+        )
     rng = random.Random(seed)
     report = ValidationReport(trials=trials)
     started = time.perf_counter()

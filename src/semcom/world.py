@@ -5,18 +5,23 @@ decision-making agents; pedestrians are scripted walkers that shuttle
 across intersections or circle block corners at constant pace, with
 pauses baked into their routes as repeated cells.  Movement is
 route-index arithmetic (so a state plus decided actions fully determines
-the next state), and grounding evaluates the vocabulary's built-in
-predicates against simulator ground truth.  Who observes whom (Chebyshev
-closed balls) is ``comms.ego_pools``; which hypotheses a Q-sentence
-witnesses is ``selection.KeyEngine.sat_mask``; the decision is
+the next state); each AgentState derives its position and heading once,
+and the route layout is built once per (grid, roads).  Grounding
+evaluates the ten built-in predicates inline, as integer arithmetic on
+simulator ground truth, and places them through a slot table compiled
+per scenario vocabulary; ``BUILTIN_PREDICATES`` names each predicate's
+category and what it asserts.  Who observes whom (Chebyshev closed
+balls) is ``comms.ego_pools``; which hypotheses a Q-sentence witnesses
+is ``selection.KeyEngine.sat_mask``; the decision is
 ``RuleSet.action_of``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigurationError
 from .logic import Hypothesis, PredicateCategory, PredicateVocabulary, QSentence
@@ -107,6 +112,8 @@ class ScenarioConfig:
     close_radius: int = 2
     near_radius: int = 6
     vocabulary: PredicateVocabulary = None  # filled by default_vocabulary() if omitted
+    # bit of each built-in predicate in DEFAULT_PREDICATE_ORDER, 0 if unused
+    slot_bits: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.grid < 8:
@@ -121,29 +128,34 @@ class ScenarioConfig:
             raise ConfigurationError("need at least one car, non-negative pedestrians, steps >= 1")
         if self.vocabulary is None:
             object.__setattr__(self, "vocabulary", default_vocabulary())
+        validate_vocabulary(self.vocabulary)  # so every slot has a bit in slot_bits
+        slots = {name: 1 << i for i, (name, _) in enumerate(self.vocabulary.predicates)}
+        object.__setattr__(
+            self, "slot_bits", tuple(slots.get(name, 0) for name in DEFAULT_PREDICATE_ORDER)
+        )
         if not 0 < self.close_radius < self.near_radius:
             raise ConfigurationError("need 0 < close_radius < near_radius")
 
 
 @dataclass(frozen=True)
 class AgentState:
+    """One agent at one tick; position and heading are derived once, here."""
+
     id: int
     kind: str
     route: Tuple[Cell, ...]
     route_pos: int
     moved: bool = True
     last_action: str = DEFAULT_ACTION
+    position: Cell = field(init=False, repr=False, compare=False)
+    heading: Cell = field(init=False, repr=False, compare=False)
 
-    @property
-    def position(self) -> Cell:
-        return self.route[self.route_pos]
-
-    @property
-    def heading(self) -> Cell:
+    def __post_init__(self) -> None:
         x0, y0 = self.route[self.route_pos]
         x1, y1 = self.route[(self.route_pos + 1) % len(self.route)]
         dx, dy = x1 - x0, y1 - y0
-        return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
+        object.__setattr__(self, "position", (x0, y0))
+        object.__setattr__(self, "heading", ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
 
 
 @dataclass(frozen=True)
@@ -154,74 +166,24 @@ class WorldState:
     step: int = 0
 
 
-def chebyshev(a: Cell, b: Cell) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 # ---------------------------------------------------------------------------
 # Built-in predicate vocabulary
 # ---------------------------------------------------------------------------
 
-def _is_pedestrian(world, ego, ent, scen):
-    return ent.kind == PEDESTRIAN
-
-
-def _is_car(world, ego, ent, scen):
-    return ent.kind == CAR
-
-
-def _in_intersection(world, ego, ent, scen):
-    return ent.position in world.intersections
-
-
-def _is_moving(world, ego, ent, scen):
-    return ent.moved
-
-
-def _close(world, ego, ent, scen):
-    return chebyshev(ego.position, ent.position) <= scen.close_radius
-
-
-def _near(world, ego, ent, scen):
-    return chebyshev(ego.position, ent.position) <= scen.near_radius
-
-
-def _ahead_of(world, ego, ent, scen):
-    hx, hy = ego.heading
-    dx, dy = ent.position[0] - ego.position[0], ent.position[1] - ego.position[1]
-    return hx * dx + hy * dy > 0
-
-
-def _left_of(world, ego, ent, scen):
-    # Positive cross product: entity lies left of the ego's heading axis.
-    hx, hy = ego.heading
-    dx, dy = ent.position[0] - ego.position[0], ent.position[1] - ego.position[1]
-    return hx * dy - hy * dx > 0
-
-
-def _facing(world, ego, ent, scen):
-    hx, hy = ent.heading
-    dx, dy = ego.position[0] - ent.position[0], ego.position[1] - ent.position[1]
-    return hx * dx + hy * dy > 0
-
-
-def _same_heading(world, ego, ent, scen):
-    return ent.heading == ego.heading
-
-
-PredicateFn = Callable[[WorldState, AgentState, AgentState, ScenarioConfig], bool]
-
-BUILTIN_PREDICATES: Dict[str, Tuple[PredicateCategory, PredicateFn]] = {
-    "IsPedestrian": (PredicateCategory.MONADIC, _is_pedestrian),
-    "IsCar": (PredicateCategory.MONADIC, _is_car),
-    "InIntersection": (PredicateCategory.MONADIC, _in_intersection),
-    "IsMoving": (PredicateCategory.MONADIC, _is_moving),
-    "Close": (PredicateCategory.EGO_ENTITY, _close),
-    "Near": (PredicateCategory.EGO_ENTITY, _near),
-    "AheadOf": (PredicateCategory.EGO_ENTITY, _ahead_of),
-    "LeftOf": (PredicateCategory.EGO_ENTITY, _left_of),
-    "Facing": (PredicateCategory.ENTITY_EGO, _facing),
-    "SameHeading": (PredicateCategory.ENTITY_EGO, _same_heading),
+# What each predicate asserts about an (ego, entity) pair is evaluated
+# inline by ground_entity; d is (entity - ego) and "within r" is the
+# Chebyshev closed ball.
+BUILTIN_PREDICATES: Dict[str, PredicateCategory] = {
+    "IsPedestrian": PredicateCategory.MONADIC,  # entity kind is pedestrian
+    "IsCar": PredicateCategory.MONADIC,  # entity kind is car
+    "InIntersection": PredicateCategory.MONADIC,  # entity on an intersection cell
+    "IsMoving": PredicateCategory.MONADIC,  # entity changed cell on its last tick
+    "Close": PredicateCategory.EGO_ENTITY,  # entity within close_radius
+    "Near": PredicateCategory.EGO_ENTITY,  # entity within near_radius
+    "AheadOf": PredicateCategory.EGO_ENTITY,  # ego heading . d > 0
+    "LeftOf": PredicateCategory.EGO_ENTITY,  # ego heading x d > 0 (left of its axis)
+    "Facing": PredicateCategory.ENTITY_EGO,  # entity heading . -d > 0
+    "SameHeading": PredicateCategory.ENTITY_EGO,  # equal headings
 }
 
 DEFAULT_PREDICATE_ORDER = (
@@ -240,7 +202,7 @@ DEFAULT_PREDICATE_ORDER = (
 
 def default_vocabulary() -> PredicateVocabulary:
     return PredicateVocabulary(
-        predicates=tuple((n, BUILTIN_PREDICATES[n][0]) for n in DEFAULT_PREDICATE_ORDER)
+        predicates=tuple((n, BUILTIN_PREDICATES[n]) for n in DEFAULT_PREDICATE_ORDER)
     )
 
 
@@ -253,9 +215,9 @@ def validate_vocabulary(vocab: PredicateVocabulary) -> None:
                 "predicate %r has no simulator evaluator (known: %s)"
                 % (name, ", ".join(sorted(BUILTIN_PREDICATES)))
             )
-        if known[0] != category:
+        if known != category:
             raise ConfigurationError(
-                "predicate %r has category %s, not %s" % (name, known[0].value, category.value)
+                "predicate %r has category %s, not %s" % (name, known.value, category.value)
             )
 
 
@@ -299,8 +261,8 @@ def _corner_loop(center: Cell, radius: int) -> Tuple[Cell, ...]:
     return _rect_loop(cx - radius, cy - radius, cx + radius, cy + radius)
 
 
-def _car_routes(scenario: ScenarioConfig) -> List[Tuple[Cell, ...]]:
-    roads = sorted(scenario.roads)
+def _car_routes(roads: Sequence[int]) -> List[Tuple[Cell, ...]]:
+    roads = sorted(roads)
     routes = []
     for i in range(len(roads)):
         for j in range(i + 1, len(roads)):
@@ -310,13 +272,13 @@ def _car_routes(scenario: ScenarioConfig) -> List[Tuple[Cell, ...]]:
     return routes
 
 
-def _pedestrian_routes(scenario: ScenarioConfig) -> List[Tuple[Cell, ...]]:
-    roads = sorted(scenario.roads)
+def _pedestrian_routes(grid: int, roads: Sequence[int]) -> List[Tuple[Cell, ...]]:
+    roads = sorted(roads)
     reach = 3
     routes = []
 
     def in_grid(route: Tuple[Cell, ...]) -> bool:
-        return all(0 <= x < scenario.grid and 0 <= y < scenario.grid for x, y in route)
+        return all(0 <= x < grid and 0 <= y < grid for x, y in route)
 
     for rx in roads:
         for ry in roads:
@@ -331,25 +293,38 @@ def _pedestrian_routes(scenario: ScenarioConfig) -> List[Tuple[Cell, ...]]:
     return routes
 
 
-def _intersection_cells(scenario: ScenarioConfig) -> FrozenSet[Cell]:
+def _intersection_cells(grid: int, roads: Sequence[int]) -> FrozenSet[Cell]:
     cells: Set[Cell] = set()
-    for rx in scenario.roads:
-        for ry in scenario.roads:
+    for rx in roads:
+        for ry in roads:
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
                     x, y = rx + dx, ry + dy
-                    if 0 <= x < scenario.grid and 0 <= y < scenario.grid:
+                    if 0 <= x < grid and 0 <= y < grid:
                         cells.add((x, y))
     return frozenset(cells)
 
 
+@lru_cache(maxsize=32)
+def _route_layout(grid: int, roads: Tuple[int, ...]):
+    """Car routes, pedestrian routes, their cell capacities and the
+    intersection cells of one road layout, built on first use."""
+    car_routes = tuple(_car_routes(roads))
+    ped_routes = tuple(_pedestrian_routes(grid, roads))
+    return (
+        car_routes,
+        ped_routes,
+        len({c for r in car_routes for c in r}),
+        len({c for r in ped_routes for c in r}),
+        _intersection_cells(grid, roads),
+    )
+
+
 def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
     """Reproducible placement: same (scenario, seed), same world."""
-    validate_vocabulary(scenario.vocabulary)
-    car_routes = _car_routes(scenario)
-    ped_routes = _pedestrian_routes(scenario)
-    capacity = len({c for r in car_routes for c in r})
-    ped_capacity = len({c for r in ped_routes for c in r})
+    car_routes, ped_routes, capacity, ped_capacity, intersections = _route_layout(
+        scenario.grid, tuple(scenario.roads)
+    )
     if scenario.cars > capacity or scenario.pedestrians > ped_capacity:
         raise ConfigurationError(
             "agent counts (%d cars, %d pedestrians) exceed route capacity (%d, %d)"
@@ -377,7 +352,7 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
     return WorldState(
         grid=scenario.grid,
         agents=tuple(agents),
-        intersections=_intersection_cells(scenario),
+        intersections=intersections,
         step=0,
     )
 
@@ -389,13 +364,39 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
 def ground_entity(
     world: WorldState, ego: AgentState, ent: AgentState, scenario: ScenarioConfig
 ) -> QSentence:
-    """The pair's Q-sentence: bit i is set iff the vocabulary's i-th predicate holds."""
-    vocab = scenario.vocabulary
-    bits = 0
-    for i, (name, _) in enumerate(vocab.predicates):
-        if BUILTIN_PREDICATES[name][1](world, ego, ent, scenario):
-            bits |= 1 << i
-    return QSentence(bits, vocab.T)
+    """The pair's Q-sentence: bit i is set iff the vocabulary's i-th predicate holds.
+
+    The ten built-in predicates are evaluated as integer arithmetic and
+    placed through the scenario's compiled slot table.
+    """
+    ped, car, crossing, moving, close, near, ahead, left, facing, same = scenario.slot_bits
+    ex, ey = ego.position
+    nx, ny = ent.position
+    dx, dy = nx - ex, ny - ey
+    hx, hy = ego.heading
+    gx, gy = ent.heading
+    adx = dx if dx >= 0 else -dx
+    ady = dy if dy >= 0 else -dy
+    d = adx if adx >= ady else ady  # Chebyshev distance
+    kind = ent.kind
+    bits = ped if kind == PEDESTRIAN else car if kind == CAR else 0
+    if ent.position in world.intersections:
+        bits |= crossing
+    if ent.moved:
+        bits |= moving
+    if d <= scenario.close_radius:
+        bits |= close
+    if d <= scenario.near_radius:
+        bits |= near
+    if hx * dx + hy * dy > 0:
+        bits |= ahead
+    if hx * dy - hy * dx > 0:
+        bits |= left
+    if gx * dx + gy * dy < 0:  # the entity heads toward the ego
+        bits |= facing
+    if gx == hx and gy == hy:
+        bits |= same
+    return QSentence(bits, scenario.vocabulary.T)
 
 
 def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from semcom import cli
+from semcom import cli, validation
 
 SCENARIO = {
     "name": "mini",
@@ -91,6 +91,10 @@ def test_oracle_refuses_a_wide_table_with_exit_two(capsys):
         ["--t", "0"],
         ["--t", "2", "--z-values", "3"],
         ["--t", "2", "--k-values", "1", "--z-values", "0"],
+        # a repeated value would print its rows twice
+        ["--t", "2", "--z-values", "1,1"],
+        ["--t", "2", "--k-values", "2,2"],
+        ["--t", "2", "--k-values", "0-2,1", "--z-values", "1,2"],
     ],
 )
 def test_oracle_rejects_bad_t_and_z_with_exit_two(argv, capsys):
@@ -245,13 +249,19 @@ def test_key_validation_empty_run_exits_zero(capsys):
         (["--t-values", "3,-2"], "slot counts"),
         # trial 0 draws n=50, k=29: C(50, 29) is about 6.7e13 subsets
         (["--trials", "1", "--seed", "0", "--n-max", "60", "--k-max", "30"], "enumeration cap"),
+        # alpha = 2**(2**T - K) is built as an integer: past 2**T = 2**20 bits
+        # the first trial would exhaust memory
+        (["--trials", "2", "--t-values", "21"], "slot count T=21"),
+        (["--trials", "2", "--t-values", "63"], "slot count T=63"),
+        (["--trials", "2", "--t-values", "3,21"], "bit budget"),
     ],
 )
 def test_key_validation_rejects_impossible_arguments(capsys, monkeypatch, args, message):
     def refuse(*_):
-        raise AssertionError("subsets enumerated before the arguments were checked")
+        raise AssertionError("a trial ran before the arguments were checked")
 
     monkeypatch.setattr(itertools, "combinations", refuse)
+    monkeypatch.setattr(validation, "exact_objective_compare", refuse)
     assert cli.main(["validate-key", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grounding_reference import chebyshev
 from semcom.comms import (
     ARCHITECTURE_KINDS,
     MULTI_ZONE_LNA,
@@ -29,7 +30,6 @@ from semcom.world import (
     ObservationConfig,
     ScenarioConfig,
     WorldState,
-    chebyshev,
     default_vocabulary,
     ground_entity,
     init_world,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grounding_reference import PREDICATES, vocabulary_of
 from semcom.errors import ConfigurationError
 from semcom.logic import (
     Hypothesis,
@@ -16,7 +17,6 @@ from semcom.logic import (
     hypothesis_satisfied_by,
 )
 from semcom.world import (
-    BUILTIN_PREDICATES,
     CAR,
     DEFAULT_PREDICATE_ORDER,
     PEDESTRIAN,
@@ -89,12 +89,6 @@ def test_slot_lookup_unknown_name():
 # ------------------------------------------------------------------ grounding
 
 
-def vocabulary_of(names):
-    return PredicateVocabulary(
-        predicates=tuple((n, BUILTIN_PREDICATES[n][0]) for n in names)
-    )
-
-
 def scenario_with(vocab):
     return ScenarioConfig(
         name="t", grid=40, roads=(10, 30), cars=6, pedestrians=4,
@@ -123,7 +117,7 @@ def test_grounding_follows_the_vocabulary_declaration_order():
                     q = ground_entity(world, ego, ent, cfg)
                     assert q.width == vocab.T
                     for name, _ in vocab.predicates:
-                        truth = BUILTIN_PREDICATES[name][1](world, ego, ent, cfg)
+                        truth = PREDICATES[name](world, ego, ent, cfg)
                         assert q.bit(vocab.slot_of(name)) == int(truth)
                 # slot i of the default order is slot T-1-i reversed
                 q_default = ground_entity(world, ego, ent, scenario_with(default))

@@ -11,13 +11,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semcom.comms import ego_pools
-from semcom.config import load_rule_set
+from semcom.config import SHIPPED_RULE_SETS, load_rule_set
 from semcom.errors import FeasibilityError
 from semcom.logic import Hypothesis, QSentence, hypothesis_satisfied_by
 from semcom.oracle import ClosedFormParams, closed_form_objective
 from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
-from semcom.world import ObservationConfig, ScenarioConfig, ground_entity, init_world
+from semcom.world import (
+    ObservationConfig,
+    ScenarioConfig,
+    default_vocabulary,
+    ground_entity,
+    init_world,
+)
 
 
 def exact_objective(subset, hyps, T):
@@ -100,6 +106,36 @@ def test_engine_key_matches_the_definition(seed):
         for subset in itertools.combinations(pool, size):
             expected = reference_key(subset, hyps, T)
             assert engine.key_for_patterns(bits for _, bits in subset) == expected
+
+
+def random_hypotheses(rng, T):
+    hyps = []
+    for hid in range(rng.randint(1, 8)):
+        slots = rng.sample(range(T), rng.randint(1, T))
+        hyps.append(Hypothesis.from_constraints(hid, {s: rng.randint(0, 1) for s in slots}, "a"))
+    return hyps
+
+
+def assert_sat_masks_match_the_definition(hyps, T):
+    engine = KeyEngine(hyps, T)  # fresh: the first lookup of each pattern is a miss
+    for bits in range(1 << T):
+        q = QSentence(bits, T)
+        expected = sum(1 << i for i, h in enumerate(hyps) if hypothesis_satisfied_by(q, h))
+        assert engine.sat_mask(bits) == expected, (bits, [h.fixed_slots for h in hyps])
+        assert engine.sat_mask(bits) == expected  # and the cached answer
+
+
+@pytest.mark.parametrize("T", range(1, 11))
+def test_sat_mask_matches_the_definition_on_every_pattern(T):
+    rng = random.Random(T)
+    for _ in range(4):
+        assert_sat_masks_match_the_definition(random_hypotheses(rng, T), T)
+
+
+@pytest.mark.parametrize("name", SHIPPED_RULE_SETS)
+def test_sat_mask_matches_the_definition_for_shipped_rule_sets(name):
+    vocab = default_vocabulary()
+    assert_sat_masks_match_the_definition(load_rule_set(name, vocab).hypotheses, vocab.T)
 
 
 # ------------------------------------------- agreement with the exact form

@@ -1,23 +1,29 @@
 """Grid world: placement, observation, grounding, rules, and dynamics."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grounding_reference as ref
+from grounding_reference import chebyshev, vocabulary_of
 from semcom.comms import ego_pools
-from semcom.config import load_rule_set
+from semcom.config import load_rule_set, load_run_config
 from semcom.errors import ConfigurationError
 from semcom.logic import Hypothesis, PredicateCategory, PredicateVocabulary
 from semcom.selection import KeyEngine
 from semcom.world import (
+    ACTION_SPEED,
     CAR,
+    DEFAULT_PREDICATE_ORDER,
     PEDESTRIAN,
     AgentState,
     ObservationConfig,
     RuleSet,
     ScenarioConfig,
     WorldState,
-    chebyshev,
     default_vocabulary,
     ground_entity,
     init_world,
@@ -25,6 +31,7 @@ from semcom.world import (
     validate_vocabulary,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 VOCAB = default_vocabulary()
 
 
@@ -121,6 +128,11 @@ def test_vocabulary_must_map_onto_simulator_evaluators():
             )
         )
     validate_vocabulary(VOCAB)
+    # a scenario cannot carry a vocabulary that grounding has no bit for
+    with pytest.raises(ConfigurationError, match="Mystery"):
+        scenario(
+            vocabulary=PredicateVocabulary(predicates=(("Mystery", PredicateCategory.MONADIC),))
+        )
 
 
 # ----------------------------------------------------------------- placement
@@ -265,6 +277,65 @@ def test_dwelling_pedestrian_grounds_as_not_moving():
     assert ped_after.moved is False
     q = ground_entity(walked, by_id[0], ped_after, scenario())
     assert q.bit(slot("IsMoving")) == 0
+
+
+def shipped_scenario(path):
+    return load_run_config(str(ROOT / path)).scenarios[0]
+
+
+def seeded_worlds(scen, seeds, steps):
+    """Worlds at each of the first steps ticks; cars cycle through every action."""
+    actions = sorted(ACTION_SPEED)
+    for seed in seeds:
+        world = init_world(scen, seed)
+        for tick in range(steps):
+            yield world
+            world = step(world, {
+                a.id: actions[(a.id + tick) % len(actions)] for a in world.agents if a.kind == CAR
+            })
+
+
+GROUNDING_VOCABULARIES = (
+    VOCAB,
+    vocabulary_of(tuple(reversed(DEFAULT_PREDICATE_ORDER))),
+    vocabulary_of(("Facing", "IsMoving", "SameHeading")),
+)
+
+
+@pytest.mark.parametrize(
+    "path,seeds,steps",
+    [("configs/desk.yaml", (1, 2), 6), ("perfbench/dense.yaml", (1,), 3)],
+)
+def test_grounding_matches_the_per_predicate_reference_on_every_pair(path, seeds, steps):
+    base = shipped_scenario(path)
+    scenarios = [replace(base, vocabulary=v) for v in GROUNDING_VOCABULARIES]
+    checked = 0
+    for world in seeded_worlds(base, seeds, steps):
+        for ego in world.agents:
+            for ent in world.agents:
+                if ent.id == ego.id:
+                    continue
+                for scen in scenarios:
+                    expected = 0
+                    for i, (name, _) in enumerate(scen.vocabulary.predicates):
+                        if ref.PREDICATES[name](world, ego, ent, scen):
+                            expected |= 1 << i
+                    q = ground_entity(world, ego, ent, scen)
+                    assert (q.bits, q.width) == (expected, scen.vocabulary.T), (ego, ent)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("path", ["configs/desk.yaml", "perfbench/dense.yaml"])
+def test_position_and_heading_follow_the_route_after_every_step(path):
+    headings = set()
+    for world in seeded_worlds(shipped_scenario(path), (3,), 8):
+        for a in world.agents:
+            assert a.position == ref.position(a)
+            assert a.heading == ref.heading(a)
+            headings.add(a.heading)
+    # every direction and a dwell: the worlds exercise each heading
+    assert headings >= {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 # ------------------------------------------------------------------- rules
