@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from . import metrics
 from .config import RunConfig, load_run_config
-from .errors import ConfigurationError, SemcomError
+from .errors import SemcomError
 from .oracle import closed_form_table
 from .validation import validate_key_ordering
 
@@ -111,20 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    t = args.t
-    if t < 1:
-        # the default K axis 0..2**t needs t first
-        raise ConfigurationError("--t must be at least 1, got %d" % t)
-    for flag, values in (("--k-values", args.k_values), ("--z-values", args.z_values)):
-        repeated = sorted({v for v in values or () if values.count(v) > 1})
-        if repeated:
-            raise ConfigurationError("duplicate %s: %s" % (flag, ", ".join(map(str, repeated))))
-    k_values = args.k_values if args.k_values is not None else range((1 << t) + 1)
-    z_values = args.z_values if args.z_values is not None else range(1, t + 1)
-    rows = []
-    for k in k_values:
-        for row in closed_form_table(t, k, z_values):
-            rows.append([row[c] for c in ORACLE_COLUMNS])
+    table = closed_form_table(args.t, args.k_values, args.z_values)
+    rows = [[row[c] for c in ORACLE_COLUMNS] for row in table]
     _emit(_out_dir(args), "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
     return 0
 
@@ -177,12 +165,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "%d configurations): %.6f" % (cfg.advantage_k, len(points), r)
         )
     text = "\n".join(summary) + "\n"
-    if out_dir is None:
-        sys.stdout.write(text)
-    else:
-        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        sys.stdout.write(text)
+    _emit(out_dir, "summary.txt", text)
+    if out_dir is not None:
+        sys.stdout.write(text)  # the summary is echoed even when written to a file
     return 0
 
 
@@ -196,10 +181,9 @@ def cmd_validate_key(args: argparse.Namespace) -> int:
     )
     text = "\n".join(report.summary_lines()) + "\n"
     out_dir = _out_dir(args)
+    _emit(out_dir, "validate_key.txt", text)
     if out_dir is not None:
-        with open(os.path.join(out_dir, "validate_key.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        sys.stdout.write(text)  # the report is echoed even when written to a file
     return 0 if report.disagreements == 0 else 1
 
 

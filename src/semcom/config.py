@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, reject_repeats
 from .comms import ARCHITECTURE_KINDS, STRATEGIES, Architecture
 from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
 from .world import ObservationConfig, RuleSet, ScenarioConfig, default_vocabulary
@@ -99,6 +99,12 @@ def _as_int_list(value: Any, what: str) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigurationError("%s must be a non-empty list of integers" % what)
     return tuple(_as_int(v, what + " entry") for v in value)
+
+
+def _as_list(value: Any, what: str) -> List[Any]:
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError("%s must be a non-empty list, got %r" % (what, value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +271,14 @@ class RunConfig:
             ("budget", self.ks),
             ("seed", self.seeds),
         ):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigurationError(
-                    "duplicate %s: %s" % (what, ", ".join(map(str, repeated)))
-                )
+            reject_repeats(what, values)
 
 
 def _architectures_from_config(obj: Any, source: str) -> Tuple[Architecture, ...]:
     if obj is None:
         return tuple(Architecture(kind=k) for k in ARCHITECTURE_KINDS)
-    if not isinstance(obj, list) or not obj:
-        raise ConfigurationError("%s: architectures must be a non-empty list" % source)
     out = []
-    for entry in obj:
+    for entry in _as_list(obj, "%s: architectures" % source):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigurationError("%s: each architecture needs a 'kind'" % source)
         extra = set(entry) - {"kind", "zones"}
@@ -302,9 +302,7 @@ def load_run_config(
     if "scenario" in data:
         raw_scenarios = [data["scenario"]]
     else:
-        raw_scenarios = data["scenarios"]
-        if not isinstance(raw_scenarios, list) or not raw_scenarios:
-            raise ConfigurationError("%s: scenarios must be a non-empty list" % path)
+        raw_scenarios = _as_list(data["scenarios"], "%s: scenarios" % path)
     scenarios = tuple(
         scenario_from_config(s, source="%s scenario[%d]" % (path, i))
         for i, s in enumerate(raw_scenarios)
@@ -313,9 +311,7 @@ def load_run_config(
     for s in scenarios[1:]:
         if s.vocabulary != vocab:
             raise ConfigurationError("%s: all scenarios must share one vocabulary" % path)
-    rule_refs = data.get("rule_sets", ["core"])
-    if not isinstance(rule_refs, list) or not rule_refs:
-        raise ConfigurationError("%s: rule_sets must be a non-empty list" % path)
+    rule_refs = _as_list(data.get("rule_sets", ["core"]), "%s: rule_sets" % path)
     rule_sets = tuple(load_rule_set(str(r), vocab, base_dir) for r in rule_refs)
     seeds = (
         tuple(seeds_override)
@@ -326,7 +322,9 @@ def load_run_config(
         scenarios=scenarios,
         rule_sets=rule_sets,
         architectures=_architectures_from_config(data.get("architectures"), path),
-        strategies=tuple(data.get("strategies", list(STRATEGIES))),
+        strategies=tuple(
+            _as_list(data.get("strategies", list(STRATEGIES)), "%s: strategies" % path)
+        ),
         ks=_as_int_list(data.get("k", [0, 1, 2, 3, 4, 5]), "k"),
         seeds=seeds,
         advantage_k=_as_int(data.get("advantage_k", 3), "advantage_k"),

@@ -1,19 +1,23 @@
 """Predicate vocabularies, Q-sentences and hypotheses.
 
 A Q-sentence is the complete true/false pattern over all T predicate
-slots for one (ego, entity) pair.  It is stored as a plain bit pattern:
-slot ``s`` is the vocabulary's ``s``-th predicate and maps to bit
-position ``s``; a set sign flag becomes bit value 1.  The simulator
-grounds a pair into its unique Q-sentence (``world.ground_entity``).
+slots for one (ego, entity) pair.  It is a plain int bit pattern: slot
+``s`` is the vocabulary's ``s``-th predicate and maps to bit position
+``s``; a set sign flag becomes bit value 1.  The simulator grounds a
+pair into its pattern (``world.ground_entity``); ``QSentence`` pairs a
+pattern with its width and is the oracle's validated input type.
+
+``Hypothesis.satisfied_by`` is the one definition of satisfaction: a
+pattern satisfies a hypothesis iff it matches every fixed slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import FrozenSet, Mapping, Tuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, reject_repeats
 
 MAX_ENGINE_T = 62
 
@@ -33,12 +37,7 @@ class PredicateVocabulary:
     def __post_init__(self) -> None:
         if not self.predicates:
             raise ConfigurationError("vocabulary must list at least one predicate")
-        names = [name for name, _ in self.predicates]
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise ConfigurationError(
-                "duplicate predicate name(s): %s" % ", ".join(sorted(dupes))
-            )
+        reject_repeats("predicate name", (name for name, _ in self.predicates))
         if len(self.predicates) > MAX_ENGINE_T:
             raise ConfigurationError(
                 "T=%d exceeds the engine bound of %d slots"
@@ -71,9 +70,6 @@ class QSentence:
                 "bits %d out of range for width %d" % (self.bits, self.width)
             )
 
-    def bit(self, slot: int) -> int:
-        return (self.bits >> slot) & 1
-
     def __str__(self) -> str:
         return format(self.bits, "0%db" % self.width)
 
@@ -84,22 +80,27 @@ class Hypothesis:
 
     ``fixed_slots`` is a sorted tuple of (slot, bit) pairs; Z is its
     length and the specificity is 2**(T - Z) compatible Q-sentences,
-    always handled as the exponent T - Z.
+    always handled as the exponent T - Z.  ``care`` has the fixed slots'
+    bits set and ``value`` their required signs; both are derived once,
+    here.
     """
 
     id: int
     fixed_slots: Tuple[Tuple[int, int], ...]
     action: str
+    care: int = field(init=False, repr=False, compare=False)
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         slots = [s for s, _ in self.fixed_slots]
         if not slots:
             raise ConfigurationError("hypothesis %d fixes no slot (Z >= 1 required)" % self.id)
-        if len(set(slots)) != len(slots):
-            raise ConfigurationError("hypothesis %d repeats a slot" % self.id)
+        reject_repeats("slot in hypothesis %d" % self.id, slots)
         if any(s < 0 for s in slots) or any(v not in (0, 1) for _, v in self.fixed_slots):
             raise ConfigurationError("hypothesis %d has an invalid (slot, value) pair" % self.id)
         object.__setattr__(self, "fixed_slots", tuple(sorted(self.fixed_slots)))
+        object.__setattr__(self, "care", sum(1 << s for s in slots))
+        object.__setattr__(self, "value", sum(v << s for s, v in self.fixed_slots))
 
     @classmethod
     def from_constraints(cls, id: int, constraints: Mapping[int, int], action: str) -> "Hypothesis":
@@ -115,29 +116,16 @@ class Hypothesis:
         return T - self.Z
 
     def validate_width(self, T: int) -> None:
-        if any(s >= T for s, _ in self.fixed_slots):
+        if self.care >> T:
             raise ConfigurationError(
                 "hypothesis %d fixes slot beyond width T=%d" % (self.id, T)
             )
 
+    def satisfied_by(self, qbits: int) -> bool:
+        """True iff the pattern matches every fixed slot."""
+        return qbits & self.care == self.value
+
     def compatible_qs(self, T: int) -> FrozenSet[QSentence]:
         """All 2**(T-Z) Q-sentences satisfying the fixed slots (tiny T only)."""
         self.validate_width(T)
-        fixed = dict(self.fixed_slots)
-        out = []
-        free = [s for s in range(T) if s not in fixed]
-        base = sum(v << s for s, v in fixed.items())
-        for combo in range(1 << len(free)):
-            bits = base
-            for j, s in enumerate(free):
-                if (combo >> j) & 1:
-                    bits |= 1 << s
-            out.append(QSentence(bits, T))
-        return frozenset(out)
-
-
-def hypothesis_satisfied_by(q: QSentence, h: Hypothesis) -> bool:
-    """True iff every fixed slot of h matches q (the overlap predicate)."""
-    h.validate_width(q.width)
-    return all(q.bit(s) == v for s, v in h.fixed_slots)
-
+        return frozenset(QSentence(bits, T) for bits in range(1 << T) if self.satisfied_by(bits))

@@ -152,7 +152,7 @@ def build_trajectory(
         for ego_id, seen in ego_pools(world, obs, zones).items():
             ego = by_id[ego_id]
             qbits = {
-                ent_id: ground_entity(world, ego, by_id[ent_id], scenario).bits
+                ent_id: ground_entity(world, ego, by_id[ent_id], scenario)
                 for ent_id in seen.vic_ids
             }
             fi_mask = _witnessed(engine, qbits, seen.vic_ids)

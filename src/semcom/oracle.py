@@ -31,8 +31,9 @@ from .errors import (
     ContradictionError,
     EnumerationInfeasibleError,
     FeasibilityError,
+    reject_repeats,
 )
-from .logic import Hypothesis, QSentence, hypothesis_satisfied_by
+from .logic import Hypothesis, QSentence
 
 ENUMERATION_MAX_T = 2
 DEFAULT_BIT_BUDGET = 1 << 20
@@ -255,7 +256,8 @@ class ClosedFormParams:
         qs = set(evidence_qs)
         hyp_params = []
         for h in hypotheses:
-            over = any(hypothesis_satisfied_by(q, h) for q in qs)
+            h.validate_width(T)
+            over = any(h.satisfied_by(q.bits) for q in qs)
             hyp_params.append(HypothesisParams(z=h.Z, overlaps=over))
         return cls(T=T, K=len(qs), hypotheses=tuple(hyp_params))
 
@@ -395,44 +397,51 @@ def exact_objective_compare(a: ClosedFormParams, b: ClosedFormParams) -> int:
 # Diagnostic table for the CLI
 # ---------------------------------------------------------------------------
 
-def closed_form_table(T: int, K: int, z_values: Sequence[int]) -> List[Dict[str, str]]:
-    """One row per Z: c(e), c(phi|e), and the objective term, exact.
+def closed_form_table(
+    T: int, k_values: Optional[Sequence[int]] = None, z_values: Optional[Sequence[int]] = None
+) -> List[Dict[str, str]]:
+    """One row per (K, Z), Z varying fastest: c(e), c(phi|e), and the objective term, exact.
 
-    Each Z is treated as a single non-overlapping hypothesis when K + H
-    fits inside Q, otherwise as witnessed.  At T <= 2 every row is
-    cross-checked against the enumeration oracle before being emitted.
-    T and every Z are checked before any row is built.
+    K defaults to 0..2**T and Z to 1..T.  Each Z is treated as a single
+    non-overlapping hypothesis when K + H fits inside Q, otherwise as
+    witnessed.  At T <= 2 every row is cross-checked against the
+    enumeration oracle before being emitted.  T, repeated K or Z values
+    and every Z are checked before any row is built; a K outside
+    [0, 2**T] is refused at its first row.
     """
     if T < 1:
         raise ConfigurationError("T must be at least 1, got %d" % T)
+    if k_values is None:
+        k_values = range((1 << T) + 1)
+    else:
+        reject_repeats("K value", k_values)
+    if z_values is None:
+        z_values = range(1, T + 1)
+    else:
+        reject_repeats("Z value", z_values)
     for z in z_values:
         if not 1 <= z <= T:
             raise ConfigurationError("Z=%d outside [1, T=%d]" % (z, T))
-    rows: List[Dict[str, str]] = []
-    q = 1 << T
-    for z in z_values:
-        h = 1 << (T - z)
-        overlaps = K + h > q
-        params = ClosedFormParams(
-            T=T, K=K, hypotheses=(HypothesisParams(z=z, overlaps=overlaps),)
-        )
-        ce = closed_form_evidence_probability(params)
-        cphi = closed_form_confirmation(params, params.hypotheses[0])
-        fterm = closed_form_objective(params)
-        if T <= ENUMERATION_MAX_T:
-            _cross_check_row(T, K, z, overlaps, ce, cphi)
-        rows.append(
-            {
-                "T": str(T),
-                "K": str(K),
-                "Z": str(z),
-                "overlap": "1" if overlaps else "0",
-                "c_e": str(ce),
-                "c_phi_given_e": str(cphi),
-                "F_term": str(fterm),
-            }
-        )
-    return rows
+    return [_table_row(T, K, z) for K in k_values for z in z_values]
+
+
+def _table_row(T: int, K: int, z: int) -> Dict[str, str]:
+    overlaps = K + (1 << (T - z)) > (1 << T)
+    params = ClosedFormParams(T=T, K=K, hypotheses=(HypothesisParams(z=z, overlaps=overlaps),))
+    ce = closed_form_evidence_probability(params)
+    cphi = closed_form_confirmation(params, params.hypotheses[0])
+    fterm = closed_form_objective(params)
+    if T <= ENUMERATION_MAX_T:
+        _cross_check_row(T, K, z, overlaps, ce, cphi)
+    return {
+        "T": str(T),
+        "K": str(K),
+        "Z": str(z),
+        "overlap": "1" if overlaps else "0",
+        "c_e": str(ce),
+        "c_phi_given_e": str(cphi),
+        "F_term": str(fterm),
+    }
 
 
 def _cross_check_row(

@@ -50,6 +50,17 @@ RANDOM = "random"
 STRATEGIES = (SEMANTIC, RANDOM)
 
 
+def capped_subset_count(n: int, k: int) -> int:
+    """C(n, k), the k-subsets of n entries; FeasibilityError over DEFAULT_ENUMERATION_CAP."""
+    n_subsets = comb(n, k)
+    if n_subsets > DEFAULT_ENUMERATION_CAP:
+        raise FeasibilityError(
+            "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
+            % (n, k, n_subsets, DEFAULT_ENUMERATION_CAP)
+        )
+    return n_subsets
+
+
 class KeyEngine:
     """Key computation for one fixed (hypotheses, T) pair, with caches.
 
@@ -68,11 +79,6 @@ class KeyEngine:
         self.T = T
         self.exponents = tuple(h.specificity_exponent(T) for h in hypotheses)
         self.full_mask = (1 << len(hypotheses)) - 1
-        # (care, value) per hypothesis: a pattern satisfies it iff qbits & care == value
-        self._slot_masks = tuple(
-            (sum(1 << s for s, _ in h.fixed_slots), sum(v << s for s, v in h.fixed_slots))
-            for h in hypotheses
-        )
         self._sat: Dict[int, int] = {}
         self._tails: Dict[int, Tuple[int, ...]] = {}
 
@@ -81,11 +87,9 @@ class KeyEngine:
         try:
             return self._sat[qbits]
         except KeyError:
-            mask = 0
-            for i, (care, value) in enumerate(self._slot_masks):
-                if qbits & care == value:
-                    mask |= 1 << i
-            self._sat[qbits] = mask
+            mask = self._sat[qbits] = sum(
+                1 << i for i, h in enumerate(self.hypotheses) if h.satisfied_by(qbits)
+            )
             return mask
 
     def _tail(self, uncovered: int) -> Tuple[int, ...]:
@@ -124,12 +128,7 @@ class KeyEngine:
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
-        n_subsets = comb(len(entries), k)
-        if n_subsets > DEFAULT_ENUMERATION_CAP:
-            raise FeasibilityError(
-                "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
-                % (len(entries), k, n_subsets, DEFAULT_ENUMERATION_CAP)
-            )
+        n_subsets = capped_subset_count(len(entries), k)
         if n_subsets > SUBSET_LOOP_MAX:
             n_masks = len({self.sat_mask(qbits) for _, qbits in entries})
             n_mask_sets = sum(comb(n_masks, size) for size in range(min(k, n_masks) + 1))

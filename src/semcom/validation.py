@@ -28,14 +28,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 from .oracle import DEFAULT_BIT_BUDGET
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
-from .selection import DEFAULT_ENUMERATION_CAP, KeyEngine
+from .selection import KeyEngine, capped_subset_count
+
+# disagreements a report keeps and prints
+MAX_EXAMPLES = 5
 
 
 @dataclass
@@ -43,8 +45,6 @@ class DisagreementExample:
     trial: int
     T: int
     k: int
-    pool_patterns: Tuple[int, ...]
-    hypotheses: Tuple[Tuple[Tuple[int, int], ...], ...]
     subset_a: Tuple[int, ...]
     subset_b: Tuple[int, ...]
     key_a: Tuple[int, ...]
@@ -73,7 +73,7 @@ class ValidationReport:
             "objective ties with strict key order: %d" % self.f_ties_key_strict,
             "elapsed: %.2f s" % self.elapsed_seconds,
         ]
-        for ex in self.examples[:5]:
+        for ex in self.examples:
             lines.append(
                 "  disagreement in trial %d (T=%d, k=%d): subsets %s vs %s, "
                 "keys %s vs %s, exact F sign %+d"
@@ -115,11 +115,10 @@ def validate_key_ordering(
     T_choices: Sequence[int] = (3, 4, 5),
     n_max: int = 8,
     k_max: int = 3,
-    max_examples: int = 10,
 ) -> ValidationReport:
     """Compare kappa ordering with exact-F ordering over random instances.
 
-    A trial over DEFAULT_ENUMERATION_CAP k-subsets raises FeasibilityError,
+    A trial over the enumeration cap of k-subsets raises FeasibilityError,
     and so, before any trial, does a slot count T whose objective
     exponents (alpha = 2**(2**T - K)) need more than DEFAULT_BIT_BUDGET bits.
     """
@@ -142,11 +141,7 @@ def validate_key_ordering(
     started = time.perf_counter()
     for trial in range(trials):
         T, k, pool, hypotheses = random_instance(rng, T_choices, n_max, k_max)
-        if comb(len(pool), k) > DEFAULT_ENUMERATION_CAP:
-            raise FeasibilityError(
-                "trial %d: C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
-                % (trial, len(pool), k, comb(len(pool), k), DEFAULT_ENUMERATION_CAP)
-            )
+        capped_subset_count(len(pool), k)
         engine = KeyEngine(hypotheses, T)
         groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for combo in itertools.combinations(pool, k):
@@ -171,14 +166,12 @@ def validate_key_ordering(
                     report.f_ties_key_strict += pairs
                 else:
                     report.disagreements += pairs
-                    if len(report.examples) < max_examples:
+                    if len(report.examples) < MAX_EXAMPLES:
                         report.examples.append(
                             DisagreementExample(
                                 trial=trial,
                                 T=T,
                                 k=k,
-                                pool_patterns=tuple(q for _, q in pool),
-                                hypotheses=tuple(h.fixed_slots for h in hypotheses),
                                 subset_a=members_a[0],
                                 subset_b=members_b[0],
                                 key_a=key_a,

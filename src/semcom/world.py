@@ -11,8 +11,9 @@ evaluates the ten built-in predicates inline, as integer arithmetic on
 simulator ground truth, and places them through a slot table compiled
 per scenario vocabulary; ``BUILTIN_PREDICATES`` names each predicate's
 category and what it asserts.  Who observes whom (Chebyshev closed
-balls) is ``comms.ego_pools``; which hypotheses a Q-sentence witnesses
-is ``selection.KeyEngine.sat_mask``; the decision is
+balls) is ``comms.ego_pools``; whether a Q-sentence pattern satisfies a
+hypothesis is ``logic.Hypothesis.satisfied_by``, memoized per pattern as
+a hypothesis mask by ``selection.KeyEngine.sat_mask``; the decision is
 ``RuleSet.action_of``.
 """
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
-from .errors import ConfigurationError
-from .logic import Hypothesis, PredicateCategory, PredicateVocabulary, QSentence
+from .errors import ConfigurationError, reject_repeats
+from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
 
 Cell = Tuple[int, int]
 
@@ -63,16 +64,13 @@ class RuleSet:
     def __post_init__(self) -> None:
         if not self.hypotheses:
             raise ConfigurationError("rule set %r has no hypotheses" % self.name)
-        if len(set(self.action_priority)) != len(self.action_priority):
-            raise ConfigurationError("duplicate action in priority order")
+        reject_repeats("action in priority order", self.action_priority)
         if DEFAULT_ACTION not in self.action_priority:
             raise ConfigurationError("priority order must include %r" % DEFAULT_ACTION)
         for action in self.action_priority:
             if action not in ACTION_SPEED:
                 raise ConfigurationError("unknown action %r (no speed defined)" % action)
-        ids = [h.id for h in self.hypotheses]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError("duplicate hypothesis ids in rule set %r" % self.name)
+        reject_repeats("hypothesis id in rule set %r" % self.name, [h.id for h in self.hypotheses])
         for h in self.hypotheses:
             if h.action not in self.action_priority:
                 raise ConfigurationError(
@@ -122,6 +120,7 @@ class ScenarioConfig:
             raise ConfigurationError("at least one road line is required")
         if any(not 0 <= r < self.grid for r in self.roads):
             raise ConfigurationError("road line outside grid")
+        reject_repeats("road line", self.roads)  # a repeat gives an empty car route
         if len(self.roads) < 2:
             raise ConfigurationError("need at least two road lines to form routes")
         if self.cars < 1 or self.pedestrians < 0 or self.steps < 1:
@@ -363,8 +362,8 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
 
 def ground_entity(
     world: WorldState, ego: AgentState, ent: AgentState, scenario: ScenarioConfig
-) -> QSentence:
-    """The pair's Q-sentence: bit i is set iff the vocabulary's i-th predicate holds.
+) -> int:
+    """The pair's Q-sentence pattern: bit i is set iff the vocabulary's i-th predicate holds.
 
     The ten built-in predicates are evaluated as integer arithmetic and
     placed through the scenario's compiled slot table.
@@ -396,7 +395,7 @@ def ground_entity(
         bits |= facing
     if gx == hx and gy == hy:
         bits |= same
-    return QSentence(bits, scenario.vocabulary.T)
+    return bits
 
 
 def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:

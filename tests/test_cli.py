@@ -1,6 +1,7 @@
 """Command line entry points, exit codes, and artifact determinism."""
 
 import csv
+import hashlib
 import io
 import itertools
 import time
@@ -85,6 +86,19 @@ def test_oracle_refuses_a_wide_table_with_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "t, digest",
+    [
+        ("2", "4799fb42619fd51fcdc84d81cc3a66eb9a8bae394b8327ec7743b26ea5c23897"),
+        ("3", "ad36671a657c52c76607a513521bfc1e0ab5f1d6b0d14dd61094db5c0d99d473"),
+    ],
+)
+def test_oracle_csv_bytes_are_pinned(tmp_path, t, digest):
+    # pinned bytes, as criterion 8 pins the smoke CSVs
+    assert cli.main(["oracle", "--t", t, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--t", "-1"],
@@ -137,7 +151,7 @@ def test_sweep_emits_aggregate_and_summary(tmp_path, capsys):
     assert all(r["seeds"] == "2" for r in rows)
     summary = (out / "summary.txt").read_text()
     assert "scenario mini: 12 rows, 6 aggregate cells" in summary
-    assert summary.strip() in stdout.strip()
+    assert stdout == summary  # the summary file is echoed on stdout
 
 
 def test_sweep_summary_says_why_an_advantage_point_is_missing(tmp_path, capsys):
@@ -188,6 +202,13 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "psychic" in capsys.readouterr().err
 
 
+def test_repeated_road_line_exits_two(tmp_path, capsys):
+    scenario = dict(SCENARIO, roads=[10, 10, 30])
+    config = write_config(tmp_path, small_run(scenario=scenario, seeds=[2]))
+    assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "duplicate road line: 10" in capsys.readouterr().err
+
+
 def test_jobs_below_one_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, small_run())
     for command in ("sweep", "run"):
@@ -224,6 +245,7 @@ def test_key_validation_reports_and_signals_disagreements(tmp_path, capsys):
     rc = cli.main(["validate-key", "--trials", "200", "--seed", "0",
                    "--out", str(tmp_path)])
     report = (tmp_path / "validate_key.txt").read_text()
+    assert capsys.readouterr().out == report  # the report file is echoed on stdout
     assert "disagreements:" in report
     disagreements = int(
         next(line for line in report.splitlines() if line.startswith("disagreements:"))

@@ -116,7 +116,7 @@ def reference_pool_ids(world, ego_id, arch, obs):
 def grounded(world, ego_id, ids):
     """Pattern bits of each pool entity as the ego grounds it."""
     by_id = {a.id: a for a in world.agents}
-    return {i: ground_entity(world, by_id[ego_id], by_id[i], cfg()).bits for i in ids}
+    return {i: ground_entity(world, by_id[ego_id], by_id[i], cfg()) for i in ids}
 
 
 def pools_of(world):

@@ -148,6 +148,12 @@ def test_scenario_type_checks():
         scenario_from_config(dict(SCENARIO_DOC, roads="10,30"))
 
 
+def test_scenario_rejects_a_repeated_road_line():
+    # a repeated line yields a zero-width car route, which init_world cannot place on
+    with pytest.raises(ConfigurationError, match="duplicate road line: 10"):
+        scenario_from_config(dict(SCENARIO_DOC, roads=[10, 10, 30]))
+
+
 # -------------------------------------------------------------------- runs
 
 
@@ -237,6 +243,14 @@ def test_run_rejects_repeated_list_entries(tmp_path, overrides, message):
     doc = {key: value for key, value in run_doc(**overrides).items() if value is not None}
     with pytest.raises(ConfigurationError, match=message):
         load_run_config(write_run(tmp_path, doc))
+
+
+def test_run_strategies_must_be_a_list(tmp_path):
+    # a bare string would otherwise be read one character per strategy
+    with pytest.raises(ConfigurationError, match="strategies must be a non-empty list"):
+        load_run_config(write_run(tmp_path, run_doc(strategies="semantic")))
+    with pytest.raises(ConfigurationError, match="strategies must be a non-empty list"):
+        load_run_config(write_run(tmp_path, run_doc(strategies=[])))
 
 
 def test_run_rejects_unknown_top_level_keys(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grounding_reference import PREDICATES, vocabulary_of
+from satisfaction_reference import bit, satisfies
 from semcom.errors import ConfigurationError
 from semcom.logic import (
     Hypothesis,
@@ -14,7 +15,6 @@ from semcom.logic import (
     PredicateCategory,
     PredicateVocabulary,
     QSentence,
-    hypothesis_satisfied_by,
 )
 from semcom.world import (
     CAR,
@@ -115,14 +115,14 @@ def test_grounding_follows_the_vocabulary_declaration_order():
                 for vocab in (reversed_vocab, subset):
                     cfg = scenario_with(vocab)
                     q = ground_entity(world, ego, ent, cfg)
-                    assert q.width == vocab.T
+                    assert 0 <= q < 1 << vocab.T
                     for name, _ in vocab.predicates:
                         truth = PREDICATES[name](world, ego, ent, cfg)
-                        assert q.bit(vocab.slot_of(name)) == int(truth)
+                        assert bit(q, vocab.slot_of(name)) == int(truth)
                 # slot i of the default order is slot T-1-i reversed
                 q_default = ground_entity(world, ego, ent, scenario_with(default))
                 q_reversed = ground_entity(world, ego, ent, scenario_with(reversed_vocab))
-                assert str(q_reversed) == str(q_default)[::-1]
+                assert format(q_reversed, "010b") == format(q_default, "010b")[::-1]
 
 
 def test_grounding_is_functional():
@@ -155,7 +155,7 @@ def test_three_entity_scene_grounds_to_hand_checked_patterns():
         intersections=frozenset(),
     )
     cfg = scenario_with(vocabulary_of(("IsPedestrian", "Close")))
-    patterns = [ground_entity(scene, ego, ent, cfg).bits for ent in scene.agents[1:]]
+    patterns = [ground_entity(scene, ego, ent, cfg) for ent in scene.agents[1:]]
     assert patterns == [0b11, 0b10, 0b00]
 
 
@@ -217,11 +217,11 @@ def test_satisfaction_exhaustive_at_width_two():
                     9, dict(zip(chosen, bits_choice)), "Stop"
                 )
                 for pattern in range(4):
-                    q = QSentence(bits=pattern, width=2)
                     expected = all(
                         (pattern >> s) & 1 == b for s, b in zip(chosen, bits_choice)
                     )
-                    assert hypothesis_satisfied_by(q, h) is expected
+                    assert h.satisfied_by(pattern) is expected
+                    assert satisfies(pattern, h) is expected
 
 
 @st.composite
@@ -240,7 +240,7 @@ def hypothesis_and_satisfier(draw):
     bits = 0
     for s in range(T):
         bits |= (fixed.get(s, draw(st.integers(min_value=0, max_value=1))) << s)
-    return T, fixed, QSentence(bits=bits, width=T)
+    return T, fixed, bits
 
 
 @given(hypothesis_and_satisfier())
@@ -248,7 +248,7 @@ def hypothesis_and_satisfier(draw):
 def test_dropping_a_constraint_never_unsatisfies(case):
     T, fixed, q = case
     full = Hypothesis.from_constraints(1, fixed, "Stop")
-    assert hypothesis_satisfied_by(q, full)
+    assert full.satisfied_by(q)
     for drop in fixed:
         weaker = {s: b for s, b in fixed.items() if s != drop}
-        assert hypothesis_satisfied_by(q, Hypothesis.from_constraints(2, weaker, "Stop"))
+        assert Hypothesis.from_constraints(2, weaker, "Stop").satisfied_by(q)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from semcom.comms import ego_pools
 from semcom.config import SHIPPED_RULE_SETS, load_rule_set
 from semcom.errors import FeasibilityError
-from semcom.logic import Hypothesis, QSentence, hypothesis_satisfied_by
+from satisfaction_reference import satisfies
+from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import ClosedFormParams, closed_form_objective
 from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
@@ -35,12 +36,12 @@ def exact_objective(subset, hyps, T):
 
 
 def reference_key(subset, hyps, T):
-    """kappa by definition, one hypothesis_satisfied_by test per (pattern, hypothesis)."""
-    qs = {QSentence(bits, T) for _, bits in subset}
+    """kappa by definition, one slot-by-slot satisfaction test per (pattern, hypothesis)."""
+    qs = {bits for _, bits in subset}
     exponents = sorted(
         h.specificity_exponent(T)
         for h in hyps
-        if not any(hypothesis_satisfied_by(q, h) for q in qs)
+        if not any(satisfies(q, h) for q in qs)
     )
     return (len(exponents), len(qs), *(-g for g in exponents))
 
@@ -119,8 +120,7 @@ def random_hypotheses(rng, T):
 def assert_sat_masks_match_the_definition(hyps, T):
     engine = KeyEngine(hyps, T)  # fresh: the first lookup of each pattern is a miss
     for bits in range(1 << T):
-        q = QSentence(bits, T)
-        expected = sum(1 << i for i, h in enumerate(hyps) if hypothesis_satisfied_by(q, h))
+        expected = sum(1 << i for i, h in enumerate(hyps) if satisfies(bits, h))
         assert engine.sat_mask(bits) == expected, (bits, [h.fixed_slots for h in hyps])
         assert engine.sat_mask(bits) == expected  # and the cached answer
 
@@ -256,7 +256,7 @@ def test_select_matches_brute_force_on_crowded_pools():
                 if comb(len(pool), k) <= SUBSET_LOOP_MAX:
                     continue
                 entries = [
-                    (i, ground_entity(world, ego, by_id[i], scenario).bits) for i in pool
+                    (i, ground_entity(world, ego, by_id[i], scenario)) for i in pool
                 ]
                 expected = min(
                     itertools.combinations(entries, k),
@@ -363,6 +363,16 @@ def test_validator_accounts_for_every_pair():
     assert split == report.total_pairs
     assert report.total_pairs > 0
     assert any(line.startswith("disagreements:") for line in report.summary_lines())
+
+
+def test_validator_keeps_and_prints_the_first_five_disagreements():
+    report = validate_key_ordering(trials=200, seed=0)
+    assert report.disagreements > 5
+    assert len(report.examples) == 5
+    printed = [line for line in report.summary_lines() if "disagreement in trial" in line]
+    assert len(printed) == 5
+    first = report.examples[0]
+    assert first.f_sign != 0 and first.key_a != first.key_b
 
 
 def test_validator_key_ties_always_share_the_exact_value():

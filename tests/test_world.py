@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import grounding_reference as ref
 from grounding_reference import chebyshev, vocabulary_of
+from satisfaction_reference import bit
 from semcom.comms import ego_pools
 from semcom.config import load_rule_set, load_run_config
 from semcom.errors import ConfigurationError
@@ -232,27 +233,27 @@ def test_grounding_matches_hand_truth_assignment():
     cfg = scenario()
 
     q1 = ground_entity(world, ego, ahead_same, cfg)
-    assert q1.bit(slot("IsCar")) == 1
-    assert q1.bit(slot("IsPedestrian")) == 0
-    assert q1.bit(slot("InIntersection")) == 1
-    assert q1.bit(slot("IsMoving")) == 1
-    assert q1.bit(slot("Close")) == 0      # chebyshev 4 > 2
-    assert q1.bit(slot("Near")) == 1       # 4 <= 6
-    assert q1.bit(slot("AheadOf")) == 1
-    assert q1.bit(slot("LeftOf")) == 0
-    assert q1.bit(slot("Facing")) == 0     # heading east, away from ego
-    assert q1.bit(slot("SameHeading")) == 1
+    assert bit(q1, slot("IsCar")) == 1
+    assert bit(q1, slot("IsPedestrian")) == 0
+    assert bit(q1, slot("InIntersection")) == 1
+    assert bit(q1, slot("IsMoving")) == 1
+    assert bit(q1, slot("Close")) == 0      # chebyshev 4 > 2
+    assert bit(q1, slot("Near")) == 1       # 4 <= 6
+    assert bit(q1, slot("AheadOf")) == 1
+    assert bit(q1, slot("LeftOf")) == 0
+    assert bit(q1, slot("Facing")) == 0     # heading east, away from ego
+    assert bit(q1, slot("SameHeading")) == 1
 
     q2 = ground_entity(world, ego, left_facing, cfg)
-    assert q2.bit(slot("IsPedestrian")) == 1
-    assert q2.bit(slot("AheadOf")) == 0    # perpendicular to ego heading
-    assert q2.bit(slot("LeftOf")) == 1
-    assert q2.bit(slot("Facing")) == 1     # walking south toward ego row
+    assert bit(q2, slot("IsPedestrian")) == 1
+    assert bit(q2, slot("AheadOf")) == 0    # perpendicular to ego heading
+    assert bit(q2, slot("LeftOf")) == 1
+    assert bit(q2, slot("Facing")) == 1     # walking south toward ego row
 
     q3 = ground_entity(world, ego, behind_far, cfg)
-    assert q3.bit(slot("AheadOf")) == 0
-    assert q3.bit(slot("Near")) == 0       # distance 7
-    assert q3.bit(slot("Facing")) == 0
+    assert bit(q3, slot("AheadOf")) == 0
+    assert bit(q3, slot("Near")) == 0       # distance 7
+    assert bit(q3, slot("Facing")) == 0
 
 
 def test_close_and_near_use_scenario_radii():
@@ -261,8 +262,8 @@ def test_close_and_near_use_scenario_radii():
     world = hand_world([ego, other])
     near_cfg = scenario(close_radius=3, near_radius=6)
     far_cfg = scenario(close_radius=2, near_radius=3)
-    assert ground_entity(world, ego, other, near_cfg).bit(slot("Close")) == 1
-    assert ground_entity(world, ego, other, far_cfg).bit(slot("Close")) == 0
+    assert bit(ground_entity(world, ego, other, near_cfg), slot("Close")) == 1
+    assert bit(ground_entity(world, ego, other, far_cfg), slot("Close")) == 0
 
 
 def test_dwelling_pedestrian_grounds_as_not_moving():
@@ -276,7 +277,7 @@ def test_dwelling_pedestrian_grounds_as_not_moving():
     assert ped_after.position == (12, 10)
     assert ped_after.moved is False
     q = ground_entity(walked, by_id[0], ped_after, scenario())
-    assert q.bit(slot("IsMoving")) == 0
+    assert bit(q, slot("IsMoving")) == 0
 
 
 def shipped_scenario(path):
@@ -320,8 +321,7 @@ def test_grounding_matches_the_per_predicate_reference_on_every_pair(path, seeds
                     for i, (name, _) in enumerate(scen.vocabulary.predicates):
                         if ref.PREDICATES[name](world, ego, ent, scen):
                             expected |= 1 << i
-                    q = ground_entity(world, ego, ent, scen)
-                    assert (q.bits, q.width) == (expected, scen.vocabulary.T), (ego, ent)
+                    assert ground_entity(world, ego, ent, scen) == expected, (ego, ent)
                 checked += 1
     assert checked > 1000
 
@@ -452,7 +452,7 @@ def test_two_step_trace_is_reproducible():
         for ego_id, view in ego_pools(world, cfg.observation).items():
             mask = 0
             for ent_id in view.fov_ids:
-                mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id], cfg).bits)
+                mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id], cfg))
             actions[ego_id] = rules.action_of(mask)
         world = step(world, actions)
         seen.append((dict(sorted(actions.items())), [a.position for a in world.agents]))
