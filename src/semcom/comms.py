@@ -39,12 +39,6 @@ class Architecture:
             raise ConfigurationError("zone grid must be at least 1x1")
 
 
-def zone_of(position: Tuple[int, int], grid: int, zones: int) -> Tuple[int, int]:
-    """Half-open zone rectangle containing a cell (edge cells clamp inward)."""
-    x, y = position
-    return (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
-
-
 @dataclass(frozen=True)
 class EgoPools:
     """One car's view of one world state; every id tuple is ascending."""
@@ -86,30 +80,38 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int = 2) -> Dict
                 if -r_fov <= dx <= r_fov and -r_fov <= dy <= r_fov:
                     fov_i.append(ids[j])
                     fov_lists[j].append(id_i)
-    vic_sets = dict(zip(ids, vic_lists))
-    fov_sets = {id_: set(fov) for id_, fov in zip(ids, fov_lists)}
-    cars = [a for a in agents if a.kind == CAR]
-    zone_by_id = {a.id: zone_of(a.position, world.grid, zones) for a in cars}
+    grid = world.grid
     uploads_all: Set[int] = set()
     uploads_by_zone: Dict[Tuple[int, int], Set[int]] = {}
-    for a in cars:
-        contribution = {a.id} | fov_sets[a.id]
-        uploads_all |= contribution
-        uploads_by_zone.setdefault(zone_by_id[a.id], set()).update(contribution)
+    car_views = []
+    for a, vic, fov in zip(agents, vic_lists, fov_lists):
+        if a.kind != CAR:
+            continue
+        # the pair loop fills both lists in agent order; one in-place pass sorts them by id
+        vic.sort()
+        fov.sort()
+        x, y = a.position
+        # half-open zone rectangles; edge cells clamp inward
+        zone = (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
+        uploads_all.add(a.id)
+        uploads_all.update(fov)
+        zone_src = uploads_by_zone.setdefault(zone, set())
+        zone_src.add(a.id)
+        zone_src.update(fov)
+        car_views.append((a.id, zone, vic, fov))
 
     out: Dict[int, EgoPools] = {}
-    for ego in cars:
-        vic = tuple(sorted(vic_sets[ego.id]))
-        fov_set = fov_sets[ego.id]
-        zone_src = uploads_by_zone[zone_by_id[ego.id]]
-        out[ego.id] = EgoPools(
-            fov_ids=tuple(sorted(fov_set)),
-            vic_ids=vic,
+    for ego_id, zone, vic, fov in car_views:
+        fov_set = set(fov)
+        sensor = tuple([i for i in vic if i not in fov_set])
+        zone_src = uploads_by_zone[zone]
+        out[ego_id] = EgoPools(
+            fov_ids=tuple(fov),
+            vic_ids=tuple(vic),
             pools={
-                SENSOR_GNA: tuple(i for i in vic if i not in fov_set),
-                SINGLE_ZONE_GNA: tuple(i for i in vic if i in uploads_all and i not in fov_set),
-                MULTI_ZONE_LNA: tuple(i for i in vic if i in zone_src and i not in fov_set),
+                SENSOR_GNA: sensor,
+                SINGLE_ZONE_GNA: tuple([i for i in sensor if i in uploads_all]),
+                MULTI_ZONE_LNA: tuple([i for i in sensor if i in zone_src]),
             },
         )
     return out
-

@@ -73,6 +73,10 @@ class QSentence:
     def __str__(self) -> str:
         return format(self.bits, "0%db" % self.width)
 
+    def validate_width(self, T: int) -> None:
+        if self.width != T:
+            raise ConfigurationError("Q-sentence width %d does not match T=%d" % (self.width, T))
+
 
 @dataclass(frozen=True)
 class Hypothesis:

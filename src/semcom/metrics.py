@@ -18,13 +18,14 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .comms import MULTI_ZONE_LNA, RANDOM, SEMANTIC, Architecture, downlink, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError
-from .selection import KeyEngine
+from .selection import KeyEngine, check_request
 from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 CSV_HEADER = (
@@ -85,22 +86,38 @@ class AggregateRow:
     adsr_std: float
 
 
-def hypothesis_dsr(trace: EpisodeTrace, column: int) -> float:
-    """Fraction of (step, agent, hypothesis) evaluations of one cell matching FI."""
+def cell_rates(trace: EpisodeTrace, rules: RuleSet) -> List[Tuple[float, float]]:
+    """(H-DSR, A-DSR) of every column of the trace, in cell order.
+
+    H-DSR is the fraction of (step, agent, hypothesis) evaluations that
+    match FI, A-DSR the fraction of (step, agent) decisions.  Identical
+    (fi_mask, fi_action, strategy_masks) records are tallied first and
+    each distinct one is scored once, weighted by its count, so every
+    column's integer mismatch and match counts are those of a pass over
+    all records.
+    """
     if not trace.records or trace.n_hypotheses == 0:
-        raise UndefinedMetricError("H-DSR over an empty trace")
-    total = len(trace.records) * trace.n_hypotheses
-    mismatches = sum((r.fi_mask ^ r.strategy_masks[column]).bit_count() for r in trace.records)
-    return (total - mismatches) / total
-
-
-def action_dsr(trace: EpisodeTrace, column: int, rules: RuleSet) -> float:
-    """Fraction of (step, agent) decisions of one cell matching FI."""
-    if not trace.records:
-        raise UndefinedMetricError("A-DSR over an empty trace")
+        raise UndefinedMetricError("DSR over an empty trace")
+    tally = Counter((r.fi_mask, r.fi_action, r.strategy_masks) for r in trace.records)
     action_of = rules.action_of
-    matches = sum(1 for r in trace.records if action_of(r.strategy_masks[column]) == r.fi_action)
-    return matches / len(trace.records)
+    mismatches = [0] * len(trace.cells)
+    matches = [0] * len(trace.cells)
+    for (fi_mask, fi_action, masks), count in tally.items():
+        fi_matches = action_of(fi_mask) == fi_action
+        for column, mask in enumerate(masks):
+            if mask == fi_mask:
+                if fi_matches:
+                    matches[column] += count
+            else:
+                mismatches[column] += count * (fi_mask ^ mask).bit_count()
+                if action_of(mask) == fi_action:
+                    matches[column] += count
+    decisions = len(trace.records)
+    evaluations = decisions * trace.n_hypotheses
+    return [
+        ((evaluations - missed) / evaluations, matched / decisions)
+        for missed, matched in zip(mismatches, matches)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +209,73 @@ def evaluate_cell(trajectory: Trajectory, cells: Sequence[Cell], engine: KeyEngi
 
     Random downlink draws are seeded per (seed, step, ego), not per
     cell, so they are reproducible and shared across architectures and
-    budgets.  A view's chosen evidence therefore depends only on
-    (pool, strategy, min(k, len(pool))), and each such key runs
-    downlink once per view.
+    budgets.  A view's masks for one kind therefore depend only on the
+    kind's pool and its (strategy, k) list: the cells are grouped by
+    kind once, each view builds one block of masks per distinct (pool,
+    list), every kind with that pool reuses it, and the blocks are put
+    back in cell order.
     """
     cells = tuple(cells)
+    for strategy, k in {cell[1:] for cell in cells}:
+        check_request(k, strategy)
+    columns: Dict[str, List[int]] = {}  # kind -> its columns
+    for column, (kind, _, _) in enumerate(cells):
+        columns.setdefault(kind, []).append(column)
+    budget_lists: Dict[Tuple[Tuple[str, int], ...], int] = {}  # (strategy, k) list -> its index
+    plan = []
+    for kind, kind_columns in columns.items():
+        budgets = tuple(cells[c][1:] for c in kind_columns)
+        plan.append((kind, budget_lists.setdefault(budgets, len(budget_lists)), budgets))
+    grouped = [c for kind_columns in columns.values() for c in kind_columns]
+    restore = None  # cells that come kind by kind need no reordering
+    if grouped != list(range(len(cells))):
+        restore = sorted(range(len(cells)), key=grouped.__getitem__)
     records: List[TraceRecord] = []
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
             view = views[ego_id]
             rng_seed = _record_seed(trajectory.seed, step_idx, ego_id)
             fov_mask = _witnessed(engine, view.qbits, view.fov_ids)
-            chosen: Dict[Tuple[Tuple[int, ...], str, int], int] = {}
-            masks = []
-            for kind, strategy, k in cells:
+            blocks: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
+            flat: List[int] = []
+            for kind, list_idx, budgets in plan:
                 pool = view.pools[kind]
-                key = (pool, strategy, k if k < len(pool) else len(pool))
-                mask = chosen.get(key)
-                if mask is None:
-                    ids = downlink(pool, view.qbits, k, strategy, engine, rng_seed)
-                    mask = chosen[key] = fov_mask | _witnessed(engine, view.qbits, ids)
-                masks.append(mask)
-            records.append(TraceRecord(step_idx, ego_id, view.fi_mask, view.fi_action, tuple(masks)))
+                block = blocks.get((pool, list_idx))
+                if block is None:
+                    block = blocks[(pool, list_idx)] = _mask_block(
+                        engine, view.qbits, pool, budgets, fov_mask, rng_seed
+                    )
+                flat += block
+            masks = tuple(flat) if restore is None else tuple(flat[i] for i in restore)
+            records.append(TraceRecord(step_idx, ego_id, view.fi_mask, view.fi_action, masks))
     return EpisodeTrace(trajectory.n_hypotheses, cells, tuple(records))
+
+
+def _mask_block(
+    engine: KeyEngine,
+    qbits: Mapping[int, int],
+    pool: Tuple[int, ...],
+    budgets: Sequence[Tuple[str, int]],
+    fov_mask: int,
+    rng_seed: int,
+) -> Tuple[int, ...]:
+    """Hypothesis masks of one view's FOV plus what one pool downlinks
+    under each (strategy, k).  Nothing is sent at k = 0 or from an empty
+    pool, the whole pool goes at k >= len(pool) under either strategy,
+    and only 0 < k < len(pool) calls downlink."""
+    whole = None
+    block = []
+    for strategy, k in budgets:
+        if k == 0 or not pool:
+            block.append(fov_mask)
+        elif k >= len(pool):
+            if whole is None:
+                whole = fov_mask | _witnessed(engine, qbits, pool)
+            block.append(whole)
+        else:
+            ids = downlink(pool, qbits, k, strategy, engine, rng_seed)
+            block.append(fov_mask | _witnessed(engine, qbits, ids))
+    return tuple(block)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +290,7 @@ def _run_task(
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     trajectory = build_trajectory(scenario, rules, seed, zones=zones, engine=engine)
     cells = [(arch.kind, strategy, k) for arch in architectures for strategy in strategies for k in ks]
-    trace = evaluate_cell(trajectory, cells, engine)
+    rates = cell_rates(evaluate_cell(trajectory, cells, engine), rules)
     return [
         MetricsRow(
             architecture=kind,
@@ -237,10 +298,10 @@ def _run_task(
             strategy=strategy,
             k=k,
             seed=seed,
-            hdsr=hypothesis_dsr(trace, column),
-            adsr=action_dsr(trace, column, rules),
+            hdsr=hdsr,
+            adsr=adsr,
         )
-        for column, (kind, strategy, k) in enumerate(cells)
+        for (kind, strategy, k), (hdsr, adsr) in zip(cells, rates)
     ]
 
 

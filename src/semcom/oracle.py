@@ -63,8 +63,7 @@ def _obs_mask(evidence_qs: Iterable[QSentence], T: int) -> int:
     """Q-set as a bitmask over Q-sentence space (evidence or a hypothesis region)."""
     mask = 0
     for q in evidence_qs:
-        if q.width != T:
-            raise ConfigurationError("Q-sentence width %d does not match T=%d" % (q.width, T))
+        q.validate_width(T)
         mask |= 1 << q.bits
     return mask
 
@@ -254,6 +253,8 @@ class ClosedFormParams:
     ) -> "ClosedFormParams":
         """Derive (K, overlap flags) from an actual evidence Q-set."""
         qs = set(evidence_qs)
+        for q in qs:
+            q.validate_width(T)
         hyp_params = []
         for h in hypotheses:
             h.validate_width(T)

@@ -81,6 +81,7 @@ class KeyEngine:
         self.full_mask = (1 << len(hypotheses)) - 1
         self._sat: Dict[int, int] = {}
         self._tails: Dict[int, Tuple[int, ...]] = {}
+        self._chosen: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
 
     def sat_mask(self, qbits: int) -> int:
         """Bitmask of hypotheses satisfied by the Q-sentence pattern."""
@@ -125,26 +126,38 @@ class KeyEngine:
         satisfaction-mask classes when there are fewer of those than
         subsets, and returns the same subset.  Either path scores at
         most C(n, k) candidates, which the cap bounds.
+
+        Both paths work on the pattern sequence alone and return
+        positions in it, so the chosen positions are memoized per
+        (patterns, k): with entries sorted by id the smallest id tuple
+        is the smallest position tuple, whatever the ids are.
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
-        n_subsets = capped_subset_count(len(entries), k)
+        patterns = tuple(qbits for _, qbits in entries)
+        positions = self._chosen.get((patterns, k))
+        if positions is None:
+            positions = self._chosen[(patterns, k)] = self._search(patterns, k)
+        return tuple(entries[i][0] for i in positions)
+
+    def _search(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
+        """Positions select chooses; more than k patterns are given."""
+        n_subsets = capped_subset_count(len(patterns), k)
         if n_subsets > SUBSET_LOOP_MAX:
-            n_masks = len({self.sat_mask(qbits) for _, qbits in entries})
+            n_masks = len({self.sat_mask(qbits) for qbits in patterns})
             n_mask_sets = sum(comb(n_masks, size) for size in range(min(k, n_masks) + 1))
             if n_mask_sets < n_subsets:
-                return self._select_by_masks(entries, k)
-        return self._select_by_subsets(entries, k)
+                return self._select_by_masks(patterns, k)
+        return self._select_by_subsets(patterns, k)
 
-    def _select_by_subsets(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
-        """select by scoring every k-subset in id-lexicographic order."""
-        masks = [self.sat_mask(qbits) for _, qbits in entries]
-        patterns = [qbits for _, qbits in entries]
+    def _select_by_subsets(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
+        """select's positions by scoring every k-subset in lexicographic order."""
+        masks = [self.sat_mask(qbits) for qbits in patterns]
         full = self.full_mask
         best_head: Optional[Tuple[int, int]] = None
         best_tail: Tuple[int, ...] = ()
         best_combo: Tuple[int, ...] = ()
-        for combo in itertools.combinations(range(len(entries)), k):
+        for combo in itertools.combinations(range(len(patterns)), k):
             covered = 0
             qset = set()
             for idx in combo:
@@ -166,10 +179,10 @@ class KeyEngine:
                 best_tail = self._tail(uncovered)
             best_head = head
             best_combo = combo
-        return tuple(entries[i][0] for i in best_combo)
+        return best_combo
 
-    def _select_by_masks(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
-        """select by searching sets of satisfaction-mask classes.
+    def _select_by_masks(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
+        """select's positions by searching sets of satisfaction-mask classes.
 
         kappa of a subset depends only on the set M of mask classes its
         patterns fall in (through the OR of their masks) and on K, its
@@ -182,9 +195,8 @@ class KeyEngine:
         walks the entries in order and takes one whenever some M scoring
         kappa* can still be completed to exactly K* patterns and k
         entries from the entries after it, which yields the smallest
-        sorted id tuple.
+        position tuple.
         """
-        patterns = [qbits for _, qbits in entries]
         counts = Counter(patterns)
         classes: Dict[int, List[int]] = {}  # sat mask -> its distinct patterns
         for qbits in counts:
@@ -245,7 +257,7 @@ class KeyEngine:
             ):
                 picked.append(idx)
                 taken = trial
-        return tuple(entries[i][0] for i in picked)
+        return tuple(picked)
 
 
 def _completes(
@@ -289,6 +301,16 @@ def _greedy_counts(required: Sequence[Sequence[int]], optional: Iterable[int]) -
     return heads + rest
 
 
+def check_request(k: int, strategy: str) -> None:
+    """ConfigurationError unless k is a budget and strategy a known one."""
+    if k < 0:
+        raise ConfigurationError("k must be non-negative")
+    if strategy not in STRATEGIES:
+        raise ConfigurationError(
+            "unknown strategy %r (choose from %s)" % (strategy, ", ".join(STRATEGIES))
+        )
+
+
 def downlink(
     pool: Sequence[int],
     qbits: Mapping[int, int],
@@ -305,12 +327,7 @@ def downlink(
     random a uniform without-replacement sample drawn from rng_seed (the
     engine may then be None).
     """
-    if k < 0:
-        raise ConfigurationError("k must be non-negative")
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            "unknown strategy %r (choose from %s)" % (strategy, ", ".join(STRATEGIES))
-        )
+    check_request(k, strategy)
     if k == 0:
         return ()
     if len(pool) <= k:

@@ -20,7 +20,7 @@ a hypothesis mask by ``selection.KeyEngine.sat_mask``; the decision is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
@@ -423,8 +423,10 @@ def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:
                 raise ConfigurationError("unknown action %r" % action) from None
         new_pos = (a.route_pos + speed) % len(a.route)
         new_agents.append(
-            replace(
-                a,
+            AgentState(
+                id=a.id,
+                kind=a.kind,
+                route=a.route,
                 route_pos=new_pos,
                 moved=a.route[new_pos] != a.position,
                 last_action=action,

@@ -1,0 +1,26 @@
+"""Per-column reference definitions of the two distortion rates.
+
+``semcom.metrics.cell_rates`` scores every column of a trace at once and
+tallies identical records first.  The tests check it against these
+definitions, which walk every record of one column.
+"""
+
+from semcom.errors import UndefinedMetricError
+
+
+def hypothesis_dsr(trace, column):
+    """Fraction of (step, agent, hypothesis) evaluations of one cell matching FI."""
+    if not trace.records or trace.n_hypotheses == 0:
+        raise UndefinedMetricError("H-DSR over an empty trace")
+    total = len(trace.records) * trace.n_hypotheses
+    mismatches = sum((r.fi_mask ^ r.strategy_masks[column]).bit_count() for r in trace.records)
+    return (total - mismatches) / total
+
+
+def action_dsr(trace, column, rules):
+    """Fraction of (step, agent) decisions of one cell matching FI."""
+    if not trace.records:
+        raise UndefinedMetricError("A-DSR over an empty trace")
+    action_of = rules.action_of
+    matches = sum(1 for r in trace.records if action_of(r.strategy_masks[column]) == r.fi_action)
+    return matches / len(trace.records)

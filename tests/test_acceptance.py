@@ -19,13 +19,12 @@ from semcom.comms import RANDOM, SEMANTIC, SENSOR_GNA
 from semcom.config import load_run_config
 from semcom.logic import Hypothesis, QSentence
 from semcom.metrics import (
-    action_dsr,
     advantage_correlation,
     advantage_points,
     aggregate,
     build_trajectory,
+    cell_rates,
     evaluate_cell,
-    hypothesis_dsr,
     sweep,
 )
 from semcom.oracle import (
@@ -232,9 +231,7 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
         )
         assert k_cover >= occupancy
         trace = evaluate_cell(trajectory, cells, engine)
-        for column in range(len(cells)):
-            assert hypothesis_dsr(trace, column) == 1.0
-            assert action_dsr(trace, column, rules) == 1.0
+        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(cells)
         seeds_checked += 1
     assert report(
         7, True, "k=%d covers every vicinity, %d seeds exact" % (k_cover, seeds_checked)

@@ -18,7 +18,6 @@ from semcom.comms import (
     Architecture,
     downlink,
     ego_pools,
-    zone_of,
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
@@ -86,6 +85,12 @@ def ball(world, ego_id, radius):
         a.id for a in world.agents
         if a.id != ego_id and chebyshev(a.position, centre) <= radius
     )
+
+
+def zone_of(position, grid, zones):
+    """Half-open zone rectangle containing a cell (edge cells clamp inward)."""
+    x, y = position
+    return (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
 
 
 def reference_pool_ids(world, ego_id, arch, obs):

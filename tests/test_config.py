@@ -3,11 +3,14 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from semcom.comms import MULTI_ZONE_LNA, SENSOR_GNA
 from semcom.config import (
     SHIPPED_RULE_SETS,
+    YAML_LOADER,
     load_rule_set,
+    load_yaml_file,
     load_run_config,
     rule_set_from_config,
     scenario_from_config,
@@ -278,3 +281,22 @@ def test_shipped_run_configs_parse():
     for name, n_scenarios in (("desk.yaml", 1), ("density_suite.yaml", 8), ("smoke.yaml", 1)):
         run = load_run_config(str(configs / name))
         assert len(run.scenarios) == n_scenarios
+
+
+def test_shipped_yaml_parses_the_same_under_the_chosen_loader():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "configs").glob("*.yaml")) + sorted(
+        (root / "src" / "semcom" / "data").glob("*.yaml")
+    )
+    assert len(paths) == 7
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_yaml_file(str(path)) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def test_malformed_yaml_is_a_configuration_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("scenario: {name: [unclosed\n")
+    with pytest.raises(ConfigurationError, match="broken.yaml: invalid YAML"):
+        load_yaml_file(str(path))

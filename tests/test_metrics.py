@@ -2,9 +2,11 @@
 
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
+from metrics_reference import action_dsr, hypothesis_dsr
 from semcom.comms import (
     MULTI_ZONE_LNA,
     RANDOM,
@@ -15,7 +17,7 @@ from semcom.comms import (
     downlink,
     ego_pools,
 )
-from semcom.config import load_rule_set
+from semcom.config import load_rule_set, load_run_config
 from semcom import metrics
 from semcom.errors import ConfigurationError, UndefinedMetricError
 from semcom.logic import Hypothesis
@@ -25,13 +27,12 @@ from semcom.metrics import (
     MetricsRow,
     TraceRecord,
     _record_seed,
-    action_dsr,
     advantage_correlation,
     advantage_points,
     aggregate,
     build_trajectory,
+    cell_rates,
     evaluate_cell,
-    hypothesis_dsr,
     monotonicity_violations,
     per_seed_csv,
     sweep,
@@ -48,6 +49,7 @@ from semcom.world import (
 )
 
 VOCAB = default_vocabulary()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def scenario(**overrides):
@@ -90,21 +92,27 @@ def trace_of(n_hypotheses, records):
     return EpisodeTrace(n_hypotheses=n_hypotheses, cells=cells, records=tuple(records))
 
 
+def reference_rates(trace, rules):
+    """(H-DSR, A-DSR) of every column by the per-column definitions."""
+    return [
+        (hypothesis_dsr(trace, column), action_dsr(trace, column, rules))
+        for column in range(len(trace.cells))
+    ]
+
+
 # ------------------------------------------------------------------ metrics
 
 
 def test_perfect_trace_scores_one():
     trace = trace_of(4, [record(0, 0, 0b1010, 0b1010), record(1, 0, 0b0001, 0b0001)])
-    assert hypothesis_dsr(trace, 0) == 1.0
-    assert action_dsr(trace, 0, RULES) == 1.0
+    assert cell_rates(trace, RULES) == reference_rates(trace, RULES) == [(1.0, 1.0)]
 
 
 def test_one_bit_off_in_a_hundred_evaluations():
     records = [record(s, 0, 0b1111111111, 0b1111111111) for s in range(9)]
     records.append(record(9, 0, 0b1111111111, 0b0111111111))
     trace = trace_of(10, records)
-    assert hypothesis_dsr(trace, 0) == 0.99
-    assert action_dsr(trace, 0, RULES) == 1.0
+    assert cell_rates(trace, RULES) == reference_rates(trace, RULES) == [(0.99, 1.0)]
 
 
 def test_action_dsr_counts_matching_records():
@@ -117,15 +125,14 @@ def test_action_dsr_counts_matching_records():
             record(1, 1, 0b11, 0b10, 0b11),  # Stop, Slow
         ],
     )
-    assert action_dsr(trace, 0, RULES) == 0.5
-    assert hypothesis_dsr(trace, 0) == 0.625
-    # each metric reads only its own column
-    assert action_dsr(trace, 1, RULES) == 1.0
-    assert hypothesis_dsr(trace, 1) == 1.0
+    # each column's rates read only that column
+    assert cell_rates(trace, RULES) == reference_rates(trace, RULES) == [(0.625, 0.5), (1.0, 1.0)]
 
 
 def test_empty_trace_has_no_defined_score():
     empty = EpisodeTrace(n_hypotheses=3, cells=((SENSOR_GNA, SEMANTIC, 1),), records=())
+    with pytest.raises(UndefinedMetricError):
+        cell_rates(empty, RULES)
     with pytest.raises(UndefinedMetricError):
         hypothesis_dsr(empty, 0)
     with pytest.raises(UndefinedMetricError):
@@ -140,8 +147,7 @@ def test_record_order_does_not_matter():
     ]
     trace = trace_of(4, records)
     shuffled = trace_of(4, list(reversed(records)))
-    assert hypothesis_dsr(trace, 0) == hypothesis_dsr(shuffled, 0)
-    assert action_dsr(trace, 0, RULES) == action_dsr(shuffled, 0, RULES)
+    assert cell_rates(trace, RULES) == cell_rates(shuffled, RULES) == reference_rates(trace, RULES)
 
 
 # ------------------------------------------------------- matrix evaluation
@@ -159,9 +165,7 @@ def test_full_budget_under_sensor_uplink_is_lossless():
     cells = [(SENSOR_GNA, strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     for seed in (1, 2, 3):
         trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
-        for column in range(len(cells)):
-            assert hypothesis_dsr(trace, column) == 1.0
-            assert action_dsr(trace, column, rules) == 1.0
+        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(cells)
 
 
 def test_perfect_hypothesis_recovery_implies_perfect_actions():
@@ -189,8 +193,9 @@ def test_zero_budget_loses_to_a_single_semantic_slot():
     base, one = [], []
     for seed in range(1, 25):
         trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
-        base.append(action_dsr(trace, 0, rules))
-        one.append(action_dsr(trace, 1, rules))
+        (_, base_adsr), (_, one_adsr) = cell_rates(trace, rules)
+        base.append(base_adsr)
+        one.append(one_adsr)
     assert statistics.fmean(base) < statistics.fmean(one)
 
 
@@ -227,19 +232,51 @@ def per_cell_masks(traj, cells, engine):
     return out
 
 
+def downlink_requests(traj, cells):
+    """(pool, strategy, k, rng seed) of every downlink call the scorer
+    needs: one per view, distinct pool, strategy and 0 < k < len(pool)."""
+    requests = set()
+    for step_no, step_views in enumerate(traj.views):
+        for ego_id, view in step_views.items():
+            rng_seed = _record_seed(traj.seed, step_no, ego_id)
+            for kind, strategy, k in cells:
+                pool = view.pools[kind]
+                if 0 < k < len(pool):
+                    requests.add((pool, strategy, k, rng_seed))
+    return requests
+
+
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
-def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set):
+def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatch):
     cfg = scenario(cars=8, pedestrians=5, steps=6)
     rules = load_rule_set(rule_set, VOCAB)
     engine = engine_for(rules)
     k_over = cfg.cars + cfg.pedestrians  # more than any pool holds
     kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
     cells = [(kind, s, k) for kind in kinds for s in (SEMANTIC, RANDOM) for k in (0, 1, 2, 3, k_over)]
-    shared = distinct = crowded = 0
+    calls = []
+
+    def counting_downlink(pool, qbits, k, strategy, engine, rng_seed=0):
+        calls.append((pool, strategy, k, rng_seed))
+        return downlink(pool, qbits, k, strategy, engine, rng_seed)
+
+    monkeypatch.setattr(metrics, "downlink", counting_downlink)
+    # kind by kind, reversed, with the kinds interleaved, and with one
+    # kind's (strategy, k) list shorter than the others'
+    uneven = [c for c in cells if c[0] != SENSOR_GNA or c[2] != 2]
+    orders = (cells, cells[::-1], sorted(cells, key=lambda c: (c[2], c[1], c[0])), uneven)
+    shared = distinct = crowded = within = 0
     for seed in (1, 2, 3):
         traj = build_trajectory(cfg, rules, seed, engine=engine)
-        for order in (cells, cells[::-1]):
+        for order in orders:
+            calls.clear()
             trace = evaluate_cell(traj, order, engine)
+            # k = 0 and k >= len(pool) send without a call, and equal pools
+            # under one (strategy, k) list share one block, so each other
+            # request is made once
+            assert set(calls) == downlink_requests(traj, order)
+            if order is not uneven:
+                assert len(calls) == len(set(calls))
             assert trace.cells == tuple(order)
             assert trace.n_hypotheses == len(rules.hypotheses)
             expected = per_cell_masks(traj, order, engine)
@@ -254,9 +291,36 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set):
                 crowded += len(pools[0]) > 3
                 shared += pools[0] == pools[1] != ()
                 distinct += len(set(pools)) == 3
-    # the memo is exercised: pools above every k < k_over, pools two
-    # architectures share, and views where all three differ
-    assert crowded and shared and distinct
+                within += 0 < len(pools[0]) <= 3
+    # every case is exercised: pools above every k < k_over (where k = 0
+    # must still send nothing), pools two architectures share, views where
+    # all three differ, and nonempty pools that a k below k_over already
+    # sends whole under both strategies
+    assert crowded and shared and distinct and within
+
+
+@pytest.mark.parametrize("rule_set", ["core", "extended"])
+def test_cell_rates_match_the_per_column_reference_on_desk_traces(rule_set):
+    run = load_run_config(str(CONFIGS / "desk.yaml"))
+    desk = run.scenarios[0]
+    rules = load_rule_set(rule_set, desk.vocabulary)
+    engine = KeyEngine(rules.hypotheses, desk.vocabulary.T)
+    cells = [
+        (arch.kind, strategy, k)
+        for arch in run.architectures for strategy in run.strategies for k in run.ks
+    ]
+    assert len(cells) == 36
+    orders = (cells, cells[::-1], sorted(cells, key=lambda c: (c[2], c[1], c[0])))
+    repeated = 0
+    for seed in (1, 2, 3):
+        traj = build_trajectory(desk, rules, seed, engine=engine)
+        for order in orders:
+            trace = evaluate_cell(traj, order, engine)
+            assert cell_rates(trace, rules) == reference_rates(trace, rules)
+        distinct = {(r.fi_mask, r.fi_action, r.strategy_masks) for r in trace.records}
+        repeated += len(distinct) < len(trace.records)
+    # the tally merges records on every seed
+    assert repeated == 3
 
 
 def test_trajectory_pools_and_masks_match_the_public_api():

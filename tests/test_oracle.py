@@ -71,6 +71,16 @@ def test_enumeration_refuses_wide_vocabularies():
         compatible_count(qset([0], 3), 3)
 
 
+def test_both_exact_paths_refuse_evidence_of_another_width():
+    evidence = [QSentence(6, 3)]
+    hypothesis = Hypothesis.from_constraints(0, {0: 1}, "Stop")
+    message = "Q-sentence width 3 does not match T=2"
+    with pytest.raises(ConfigurationError, match=message):
+        evidence_probability(evidence, 2)
+    with pytest.raises(ConfigurationError, match=message):
+        ClosedFormParams.from_subset(evidence, [hypothesis], 2)
+
+
 # --------------------------------------------------------- confirmation
 
 

@@ -227,12 +227,14 @@ def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
         for i, bits in pool
     ]
     engine = KeyEngine(hyps, T)
+    patterns = [bits for _, bits in pool]
     for k in range(len(pool) + 1):
         expected = min(
             itertools.combinations(pool, k),
             key=lambda c: (reference_key(c, hyps, T), ids(c)),
         )
-        assert engine._select_by_masks(pool, k) == ids(expected)
+        positions = engine._select_by_masks(patterns, k)
+        assert tuple(pool[i][0] for i in positions) == ids(expected)
 
 
 def test_select_matches_brute_force_on_crowded_pools():
@@ -322,6 +324,34 @@ def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets():
     # every subset has the same kappa, so the smallest ids win
     assert engine.select([(i, i) for i in range(24)], 20) == tuple(range(20))
     assert time.perf_counter() - started < 1.0
+
+
+def test_select_memo_returns_each_pools_own_ids_per_budget():
+    # the engine memoizes positions per (patterns, k): a second pool with
+    # the same patterns under other ids is served from the memo and must
+    # get its own ids back, and another budget must not be served at all
+    T = 3
+    hyps = [
+        Hypothesis.from_constraints(0, {0: 1}, "Stop"),
+        Hypothesis.from_constraints(1, {1: 1}, "Slow"),
+    ]
+    engine = KeyEngine(hyps, T)
+    patterns = (0b000, 0b001, 0b010, 0b011, 0b001)
+    first = list(zip((1, 2, 3, 4, 5), patterns))
+    second = list(zip((10, 20, 30, 40, 50), patterns))
+
+    def expected(pool, k):
+        return ids(min(
+            itertools.combinations(pool, k),
+            key=lambda c: (reference_key(c, hyps, T), ids(c)),
+        ))
+
+    assert engine.select(first, 1) == expected(first, 1) == (4,)
+    assert engine.select(second, 1) == expected(second, 1) == (40,)
+    assert engine.select(first, 2) == expected(first, 2) == (1, 4)
+    assert engine.select(second, 2) == expected(second, 2) == (10, 40)
+    # one search per (patterns, k)
+    assert len(engine._chosen) == 2
 
 
 # --------------------------------------------------------- random baseline
