@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
 from .errors import ConfigurationError
-# The downlink choice and its strategy names live in selection, next to
-# the key; they are part of this module's public surface.
-from .selection import RANDOM, SEMANTIC, STRATEGIES, downlink
 from .world import CAR, ObservationConfig, WorldState
 
 SENSOR_GNA = "sensor-gna"
@@ -48,7 +45,7 @@ class EgoPools:
     pools: Mapping[str, Tuple[int, ...]]
 
 
-def ego_pools(world: WorldState, obs: ObservationConfig, zones: int = 2) -> Dict[int, EgoPools]:
+def ego_pools(world: WorldState, obs: ObservationConfig, zones: int) -> Dict[int, EgoPools]:
     """FOV, vicinity and the three architecture pools of every car.
 
     sensor-gna: roadside sensing covers the ego's whole vicinity.

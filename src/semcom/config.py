@@ -52,8 +52,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import yaml
 
 from .errors import ConfigurationError, reject_repeats
-from .comms import ARCHITECTURE_KINDS, STRATEGIES, Architecture
-from .selection import check_request
+from .comms import ARCHITECTURE_KINDS, Architecture
+from .selection import STRATEGIES, check_request
 from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
 from .world import ObservationConfig, RuleSet, ScenarioConfig, default_vocabulary
 
@@ -235,9 +235,9 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
             r_vic=_as_int(_require(data, "r_vic", source), "r_vic"),
         ),
         steps=_as_int(_require(data, "steps", source), "steps"),
-        close_radius=_as_int(data.get("close_radius", 2), "close_radius"),
-        near_radius=_as_int(data.get("near_radius", 6), "near_radius"),
         vocabulary=vocab,
+        # optional keys keep the dataclass's defaults when absent
+        **{key: _as_int(data[key], key) for key in ("close_radius", "near_radius") if key in data},
     )
 
 
@@ -285,7 +285,8 @@ def _architectures_from_config(obj: Any, source: str) -> Tuple[Architecture, ...
         extra = set(entry) - {"kind", "zones"}
         if extra:
             raise ConfigurationError("%s: unknown architecture keys %s" % (source, sorted(extra)))
-        out.append(Architecture(kind=entry["kind"], zones=_as_int(entry.get("zones", 2), "zones")))
+        zones = _as_int(entry.get("zones", Architecture.zones), "zones")
+        out.append(Architecture(kind=entry["kind"], zones=zones))
     return tuple(out)
 
 
@@ -328,5 +329,5 @@ def load_run_config(
         ),
         ks=_as_int_list(data.get("k", [0, 1, 2, 3, 4, 5]), "k"),
         seeds=seeds,
-        advantage_k=_as_int(data.get("advantage_k", 3), "advantage_k"),
+        advantage_k=_as_int(data.get("advantage_k", RunConfig.advantage_k), "advantage_k"),
     )

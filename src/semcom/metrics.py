@@ -21,11 +21,11 @@ import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .comms import MULTI_ZONE_LNA, RANDOM, SEMANTIC, Architecture, downlink, ego_pools
+from .comms import MULTI_ZONE_LNA, Architecture, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError
-from .selection import KeyEngine, check_request
+from .selection import RANDOM, SEMANTIC, KeyEngine, check_request, downlink
 from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 CSV_HEADER = (
@@ -45,10 +45,9 @@ PER_SEED_HEADER = ("architecture", "rule_set", "strategy", "k", "seed", "hdsr", 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    step: int
-    agent_id: int
+    """One (step, ego) decision; records run by step, then by ego id."""
+
     fi_mask: int
-    fi_action: str
     strategy_masks: Tuple[int, ...]  # one per cell of the trace, in its order
 
 
@@ -57,7 +56,6 @@ Cell = Tuple[str, str, int]  # (architecture kind, strategy, k)
 
 @dataclass(frozen=True)
 class EpisodeTrace:
-    n_hypotheses: int
     cells: Tuple[Cell, ...]
     records: Tuple[TraceRecord, ...]
 
@@ -90,30 +88,29 @@ def cell_rates(trace: EpisodeTrace, rules: RuleSet) -> List[Tuple[float, float]]
     """(H-DSR, A-DSR) of every column of the trace, in cell order.
 
     H-DSR is the fraction of (step, agent, hypothesis) evaluations that
-    match FI, A-DSR the fraction of (step, agent) decisions.  Identical
-    (fi_mask, fi_action, strategy_masks) records are tallied first and
-    each distinct one is scored once, weighted by its count, so every
-    column's integer mismatch and match counts are those of a pass over
-    all records.
+    match FI, A-DSR the fraction of (step, agent) decisions whose action
+    matches the FI action, rules.action_of(fi_mask).  Identical
+    (fi_mask, strategy_masks) records are tallied first and each distinct
+    one is scored once, weighted by its count, so every column's integer
+    mismatch and match counts are those of a pass over all records.
     """
-    if not trace.records or trace.n_hypotheses == 0:
+    if not trace.records:
         raise UndefinedMetricError("DSR over an empty trace")
-    tally = Counter((r.fi_mask, r.fi_action, r.strategy_masks) for r in trace.records)
+    tally = Counter((r.fi_mask, r.strategy_masks) for r in trace.records)
     action_of = rules.action_of
     mismatches = [0] * len(trace.cells)
     matches = [0] * len(trace.cells)
-    for (fi_mask, fi_action, masks), count in tally.items():
-        fi_matches = action_of(fi_mask) == fi_action
+    for (fi_mask, masks), count in tally.items():
+        fi_action = action_of(fi_mask)
         for column, mask in enumerate(masks):
             if mask == fi_mask:
-                if fi_matches:
-                    matches[column] += count
+                matches[column] += count
             else:
                 mismatches[column] += count * (fi_mask ^ mask).bit_count()
                 if action_of(mask) == fi_action:
                     matches[column] += count
     decisions = len(trace.records)
-    evaluations = decisions * trace.n_hypotheses
+    evaluations = decisions * len(rules.hypotheses)
     return [
         ((evaluations - missed) / evaluations, matched / decisions)
         for missed, matched in zip(mismatches, matches)
@@ -126,20 +123,18 @@ def cell_rates(trace: EpisodeTrace, rules: RuleSet) -> List[Tuple[float, float]]
 
 @dataclass(frozen=True)
 class StepView:
-    """Everything one ego needs at one step, for any architecture."""
+    """Everything one ego needs at one step, for any architecture; the
+    vicinity is the keys of qbits."""
 
     fov_ids: Tuple[int, ...]
-    vic_ids: Tuple[int, ...]
     qbits: Mapping[int, int]
     pools: Mapping[str, Tuple[int, ...]]
     fi_mask: int
-    fi_action: str
 
 
 @dataclass(frozen=True)
 class Trajectory:
     seed: int
-    n_hypotheses: int
     views: Tuple[Mapping[int, StepView], ...]
 
 
@@ -147,8 +142,8 @@ def build_trajectory(
     scenario: ScenarioConfig,
     rules: RuleSet,
     seed: int,
-    zones: int = 2,
-    engine: Optional[KeyEngine] = None,
+    zones: int,
+    engine: KeyEngine,
 ) -> Trajectory:
     """Simulate one episode under full-information decisions.
 
@@ -157,8 +152,6 @@ def build_trajectory(
     using the given zone grid, so every matrix cell replays the same
     states.
     """
-    if engine is None:
-        engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     obs = scenario.observation
     world = init_world(scenario, seed)
     per_step: List[Dict[int, StepView]] = []
@@ -173,21 +166,17 @@ def build_trajectory(
                 for ent_id in seen.vic_ids
             }
             fi_mask = _witnessed(engine, qbits, seen.vic_ids)
-            fi_action = rules.action_of(fi_mask)
             views[ego_id] = StepView(
                 fov_ids=seen.fov_ids,
-                vic_ids=seen.vic_ids,
                 qbits=qbits,
                 pools=seen.pools,
                 fi_mask=fi_mask,
-                fi_action=fi_action,
             )
-            actions[ego_id] = fi_action
+            actions[ego_id] = rules.action_of(fi_mask)
         per_step.append(views)
         world = step(world, actions)
     return Trajectory(
         seed=seed,
-        n_hypotheses=len(rules.hypotheses),
         views=tuple(per_step),
     )
 
@@ -204,51 +193,42 @@ def _record_seed(base_seed: int, step_idx: int, ego_id: int) -> int:
     return ((base_seed * 1000003 + step_idx) * 1000003 + ego_id) & 0x7FFFFFFF
 
 
-def evaluate_cell(trajectory: Trajectory, cells: Sequence[Cell], engine: KeyEngine) -> EpisodeTrace:
-    """Score every (architecture kind, strategy, budget) cell in one pass.
+def evaluate_cell(
+    trajectory: Trajectory,
+    kinds: Sequence[str],
+    budgets: Sequence[Tuple[str, int]],
+    engine: KeyEngine,
+) -> EpisodeTrace:
+    """Score every cell of kinds x (strategy, k) budgets in one pass.
 
-    Random downlink draws are seeded per (seed, step, ego), not per
-    cell, so they are reproducible and shared across architectures and
-    budgets.  A view's masks for one kind therefore depend only on the
-    kind's pool and its (strategy, k) list: the cells are grouped by
-    kind once, each view builds one block of masks per distinct (pool,
-    list), every kind with that pool reuses it, and the blocks are put
-    back in cell order.
+    The cells run kind by kind, each kind over every budget.  Random
+    downlink draws are seeded per (seed, step, ego), not per cell, so
+    they are reproducible and shared across architectures and budgets.
+    A view's masks for one kind therefore depend only on the kind's
+    pool: each view builds one block of masks per distinct pool, and
+    every kind with that pool reuses it.
     """
-    cells = tuple(cells)
-    for strategy, k in {cell[1:] for cell in cells}:
+    for strategy, k in dict.fromkeys(budgets):
         check_request(k, strategy)
-    columns: Dict[str, List[int]] = {}  # kind -> its columns
-    for column, (kind, _, _) in enumerate(cells):
-        columns.setdefault(kind, []).append(column)
-    budget_lists: Dict[Tuple[Tuple[str, int], ...], int] = {}  # (strategy, k) list -> its index
-    plan = []
-    for kind, kind_columns in columns.items():
-        budgets = tuple(cells[c][1:] for c in kind_columns)
-        plan.append((kind, budget_lists.setdefault(budgets, len(budget_lists)), budgets))
-    grouped = [c for kind_columns in columns.values() for c in kind_columns]
-    restore = None  # cells that come kind by kind need no reordering
-    if grouped != list(range(len(cells))):
-        restore = sorted(range(len(cells)), key=grouped.__getitem__)
     records: List[TraceRecord] = []
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
             view = views[ego_id]
             rng_seed = _record_seed(trajectory.seed, step_idx, ego_id)
             fov_mask = _witnessed(engine, view.qbits, view.fov_ids)
-            blocks: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-            flat: List[int] = []
-            for kind, list_idx, budgets in plan:
+            blocks: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+            masks: List[int] = []
+            for kind in kinds:
                 pool = view.pools[kind]
-                block = blocks.get((pool, list_idx))
+                block = blocks.get(pool)
                 if block is None:
-                    block = blocks[(pool, list_idx)] = _mask_block(
+                    block = blocks[pool] = _mask_block(
                         engine, view.qbits, pool, budgets, fov_mask, rng_seed
                     )
-                flat += block
-            masks = tuple(flat) if restore is None else tuple(flat[i] for i in restore)
-            records.append(TraceRecord(step_idx, ego_id, view.fi_mask, view.fi_action, masks))
-    return EpisodeTrace(trajectory.n_hypotheses, cells, tuple(records))
+                masks += block
+            records.append(TraceRecord(fi_mask=view.fi_mask, strategy_masks=tuple(masks)))
+    cells = tuple((kind, strategy, k) for kind in kinds for strategy, k in budgets)
+    return EpisodeTrace(cells, tuple(records))
 
 
 def _mask_block(
@@ -260,13 +240,13 @@ def _mask_block(
     rng_seed: int,
 ) -> Tuple[int, ...]:
     """Hypothesis masks of one view's FOV plus what one pool downlinks
-    under each (strategy, k).  Nothing is sent at k = 0 or from an empty
-    pool, the whole pool goes at k >= len(pool) under either strategy,
-    and only 0 < k < len(pool) calls downlink."""
+    under each (strategy, k).  Nothing is sent at k = 0, the whole pool
+    goes at k >= len(pool) under either strategy (an empty pool adds
+    nothing), and only 0 < k < len(pool) calls downlink."""
     whole = None
     block = []
     for strategy, k in budgets:
-        if k == 0 or not pool:
+        if k == 0:
             block.append(fov_mask)
         elif k >= len(pool):
             if whole is None:
@@ -286,11 +266,12 @@ def _run_task(
     args: Tuple[ScenarioConfig, RuleSet, int, Tuple[Architecture, ...], Tuple[str, ...], Tuple[int, ...]]
 ) -> List[MetricsRow]:
     scenario, rules, seed, architectures, strategies, ks = args
-    zones = max((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), default=2)
+    # sweep allows one multi-zone grid per run
+    zones = next((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), Architecture.zones)
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
-    trajectory = build_trajectory(scenario, rules, seed, zones=zones, engine=engine)
-    cells = [(arch.kind, strategy, k) for arch in architectures for strategy in strategies for k in ks]
-    rates = cell_rates(evaluate_cell(trajectory, cells, engine), rules)
+    trajectory = build_trajectory(scenario, rules, seed, zones, engine)
+    budgets = [(strategy, k) for strategy in strategies for k in ks]
+    trace = evaluate_cell(trajectory, [a.kind for a in architectures], budgets, engine)
     return [
         MetricsRow(
             architecture=kind,
@@ -301,7 +282,7 @@ def _run_task(
             hdsr=hdsr,
             adsr=adsr,
         )
-        for (kind, strategy, k), (hdsr, adsr) in zip(cells, rates)
+        for (kind, strategy, k), (hdsr, adsr) in zip(trace.cells, cell_rates(trace, rules))
     ]
 
 

@@ -50,15 +50,12 @@ RANDOM = "random"
 STRATEGIES = (SEMANTIC, RANDOM)
 
 
-def capped_subset_count(n: int, k: int) -> int:
-    """C(n, k), the k-subsets of n entries; FeasibilityError over DEFAULT_ENUMERATION_CAP."""
-    n_subsets = comb(n, k)
-    if n_subsets > DEFAULT_ENUMERATION_CAP:
+def check_cap(count: int, what: str) -> None:
+    """FeasibilityError when count candidates, named by what, exceed DEFAULT_ENUMERATION_CAP."""
+    if count > DEFAULT_ENUMERATION_CAP:
         raise FeasibilityError(
-            "C(%d, %d) = %d subsets exceeds the enumeration cap of %d"
-            % (n, k, n_subsets, DEFAULT_ENUMERATION_CAP)
+            "%s = %d exceeds the enumeration cap of %d" % (what, count, DEFAULT_ENUMERATION_CAP)
         )
-    return n_subsets
 
 
 class KeyEngine:
@@ -118,14 +115,14 @@ class KeyEngine:
 
         Entries must be sorted ascending by entity id; ties on kappa go
         to the first combination in id-lexicographic order, i.e. the
-        smallest sorted id tuple.  More than DEFAULT_ENUMERATION_CAP
-        candidate subsets raise FeasibilityError before any is scored.
+        smallest sorted id tuple.
 
         Up to SUBSET_LOOP_MAX candidate subsets are scored one by one.
         Above that the search runs over the sets of at most k
         satisfaction-mask classes when there are fewer of those than
-        subsets, and returns the same subset.  Either path scores at
-        most C(n, k) candidates, which the cap bounds.
+        subsets, and returns the same subset.  The path taken raises
+        FeasibilityError before it scores anything when its candidates,
+        subsets or mask-class sets, exceed DEFAULT_ENUMERATION_CAP.
 
         Both paths work on the pattern sequence alone and return
         positions in it, so the chosen positions are memoized per
@@ -141,13 +138,15 @@ class KeyEngine:
         return tuple(entries[i][0] for i in positions)
 
     def _search(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
-        """Positions select chooses; more than k patterns are given."""
-        n_subsets = capped_subset_count(len(patterns), k)
+        """Positions select chooses from more than k patterns; the cap counts the path taken."""
+        n_subsets = comb(len(patterns), k)
         if n_subsets > SUBSET_LOOP_MAX:
             n_masks = len({self.sat_mask(qbits) for qbits in patterns})
             n_mask_sets = sum(comb(n_masks, size) for size in range(min(k, n_masks) + 1))
             if n_mask_sets < n_subsets:
+                check_cap(n_mask_sets, "sets of at most %d of %d mask classes" % (k, n_masks))
                 return self._select_by_masks(patterns, k)
+        check_cap(n_subsets, "C(%d, %d) subsets" % (len(patterns), k))
         return self._select_by_subsets(patterns, k)
 
     def _select_by_subsets(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:

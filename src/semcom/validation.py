@@ -28,13 +28,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 from .oracle import DEFAULT_BIT_BUDGET
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
-from .selection import KeyEngine, capped_subset_count
+from .selection import KeyEngine, check_cap
 
 # disagreements a report keeps and prints
 MAX_EXAMPLES = 5
@@ -141,7 +142,7 @@ def validate_key_ordering(
     started = time.perf_counter()
     for trial in range(trials):
         T, k, pool, hypotheses = random_instance(rng, T_choices, n_max, k_max)
-        capped_subset_count(len(pool), k)
+        check_cap(comb(len(pool), k), "C(%d, %d) subsets" % (len(pool), k))
         engine = KeyEngine(hypotheses, T)
         groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for combo in itertools.combinations(pool, k):

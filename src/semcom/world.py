@@ -185,23 +185,13 @@ BUILTIN_PREDICATES: Dict[str, PredicateCategory] = {
     "SameHeading": PredicateCategory.ENTITY_EGO,  # equal headings
 }
 
-DEFAULT_PREDICATE_ORDER = (
-    "IsPedestrian",
-    "IsCar",
-    "InIntersection",
-    "IsMoving",
-    "Close",
-    "Near",
-    "AheadOf",
-    "LeftOf",
-    "Facing",
-    "SameHeading",
-)
+# slot order of the default vocabulary; ground_entity unpacks slot_bits in it
+DEFAULT_PREDICATE_ORDER = tuple(BUILTIN_PREDICATES)
 
 
 def default_vocabulary() -> PredicateVocabulary:
     return PredicateVocabulary(
-        predicates=tuple((n, BUILTIN_PREDICATES[n]) for n in DEFAULT_PREDICATE_ORDER)
+        predicates=tuple(BUILTIN_PREDICATES.items())
     )
 
 

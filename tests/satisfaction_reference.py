@@ -15,3 +15,14 @@ def bit(qbits, slot):
 def satisfies(qbits, hypothesis):
     """True iff every fixed slot of the hypothesis matches the pattern."""
     return all(bit(qbits, s) == v for s, v in hypothesis.fixed_slots)
+
+
+def reference_key(subset, hyps, T):
+    """kappa by definition, one slot-by-slot satisfaction test per (pattern, hypothesis)."""
+    qs = {bits for _, bits in subset}
+    exponents = sorted(
+        h.specificity_exponent(T)
+        for h in hyps
+        if not any(satisfies(q, h) for q in qs)
+    )
+    return (len(exponents), len(qs), *(-g for g in exponents))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from semcom import cli
-from semcom.comms import RANDOM, SEMANTIC, SENSOR_GNA
+from semcom.comms import SENSOR_GNA, Architecture
 from semcom.config import load_run_config
 from semcom.logic import Hypothesis, QSentence
 from semcom.metrics import (
@@ -38,7 +38,7 @@ from semcom.oracle import (
     semantic_entropy,
     semantic_mutual_information,
 )
-from semcom.selection import KeyEngine
+from semcom.selection import RANDOM, SEMANTIC, KeyEngine
 from semcom.validation import validate_key_ordering
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,17 +221,17 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
     rules = run.rule_sets[0]
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     k_cover = scenario.cars + scenario.pedestrians - 1
-    cells = [(SENSOR_GNA, strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
+    budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     seeds_checked = 0
     for seed in run.seeds:
-        trajectory = build_trajectory(scenario, rules, seed)
+        trajectory = build_trajectory(scenario, rules, seed, Architecture.zones, engine)
         occupancy = max(
-            (len(view.vic_ids) for views in trajectory.views for view in views.values()),
+            (len(view.qbits) for views in trajectory.views for view in views.values()),
             default=0,
         )
         assert k_cover >= occupancy
-        trace = evaluate_cell(trajectory, cells, engine)
-        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(cells)
+        trace = evaluate_cell(trajectory, [SENSOR_GNA], budgets, engine)
+        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(budgets)
         seeds_checked += 1
     assert report(
         7, True, "k=%d covers every vicinity, %d seeds exact" % (k_cover, seeds_checked)

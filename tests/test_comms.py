@@ -1,27 +1,23 @@
 """Uplink pools per architecture and the downlink selection entry point."""
 
 import random
-from typing import Set
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grounding_reference import chebyshev
+from pools_reference import ball, reference_pool_ids, zone_of
 from semcom.comms import (
     ARCHITECTURE_KINDS,
     MULTI_ZONE_LNA,
-    RANDOM,
-    SEMANTIC,
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
     Architecture,
-    downlink,
     ego_pools,
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
-from semcom.selection import KeyEngine
+from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
     CAR,
     PEDESTRIAN,
@@ -78,46 +74,6 @@ def cfg(**overrides):
     return ScenarioConfig(**base)
 
 
-def ball(world, ego_id, radius):
-    """Ids within the closed Chebyshev ball around an agent, itself excluded, ascending."""
-    centre = {a.id: a for a in world.agents}[ego_id].position
-    return tuple(
-        a.id for a in world.agents
-        if a.id != ego_id and chebyshev(a.position, centre) <= radius
-    )
-
-
-def zone_of(position, grid, zones):
-    """Half-open zone rectangle containing a cell (edge cells clamp inward)."""
-    x, y = position
-    return (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
-
-
-def reference_pool_ids(world, ego_id, arch, obs):
-    """Per-ego pool by definition: rescans every uploader's FOV."""
-    vic = set(ball(world, ego_id, obs.r_vic))
-    fov = set(ball(world, ego_id, obs.r_fov))
-    if arch.kind == SENSOR_GNA:
-        candidates = vic
-    else:
-        if arch.kind == MULTI_ZONE_LNA:
-            ego_pos = {a.id: a for a in world.agents}[ego_id].position
-            ego_zone = zone_of(ego_pos, world.grid, arch.zones)
-            uploaders = [
-                a for a in world.agents
-                if a.kind == CAR
-                and zone_of(a.position, world.grid, arch.zones) == ego_zone
-            ]
-        else:
-            uploaders = [a for a in world.agents if a.kind == CAR]
-        uploaded: Set[int] = set()
-        for a in uploaders:
-            uploaded.add(a.id)
-            uploaded.update(ball(world, a.id, obs.r_fov))
-        candidates = uploaded & vic
-    return tuple(sorted(candidates - fov - {ego_id}))
-
-
 def grounded(world, ego_id, ids):
     """Pattern bits of each pool entity as the ego grounds it."""
     by_id = {a.id: a for a in world.agents}
@@ -126,7 +82,7 @@ def grounded(world, ego_id, ids):
 
 def pools_of(world):
     """Car 0's pool per architecture kind (2x2 zones), as the sweep reads them."""
-    return ego_pools(world, OBS)[0].pools
+    return ego_pools(world, OBS, Architecture.zones)[0].pools
 
 
 def test_architecture_validation():
@@ -186,7 +142,7 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
     config = cfg(cars=8, pedestrians=4, observation=ObservationConfig(r_fov=4, r_vic=14))
     for seed in range(6):
         world = init_world(config, seed=seed)
-        for ego_id, seen in ego_pools(world, config.observation).items():
+        for ego_id, seen in ego_pools(world, config.observation, Architecture.zones).items():
             sensor = set(seen.pools[SENSOR_GNA])
             single = set(seen.pools[SINGLE_ZONE_GNA])
             multi = set(seen.pools[MULTI_ZONE_LNA])

@@ -1,20 +1,20 @@
 """Distortion metrics, the evaluation matrix, and CSV emission."""
 
+import dataclasses
 import random
 import statistics
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import reference_sweep
 from metrics_reference import action_dsr, hypothesis_dsr
 from semcom.comms import (
     MULTI_ZONE_LNA,
-    RANDOM,
-    SEMANTIC,
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
     Architecture,
-    downlink,
     ego_pools,
 )
 from semcom.config import load_rule_set, load_run_config
@@ -38,7 +38,7 @@ from semcom.metrics import (
     sweep,
     write_csv,
 )
-from semcom.selection import KeyEngine
+from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
     ObservationConfig,
     RuleSet,
@@ -49,6 +49,7 @@ from semcom.world import (
 )
 
 VOCAB = default_vocabulary()
+ZONES = Architecture.zones
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -67,35 +68,33 @@ def scenario(**overrides):
     return ScenarioConfig(**base)
 
 
-RULES = RuleSet(
-    name="two",
-    hypotheses=(
-        Hypothesis.from_constraints(0, {0: 1}, "Stop"),
-        Hypothesis.from_constraints(1, {1: 1}, "Slow"),
-    ),
-    action_priority=("Stop", "Slow", "Normal"),
-)  # action of a mask: bit 0 -> Stop, else bit 1 -> Slow, else Normal
-
-
-def record(step_no, ego, fi_mask, *strategy_masks):
-    return TraceRecord(
-        step=step_no,
-        agent_id=ego,
-        fi_mask=fi_mask,
-        fi_action=RULES.action_of(fi_mask),
-        strategy_masks=strategy_masks,
+def rules_of(n):
+    """n one-slot hypotheses; the action of a mask: bit 0 -> Stop, else
+    bit 1 -> Slow, else Normal."""
+    actions = ("Stop", "Slow") + ("Normal",) * (n - 2)
+    return RuleSet(
+        name="hand",
+        hypotheses=tuple(Hypothesis.from_constraints(i, {i: 1}, a) for i, a in enumerate(actions)),
+        action_priority=("Stop", "Slow", "Normal"),
     )
 
 
-def trace_of(n_hypotheses, records):
+RULES = rules_of(2)
+
+
+def record(fi_mask, *strategy_masks):
+    return TraceRecord(fi_mask=fi_mask, strategy_masks=strategy_masks)
+
+
+def trace_of(records):
     cells = tuple((SENSOR_GNA, SEMANTIC, k) for k in range(len(records[0].strategy_masks)))
-    return EpisodeTrace(n_hypotheses=n_hypotheses, cells=cells, records=tuple(records))
+    return EpisodeTrace(cells=cells, records=tuple(records))
 
 
 def reference_rates(trace, rules):
     """(H-DSR, A-DSR) of every column by the per-column definitions."""
     return [
-        (hypothesis_dsr(trace, column), action_dsr(trace, column, rules))
+        (hypothesis_dsr(trace, column, rules), action_dsr(trace, column, rules))
         for column in range(len(trace.cells))
     ]
 
@@ -104,25 +103,26 @@ def reference_rates(trace, rules):
 
 
 def test_perfect_trace_scores_one():
-    trace = trace_of(4, [record(0, 0, 0b1010, 0b1010), record(1, 0, 0b0001, 0b0001)])
-    assert cell_rates(trace, RULES) == reference_rates(trace, RULES) == [(1.0, 1.0)]
+    rules = rules_of(4)
+    trace = trace_of([record(0b1010, 0b1010), record(0b0001, 0b0001)])
+    assert cell_rates(trace, rules) == reference_rates(trace, rules) == [(1.0, 1.0)]
 
 
 def test_one_bit_off_in_a_hundred_evaluations():
-    records = [record(s, 0, 0b1111111111, 0b1111111111) for s in range(9)]
-    records.append(record(9, 0, 0b1111111111, 0b0111111111))
-    trace = trace_of(10, records)
-    assert cell_rates(trace, RULES) == reference_rates(trace, RULES) == [(0.99, 1.0)]
+    rules = rules_of(10)
+    records = [record(0b1111111111, 0b1111111111) for _ in range(9)]
+    records.append(record(0b1111111111, 0b0111111111))
+    trace = trace_of(records)
+    assert cell_rates(trace, rules) == reference_rates(trace, rules) == [(0.99, 1.0)]
 
 
 def test_action_dsr_counts_matching_records():
     trace = trace_of(
-        2,
         [
-            record(0, 0, 0b01, 0b01, 0b01),  # Stop, Stop
-            record(0, 1, 0b01, 0b00, 0b01),  # Stop, Normal
-            record(1, 0, 0b11, 0b01, 0b11),  # Stop, Stop with one hypothesis missed
-            record(1, 1, 0b11, 0b10, 0b11),  # Stop, Slow
+            record(0b01, 0b01, 0b01),  # Stop, Stop
+            record(0b01, 0b00, 0b01),  # Stop, Normal
+            record(0b11, 0b01, 0b11),  # Stop, Stop with one hypothesis missed
+            record(0b11, 0b10, 0b11),  # Stop, Slow
         ],
     )
     # each column's rates read only that column
@@ -130,24 +130,25 @@ def test_action_dsr_counts_matching_records():
 
 
 def test_empty_trace_has_no_defined_score():
-    empty = EpisodeTrace(n_hypotheses=3, cells=((SENSOR_GNA, SEMANTIC, 1),), records=())
+    empty = EpisodeTrace(cells=((SENSOR_GNA, SEMANTIC, 1),), records=())
     with pytest.raises(UndefinedMetricError):
         cell_rates(empty, RULES)
     with pytest.raises(UndefinedMetricError):
-        hypothesis_dsr(empty, 0)
+        hypothesis_dsr(empty, 0, RULES)
     with pytest.raises(UndefinedMetricError):
         action_dsr(empty, 0, RULES)
 
 
 def test_record_order_does_not_matter():
+    rules = rules_of(4)
     records = [
-        record(s, e, (s * 7 + e) % 16, (s * 5 + e) % 16)
+        record((s * 7 + e) % 16, (s * 5 + e) % 16)
         for s in range(4)
         for e in range(3)
     ]
-    trace = trace_of(4, records)
-    shuffled = trace_of(4, list(reversed(records)))
-    assert cell_rates(trace, RULES) == cell_rates(shuffled, RULES) == reference_rates(trace, RULES)
+    trace = trace_of(records)
+    shuffled = trace_of(list(reversed(records)))
+    assert cell_rates(trace, rules) == cell_rates(shuffled, rules) == reference_rates(trace, rules)
 
 
 # ------------------------------------------------------- matrix evaluation
@@ -162,57 +163,63 @@ def test_full_budget_under_sensor_uplink_is_lossless():
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
     k_cover = cfg.cars + cfg.pedestrians - 1
-    cells = [(SENSOR_GNA, strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
+    budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     for seed in (1, 2, 3):
-        trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
-        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(cells)
+        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        trace = evaluate_cell(traj, [SENSOR_GNA], budgets, engine)
+        assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(budgets)
 
 
 def test_perfect_hypothesis_recovery_implies_perfect_actions():
     cfg = scenario()
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, seed=5)
-    cells = [
-        (kind, SEMANTIC, k)
-        for kind in (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
-        for k in (0, 1, 2, 13)
-    ]
-    trace = evaluate_cell(traj, cells, engine)
+    traj = build_trajectory(cfg, rules, 5, ZONES, engine)
+    kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
+    trace = evaluate_cell(traj, kinds, [(SEMANTIC, k) for k in (0, 1, 2, 13)], engine)
+    # per decision: every column that recovers every hypothesis also
+    # decides as FI does (k = 13 covers every pool, so such columns exist)
+    recovered = 0
     for rec in trace.records:
-        for mask in rec.strategy_masks:
-            if rec.fi_mask == mask:
-                assert rec.fi_action == rules.action_of(mask)
+        for hdsr, adsr in cell_rates(EpisodeTrace(trace.cells, (rec,)), rules):
+            if hdsr == 1.0:
+                assert adsr == 1.0
+                recovered += 1
+    assert recovered >= len(trace.records)
 
 
 def test_zero_budget_loses_to_a_single_semantic_slot():
     cfg = scenario(cars=8, pedestrians=6, steps=10)
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
-    cells = [(SENSOR_GNA, SEMANTIC, 0), (SENSOR_GNA, SEMANTIC, 1)]
+    budgets = [(SEMANTIC, 0), (SEMANTIC, 1)]
     base, one = [], []
     for seed in range(1, 25):
-        trace = evaluate_cell(build_trajectory(cfg, rules, seed), cells, engine)
-        (_, base_adsr), (_, one_adsr) = cell_rates(trace, rules)
+        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        (_, base_adsr), (_, one_adsr) = cell_rates(
+            evaluate_cell(traj, [SENSOR_GNA], budgets, engine), rules
+        )
         base.append(base_adsr)
         one.append(one_adsr)
     assert statistics.fmean(base) < statistics.fmean(one)
 
 
 def test_matrix_cells_replay_one_shared_trajectory():
-    # the full-information fields must not depend on the evaluated cells
+    # the full-information side must not depend on the evaluated cells
     cfg = scenario()
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, seed=9)
-    cells = [(SENSOR_GNA, s, k) for s in (SEMANTIC, RANDOM) for k in (0, 2)]
-    traces = [evaluate_cell(traj, [cell], engine) for cell in cells]
-    traces.append(evaluate_cell(traj, cells, engine))
-    fi_sides = {
-        tuple((r.step, r.agent_id, r.fi_mask, r.fi_action) for r in t.records)
-        for t in traces
-    }
+    traj = build_trajectory(cfg, rules, 9, ZONES, engine)
+    budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in (0, 2)]
+    traces = [evaluate_cell(traj, [SENSOR_GNA], [budget], engine) for budget in budgets]
+    traces.append(evaluate_cell(traj, [SENSOR_GNA], budgets, engine))
+    fi_sides = {tuple(r.fi_mask for r in t.records) for t in traces}
     assert len(fi_sides) == 1
+
+
+def view_keys(traj):
+    """(step, ego) of every view, in the order the scorer writes records."""
+    return [(s, ego) for s, step_views in enumerate(traj.views) for ego in sorted(step_views)]
 
 
 def per_cell_masks(traj, cells, engine):
@@ -253,7 +260,7 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
     engine = engine_for(rules)
     k_over = cfg.cars + cfg.pedestrians  # more than any pool holds
     kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
-    cells = [(kind, s, k) for kind in kinds for s in (SEMANTIC, RANDOM) for k in (0, 1, 2, 3, k_over)]
+    budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in (0, 1, 2, 3, k_over)]
     calls = []
 
     def counting_downlink(pool, qbits, k, strategy, engine, rng_seed=0):
@@ -261,30 +268,24 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 
     monkeypatch.setattr(metrics, "downlink", counting_downlink)
-    # kind by kind, reversed, with the kinds interleaved, and with one
-    # kind's (strategy, k) list shorter than the others'
-    uneven = [c for c in cells if c[0] != SENSOR_GNA or c[2] != 2]
-    orders = (cells, cells[::-1], sorted(cells, key=lambda c: (c[2], c[1], c[0])), uneven)
     shared = distinct = crowded = within = 0
     for seed in (1, 2, 3):
-        traj = build_trajectory(cfg, rules, seed, engine=engine)
-        for order in orders:
+        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        keys = view_keys(traj)
+        # the product in the given order and with kinds and budgets reversed
+        for order in ((kinds, budgets), (kinds[::-1], budgets[::-1])):
             calls.clear()
-            trace = evaluate_cell(traj, order, engine)
+            trace = evaluate_cell(traj, *order, engine)
+            cells = [(kind, s, k) for kind in order[0] for s, k in order[1]]
+            assert trace.cells == tuple(cells)
             # k = 0 and k >= len(pool) send without a call, and equal pools
-            # under one (strategy, k) list share one block, so each other
-            # request is made once
-            assert set(calls) == downlink_requests(traj, order)
-            if order is not uneven:
-                assert len(calls) == len(set(calls))
-            assert trace.cells == tuple(order)
-            assert trace.n_hypotheses == len(rules.hypotheses)
-            expected = per_cell_masks(traj, order, engine)
-            assert [(r.step, r.agent_id) for r in trace.records] == sorted(expected)
-            for rec in trace.records:
-                view = traj.views[rec.step][rec.agent_id]
-                assert (rec.fi_mask, rec.fi_action) == (view.fi_mask, view.fi_action)
-                assert rec.strategy_masks == expected[(rec.step, rec.agent_id)]
+            # share one block, so each other request is made once
+            assert set(calls) == downlink_requests(traj, cells)
+            assert len(calls) == len(set(calls))
+            expected = per_cell_masks(traj, cells, engine)
+            assert [r.strategy_masks for r in trace.records] == [expected[key] for key in keys]
+            fi_masks = [traj.views[s][e].fi_mask for s, e in keys]
+            assert [r.fi_mask for r in trace.records] == fi_masks
         for step_views in traj.views:
             for view in step_views.values():
                 pools = [view.pools[kind] for kind in kinds]
@@ -305,19 +306,16 @@ def test_cell_rates_match_the_per_column_reference_on_desk_traces(rule_set):
     desk = run.scenarios[0]
     rules = load_rule_set(rule_set, desk.vocabulary)
     engine = KeyEngine(rules.hypotheses, desk.vocabulary.T)
-    cells = [
-        (arch.kind, strategy, k)
-        for arch in run.architectures for strategy in run.strategies for k in run.ks
-    ]
-    assert len(cells) == 36
-    orders = (cells, cells[::-1], sorted(cells, key=lambda c: (c[2], c[1], c[0])))
+    kinds = [arch.kind for arch in run.architectures]
+    budgets = [(strategy, k) for strategy in run.strategies for k in run.ks]
     repeated = 0
     for seed in (1, 2, 3):
-        traj = build_trajectory(desk, rules, seed, engine=engine)
-        for order in orders:
-            trace = evaluate_cell(traj, order, engine)
+        traj = build_trajectory(desk, rules, seed, ZONES, engine)
+        for order in ((kinds, budgets), (kinds[::-1], budgets[::-1])):
+            trace = evaluate_cell(traj, *order, engine)
+            assert len(trace.cells) == 36
             assert cell_rates(trace, rules) == reference_rates(trace, rules)
-        distinct = {(r.fi_mask, r.fi_action, r.strategy_masks) for r in trace.records}
+        distinct = {(r.fi_mask, r.strategy_masks) for r in trace.records}
         repeated += len(distinct) < len(trace.records)
     # the tally merges records on every seed
     assert repeated == 3
@@ -328,19 +326,22 @@ def test_trajectory_pools_and_masks_match_the_public_api():
     cfg = scenario(cars=5, pedestrians=2, steps=5)
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, seed=3)
+    traj = build_trajectory(cfg, rules, 3, ZONES, engine)
     world = init_world(cfg, seed=3)
     for step_views in traj.views:
-        seen = ego_pools(world, cfg.observation)
+        seen = ego_pools(world, cfg.observation, ZONES)
+        assert sorted(step_views) == sorted(seen)
         for ego_id, view in step_views.items():
+            assert view.fov_ids == seen[ego_id].fov_ids
+            assert tuple(view.qbits) == seen[ego_id].vic_ids
             for kind in (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA):
                 assert view.pools[kind] == seen[ego_id].pools[kind]
             expected_mask = 0
-            for ent in view.vic_ids:
+            for ent in seen[ego_id].vic_ids:
                 expected_mask |= engine.sat_mask(view.qbits[ent])
             assert view.fi_mask == expected_mask
         world = step(
-            world, {ego: view.fi_action for ego, view in step_views.items()}
+            world, {ego: rules.action_of(view.fi_mask) for ego, view in step_views.items()}
         )
 
 
@@ -349,24 +350,25 @@ def test_random_strategy_matches_the_standalone_sampler():
     rules = load_rule_set("core", VOCAB)
     engine = engine_for(rules)
     seed = 4
-    traj = build_trajectory(cfg, rules, seed=seed)
+    traj = build_trajectory(cfg, rules, seed, ZONES, engine)
     k = 2
-    trace = evaluate_cell(traj, [(SENSOR_GNA, RANDOM, k)], engine)
-    by_key = {(r.step, r.agent_id): r for r in trace.records}
-    for step_no, step_views in enumerate(traj.views):
-        for ego_id, view in step_views.items():
-            pool = view.pools[SENSOR_GNA]
-            expected = 0
-            for ent in view.fov_ids:
-                expected |= engine.sat_mask(view.qbits[ent])
-            if len(pool) > k:
-                rng = random.Random(_record_seed(seed, step_no, ego_id))
-                chosen = rng.sample(pool, k)
-            else:
-                chosen = pool
-            for ent in chosen:
-                expected |= engine.sat_mask(view.qbits[ent])
-            assert by_key[(step_no, ego_id)].strategy_masks == (expected,)
+    trace = evaluate_cell(traj, [SENSOR_GNA], [(RANDOM, k)], engine)
+    keys = view_keys(traj)
+    assert len(trace.records) == len(keys)
+    for (step_no, ego_id), rec in zip(keys, trace.records):
+        view = traj.views[step_no][ego_id]
+        pool = view.pools[SENSOR_GNA]
+        expected = 0
+        for ent in view.fov_ids:
+            expected |= engine.sat_mask(view.qbits[ent])
+        if len(pool) > k:
+            rng = random.Random(_record_seed(seed, step_no, ego_id))
+            chosen = rng.sample(pool, k)
+        else:
+            chosen = pool
+        for ent in chosen:
+            expected |= engine.sat_mask(view.qbits[ent])
+        assert rec.strategy_masks == (expected,)
 
 
 def test_sweep_layout_and_determinism():
@@ -447,6 +449,34 @@ def test_sweep_rejects_conflicting_zone_grids():
     ]
     with pytest.raises(ConfigurationError):
         sweep(cfg, rules, archs, (SEMANTIC,), (1,), (1,))
+
+
+def test_sweep_writes_the_reference_sweeps_per_seed_csv(monkeypatch):
+    # the whole sweep, caches and shortcuts included, against one built
+    # from definitions only, on the smoke config, desk core seed 1 and a
+    # crowded one-step dense world, where select takes both paths
+    paths = Counter()
+    for name in ("_select_by_subsets", "_select_by_masks"):
+        def counted(self, patterns, k, name=name, path=getattr(KeyEngine, name)):
+            paths[name] += 1
+            return path(self, patterns, k)
+        monkeypatch.setattr(KeyEngine, name, counted)
+    smoke = load_run_config(str(CONFIGS / "smoke.yaml"))
+    desk = load_run_config(str(CONFIGS / "desk.yaml"))
+    dense = load_run_config(str(CONFIGS.parent / "perfbench" / "dense.yaml"))
+    crowded = dataclasses.replace(
+        dense.scenarios[0], observation=ObservationConfig(r_fov=3, r_vic=9)
+    )
+    cases = [
+        (smoke.scenarios[0], smoke.rule_sets, smoke.architectures, smoke.strategies,
+         smoke.ks, smoke.seeds),
+        (desk.scenarios[0], [r for r in desk.rule_sets if r.name == "core"],
+         desk.architectures, desk.strategies, desk.ks, (1,)),
+        (crowded, dense.rule_sets, dense.architectures, (SEMANTIC, RANDOM), (4, 8), (1, 2, 3)),
+    ]
+    for case in cases:
+        assert per_seed_csv(sweep(*case)) == reference_sweep.per_seed_csv(*case)
+    assert paths["_select_by_subsets"] and paths["_select_by_masks"]
 
 
 # ------------------------------------------------------------ aggregation

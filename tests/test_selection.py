@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semcom.comms import ego_pools
+from semcom.comms import Architecture, ego_pools
 from semcom.config import SHIPPED_RULE_SETS, load_rule_set
 from semcom.errors import FeasibilityError
-from satisfaction_reference import satisfies
+from satisfaction_reference import reference_key, satisfies
 from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import ClosedFormParams, closed_form_objective
 from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
@@ -33,17 +33,6 @@ def exact_objective(subset, hyps, T):
     return closed_form_objective(
         ClosedFormParams.from_subset(qs, hyps, T), bit_budget=1 << 17
     )
-
-
-def reference_key(subset, hyps, T):
-    """kappa by definition, one slot-by-slot satisfaction test per (pattern, hypothesis)."""
-    qs = {bits for _, bits in subset}
-    exponents = sorted(
-        h.specificity_exponent(T)
-        for h in hyps
-        if not any(satisfies(q, h) for q in qs)
-    )
-    return (len(exponents), len(qs), *(-g for g in exponents))
 
 
 def ids(subset):
@@ -252,7 +241,7 @@ def test_select_matches_brute_force_on_crowded_pools():
     for seed in (1, 2):
         world = init_world(scenario, seed)
         by_id = {a.id: a for a in world.agents}
-        for ego_id, seen in ego_pools(world, scenario.observation).items():
+        for ego_id, seen in ego_pools(world, scenario.observation, Architecture.zones).items():
             ego = by_id[ego_id]
             for pool in seen.pools.values():
                 if comb(len(pool), k) <= SUBSET_LOOP_MAX:
@@ -292,23 +281,107 @@ def test_growing_the_pool_never_worsens_the_best_key(seed):
     assert best_key(pool + [extra]) <= best_key(pool)
 
 
-def test_selection_refuses_enormous_enumerations():
-    # the sweep's entry point passes the engine's cap through unchanged
-    engine = KeyEngine([Hypothesis.from_constraints(1, {0: 1}, "Stop")], 3)
+def one_mask_per_pattern(T):
+    """Hypotheses that each fix every slot, one per pattern: every
+    pattern satisfies exactly one, so distinct patterns have distinct
+    satisfaction masks."""
+    return [
+        Hypothesis.from_constraints(q, {s: (q >> s) & 1 for s in range(T)}, "Stop")
+        for q in range(1 << T)
+    ]
+
+
+def counting_paths(monkeypatch, engine):
+    """Calls select makes to each path of this engine, by path name."""
+    calls = Counter()
+    for name in ("_select_by_subsets", "_select_by_masks"):
+        def counted(patterns, k, name=name, path=getattr(engine, name)):
+            calls[name] += 1
+            return path(patterns, k)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def forbid_scoring(monkeypatch, engine):
+    for name in ("_select_by_subsets", "_select_by_masks"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a path scored candidates"))
+
+
+def test_selection_refuses_enormous_enumerations(monkeypatch):
+    # 30 entries with 30 distinct masks at k = 15: the mask-class sets
+    # outnumber the C(30, 15) = 155117520 subsets, so select takes the
+    # subset loop, whose count is over the cap; the sweep's entry point
+    # passes the refusal through unchanged
+    T = 5
+    engine = KeyEngine(one_mask_per_pattern(T), T)
+    forbid_scoring(monkeypatch, engine)
     pool = tuple(range(30))
-    with pytest.raises(FeasibilityError):
-        downlink(pool, {i: i % 8 for i in pool}, 15, SEMANTIC, engine)
+    with pytest.raises(FeasibilityError, match=r"C\(30, 15\) subsets = 155117520 exceeds"):
+        downlink(pool, {i: i for i in pool}, 15, SEMANTIC, engine)
 
 
-def test_engine_refuses_enormous_enumerations_before_scoring_any():
-    # C(40, 15) is about 4e10: only the up-front cap check can return
-    hyps = [Hypothesis.from_constraints(1, {0: 1}, "Stop")]
-    engine = KeyEngine(hyps, 3)
-    entries = [(i, i % 8) for i in range(40)]
-    started = time.perf_counter()
-    with pytest.raises(FeasibilityError):
-        engine.select(entries, 15)
-    assert time.perf_counter() - started < 1.0
+def test_engine_refuses_enormous_enumerations_before_scoring_any(monkeypatch):
+    # 60 entries, two of each of 30 distinct masks, at k = 10: about 5.3e7
+    # sets of at most 10 mask classes against C(60, 10), about 7.5e10
+    # subsets, so select takes the mask search, whose count is over the cap
+    T = 5
+    engine = KeyEngine(one_mask_per_pattern(T), T)
+    forbid_scoring(monkeypatch, engine)
+    entries = [(i, i % 30) for i in range(60)]
+    n_mask_sets = sum(comb(30, size) for size in range(11))
+    assert 10**7 < n_mask_sets < comb(60, 10)
+    message = "sets of at most 10 of 30 mask classes = %d exceeds" % n_mask_sets
+    with pytest.raises(FeasibilityError, match=message):
+        engine.select(entries, 10)
+
+
+def test_select_answers_a_pool_whose_subsets_exceed_the_cap():
+    # 40 entries, C(40, 8) = 76904685 subsets: only ids 17 and 33 witness
+    # a hypothesis, and every other entry has the pattern 0.  Taking both
+    # witnesses leaves nothing uncovered, and the six other entries add
+    # the one pattern 0, so kappa* = (0, 3) and the smallest ids fill up
+    T = 3
+    hyps = [
+        Hypothesis.from_constraints(0, {0: 1}, "Stop"),
+        Hypothesis.from_constraints(1, {1: 1}, "Slow"),
+    ]
+    engine = KeyEngine(hyps, T)
+    entries = [(i, {17: 0b001, 33: 0b010}.get(i, 0)) for i in range(40)]
+    assert comb(40, 8) > 10**7
+    chosen = engine.select(entries, 8)
+    assert chosen == (0, 1, 2, 3, 4, 5, 17, 33)
+    assert engine.key_for_patterns(q for i, q in entries if i in chosen) == (0, 3)
+
+
+def test_select_matches_brute_force_at_budgets_eight_and_nine(monkeypatch):
+    # pools of 14 to 18 entries at k = 8 and 9, where C(n, k) reaches
+    # 48620: random hypotheses over repeated patterns take the mask
+    # search, and one mask per pattern makes the mask sets outnumber the
+    # subsets, so the loop runs too
+    checked = Counter()
+    for seed in range(4):
+        rng = random.Random(seed)
+        n = rng.randint(14, 18)
+        if seed % 2:
+            T, _, _, hyps = random_instance(rng, (3, 4, 5), 2, 1)
+            patterns = [rng.randrange(1 << T) for _ in range(n)]
+        else:
+            T = 5
+            hyps = one_mask_per_pattern(T) + [
+                Hypothesis.from_constraints(32 + s, {s: 1}, "Slow") for s in range(T)
+            ]
+            patterns = rng.sample(range(1 << T), n)
+        engine = KeyEngine(hyps, T)
+        calls = counting_paths(monkeypatch, engine)
+        pool = [(3 * i + 1, q) for i, q in enumerate(patterns)]
+        for k in (8, 9):
+            expected = min(
+                itertools.combinations(pool, k),
+                key=lambda c: (engine.key_for_patterns(q for _, q in c), ids(c)),
+            )
+            assert engine.select(pool, k) == ids(expected)
+        checked.update(calls)
+    assert checked["_select_by_masks"] and checked["_select_by_subsets"]
 
 
 def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets():
