@@ -24,7 +24,7 @@ from . import metrics
 from .config import RunConfig, load_run_config
 from .errors import SemcomError
 from .oracle import closed_form_table
-from .validation import validate_key_ordering
+from .validation import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_T_CHOICES, validate_key_ordering
 
 OUT_DIR_ENV = "SEMCOM_OUT_DIR"
 
@@ -101,11 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--trials", type=int, default=1000)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument(
-        "--t-values", type=_parse_seed_list, default=[3, 4, 5],
+        "--t-values", type=_parse_seed_list, default=DEFAULT_T_CHOICES,
         help="slot counts sampled per trial",
     )
-    p_val.add_argument("--n-max", type=int, default=8, help="max pool size")
-    p_val.add_argument("--k-max", type=int, default=3, help="max budget")
+    p_val.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, help="max pool size")
+    p_val.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="max budget")
     p_val.add_argument("--out", default=None, help="output directory")
     return parser
 

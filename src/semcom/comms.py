@@ -56,46 +56,38 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int) -> Dict[int
     multi-zone-lna: as single-zone, but only uploads from cars in the
         ego's zone of the zones x zones grid reach it.
 
-    One pairwise pass over coordinate lists fills every agent's FOV and
-    vicinity ball with inline Chebyshev comparisons.
+    One (id, x, y) list is sorted by id per call.  Each car scans it once
+    against the coordinate windows of its two Chebyshev balls, so its
+    vicinity and FOV ids come out ascending for any world.agents order.
     """
-    agents = world.agents
-    ids = [a.id for a in agents]
-    xs = [a.position[0] for a in agents]
-    ys = [a.position[1] for a in agents]
     r_vic, r_fov = obs.r_vic, obs.r_fov
-    vic_lists: List[List[int]] = [[] for _ in agents]
-    fov_lists: List[List[int]] = [[] for _ in agents]
-    for i in range(len(agents)):
-        xi, yi, id_i, vic_i, fov_i = xs[i], ys[i], ids[i], vic_lists[i], fov_lists[i]
-        for j in range(i + 1, len(agents)):
-            dx = xs[j] - xi
-            dy = ys[j] - yi
-            if -r_vic <= dx <= r_vic and -r_vic <= dy <= r_vic:
-                vic_i.append(ids[j])
-                vic_lists[j].append(id_i)
-                if -r_fov <= dx <= r_fov and -r_fov <= dy <= r_fov:
-                    fov_i.append(ids[j])
-                    fov_lists[j].append(id_i)
+    points = sorted((a.id, a.position[0], a.position[1]) for a in world.agents)
     grid = world.grid
     uploads_all: Set[int] = set()
     uploads_by_zone: Dict[Tuple[int, int], Set[int]] = {}
     car_views = []
-    for a, vic, fov in zip(agents, vic_lists, fov_lists):
+    for a in world.agents:
         if a.kind != CAR:
             continue
-        # the pair loop fills both lists in agent order; one in-place pass sorts them by id
-        vic.sort()
-        fov.sort()
+        ego = a.id
         x, y = a.position
+        vx0, vx1, vy0, vy1 = x - r_vic, x + r_vic, y - r_vic, y + r_vic
+        fx0, fx1, fy0, fy1 = x - r_fov, x + r_fov, y - r_fov, y + r_fov
+        vic: List[int] = []
+        fov: List[int] = []
+        for j, xj, yj in points:
+            if vx0 <= xj <= vx1 and vy0 <= yj <= vy1 and j != ego:
+                vic.append(j)
+                if fx0 <= xj <= fx1 and fy0 <= yj <= fy1:
+                    fov.append(j)
         # half-open zone rectangles; edge cells clamp inward
         zone = (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
-        uploads_all.add(a.id)
+        uploads_all.add(ego)
         uploads_all.update(fov)
         zone_src = uploads_by_zone.setdefault(zone, set())
-        zone_src.add(a.id)
+        zone_src.add(ego)
         zone_src.update(fov)
-        car_views.append((a.id, zone, vic, fov))
+        car_views.append((ego, zone, vic, fov))
 
     out: Dict[int, EgoPools] = {}
     for ego_id, zone, vic, fov in car_views:

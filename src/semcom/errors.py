@@ -20,10 +20,6 @@ class FeasibilityError(SemcomError):
     """The requested exact computation exceeds a configured budget."""
 
 
-class ContradictionError(SemcomError):
-    """Evidence admits no compatible constituent."""
-
-
 class UndefinedMetricError(SemcomError):
     """A metric was requested on an empty trace or degenerate input."""
 

@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ConfigurationError,
-    ContradictionError,
     EnumerationInfeasibleError,
     FeasibilityError,
     reject_repeats,
@@ -126,9 +125,8 @@ def degree_of_confirmation(
 ) -> Fraction:
     """c(phi | e) = |C(e and phi)| / |C(e)| as an exact rational."""
     evidence_qs = tuple(evidence_qs)
+    # never 0: a constituent holding the kind of all Q-sentences admits any evidence
     denom = compatible_count(evidence_qs, T)
-    if denom == 0:
-        raise ContradictionError("evidence admits no compatible constituent")
     return Fraction(joint_compatible_count(hypothesis_qs, evidence_qs, T), denom)
 
 

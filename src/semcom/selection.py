@@ -70,10 +70,7 @@ class KeyEngine:
     def __init__(self, hypotheses: Sequence[Hypothesis], T: int):
         if not hypotheses:
             raise ConfigurationError("at least one hypothesis is required")
-        for h in hypotheses:
-            h.validate_width(T)
         self.hypotheses = tuple(hypotheses)
-        self.T = T
         self.exponents = tuple(h.specificity_exponent(T) for h in hypotheses)
         self.full_mask = (1 << len(hypotheses)) - 1
         self._sat: Dict[int, int] = {}
@@ -150,11 +147,11 @@ class KeyEngine:
         return self._select_by_subsets(patterns, k)
 
     def _select_by_subsets(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
-        """select's positions by scoring every k-subset in lexicographic order."""
+        """select's positions by scoring every k-subset in lexicographic
+        order and keeping the first whose kappa is strictly smallest."""
         masks = [self.sat_mask(qbits) for qbits in patterns]
         full = self.full_mask
-        best_head: Optional[Tuple[int, int]] = None
-        best_tail: Tuple[int, ...] = ()
+        best: Optional[Tuple[int, ...]] = None
         best_combo: Tuple[int, ...] = ()
         for combo in itertools.combinations(range(len(patterns)), k):
             covered = 0
@@ -163,21 +160,9 @@ class KeyEngine:
                 covered |= masks[idx]
                 qset.add(patterns[idx])
             uncovered = full & ~covered
-            head = (uncovered.bit_count(), len(qset))
-            if best_head is not None:
-                if head > best_head:
-                    continue
-                if head == best_head:
-                    tail = self._tail(uncovered)
-                    if tail >= best_tail:
-                        continue
-                    best_tail = tail
-                else:
-                    best_tail = self._tail(uncovered)
-            else:
-                best_tail = self._tail(uncovered)
-            best_head = head
-            best_combo = combo
+            key = (uncovered.bit_count(), len(qset)) + self._tail(uncovered)
+            if best is None or key < best:
+                best, best_combo = key, combo
         return best_combo
 
     def _select_by_masks(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
@@ -316,7 +301,7 @@ def downlink(
     k: int,
     strategy: str,
     engine: Optional[KeyEngine],
-    rng_seed: int = 0,
+    rng_seed: int,
 ) -> Tuple[int, ...]:
     """Ids of at most k pool entities to transmit.
 

@@ -39,6 +39,11 @@ from .selection import KeyEngine, check_cap
 
 # disagreements a report keeps and prints
 MAX_EXAMPLES = 5
+# validate-key's instance shape: slot counts sampled, largest pool, largest budget
+DEFAULT_T_CHOICES = (3, 4, 5)
+DEFAULT_N_MAX = 8
+DEFAULT_K_MAX = 3
+M_MAX = 6  # largest hypothesis set of a random instance
 
 
 @dataclass
@@ -84,11 +89,7 @@ class ValidationReport:
 
 
 def random_instance(
-    rng: random.Random,
-    T_choices: Sequence[int] = (3, 4, 5),
-    n_max: int = 8,
-    k_max: int = 3,
-    m_max: int = 6,
+    rng: random.Random, T_choices: Sequence[int], n_max: int, k_max: int
 ) -> Tuple[int, int, List[Tuple[int, int]], List[Hypothesis]]:
     """One random selection instance: (entity_id, qbits) pool plus hypothesis set."""
     T = rng.choice(list(T_choices))
@@ -96,7 +97,7 @@ def random_instance(
     k = rng.randint(1, min(k_max, n - 1))
     pool = [(i, rng.randrange(1 << T)) for i in range(n)]
     hypotheses = []
-    for hid in range(rng.randint(1, m_max)):
+    for hid in range(rng.randint(1, M_MAX)):
         z = rng.randint(1, T)
         slots = rng.sample(range(T), z)
         constraints = {s: rng.randint(0, 1) for s in slots}
@@ -113,9 +114,9 @@ def _key_params(key: Tuple[int, ...], T: int) -> ClosedFormParams:
 def validate_key_ordering(
     trials: int,
     seed: int,
-    T_choices: Sequence[int] = (3, 4, 5),
-    n_max: int = 8,
-    k_max: int = 3,
+    T_choices: Sequence[int] = DEFAULT_T_CHOICES,
+    n_max: int = DEFAULT_N_MAX,
+    k_max: int = DEFAULT_K_MAX,
 ) -> ValidationReport:
     """Compare kappa ordering with exact-F ordering over random instances.
 

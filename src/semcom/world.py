@@ -145,7 +145,6 @@ class AgentState:
     route: Tuple[Cell, ...]
     route_pos: int
     moved: bool = True
-    last_action: str = DEFAULT_ACTION
     position: Cell = field(init=False, repr=False, compare=False)
     heading: Cell = field(init=False, repr=False, compare=False)
 
@@ -162,7 +161,6 @@ class WorldState:
     grid: int
     agents: Tuple[AgentState, ...]
     intersections: FrozenSet[Cell]
-    step: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def _rect_loop(x0: int, y0: int, x1: int, y1: int) -> Tuple[Cell, ...]:
 
 
 def _crossing_route(
-    center: Cell, horizontal: bool, reach: int, dwell: int = 0
+    center: Cell, horizontal: bool, reach: int, dwell: int
 ) -> Tuple[Cell, ...]:
     """Back-and-forth shuttle through an intersection center.
 
@@ -342,7 +340,6 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
         grid=scenario.grid,
         agents=tuple(agents),
         intersections=intersections,
-        step=0,
     )
 
 
@@ -401,7 +398,6 @@ def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:
     for a in world.agents:
         if a.kind == PEDESTRIAN:
             speed = 1
-            action = a.last_action
         else:
             try:
                 action = actions[a.id]
@@ -419,12 +415,10 @@ def step(world: WorldState, actions: Mapping[int, str]) -> WorldState:
                 route=a.route,
                 route_pos=new_pos,
                 moved=a.route[new_pos] != a.position,
-                last_action=action,
             )
         )
     return WorldState(
         grid=world.grid,
         agents=tuple(new_agents),
         intersections=world.intersections,
-        step=world.step + 1,
     )

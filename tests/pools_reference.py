@@ -1,8 +1,8 @@
 """Per-ego reference definitions of the vicinity ball and the pools.
 
 ``semcom.comms.ego_pools`` fills every car's FOV, vicinity and three
-pools in one pairwise pass.  The tests check it against these
-definitions, which rescan the world once per ego and per uploader.
+pools from one id-sorted scan per car.  The tests check it against
+these definitions, which rescan the world once per ego and per uploader.
 """
 
 from typing import Set
@@ -15,10 +15,10 @@ from semcom.world import CAR
 def ball(world, ego_id, radius):
     """Ids within the closed Chebyshev ball around an agent, itself excluded, ascending."""
     centre = {a.id: a for a in world.agents}[ego_id].position
-    return tuple(
+    return tuple(sorted(
         a.id for a in world.agents
         if a.id != ego_id and chebyshev(a.position, centre) <= radius
-    )
+    ))
 
 
 def zone_of(position, grid, zones):

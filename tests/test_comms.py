@@ -40,7 +40,7 @@ def static_agent(aid, kind, pos):
 
 
 def scene(agents, grid=40, intersections=frozenset()):
-    return WorldState(grid=grid, agents=tuple(agents), intersections=intersections, step=0)
+    return WorldState(grid=grid, agents=tuple(agents), intersections=intersections)
 
 
 def hand_scene():
@@ -179,19 +179,42 @@ def test_ego_pools_match_the_per_ego_reference(
             assert view.pools[kind] == expected
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_ego_pools_do_not_depend_on_agent_order(order):
+    obs = ObservationConfig(r_fov=4, r_vic=14)
+    config = cfg(cars=8, pedestrians=6, observation=obs)
+    for seed in range(4):
+        world = init_world(config, seed=seed)
+        agents = list(world.agents)
+        if order == "reversed":
+            agents.reverse()
+        else:
+            random.Random(seed).shuffle(agents)
+        world = scene(agents, grid=world.grid, intersections=world.intersections)
+        seen = ego_pools(world, obs, Architecture.zones)
+        assert sorted(seen) == sorted(a.id for a in agents if a.kind == CAR)
+        for ego_id, view in seen.items():
+            for ids in (view.fov_ids, view.vic_ids, *view.pools.values()):
+                assert list(ids) == sorted(set(ids))
+            assert view.fov_ids == ball(world, ego_id, obs.r_fov)
+            assert view.vic_ids == ball(world, ego_id, obs.r_vic)
+            for kind in ARCHITECTURE_KINDS:
+                assert view.pools[kind] == reference_pool_ids(world, ego_id, arch(kind), obs)
+
+
 def test_downlink_budget_edges():
     world = hand_scene()
     rules = load_rule_set("core", VOCAB)
     engine = KeyEngine(rules.hypotheses, VOCAB.T)
     pool = pools_of(world)[SENSOR_GNA]
     qbits = grounded(world, 0, pool)
-    assert downlink(pool, qbits, 0, SEMANTIC, engine) == ()
-    assert downlink(pool, qbits, 9, SEMANTIC, engine) == pool
-    assert downlink((), {}, 2, RANDOM, None) == ()
+    assert downlink(pool, qbits, 0, SEMANTIC, engine, 0) == ()
+    assert downlink(pool, qbits, 9, SEMANTIC, engine, 0) == pool
+    assert downlink((), {}, 2, RANDOM, None, 0) == ()
     with pytest.raises(ConfigurationError):
-        downlink(pool, qbits, -1, SEMANTIC, engine)
+        downlink(pool, qbits, -1, SEMANTIC, engine, 0)
     with pytest.raises(ConfigurationError):
-        downlink(pool, qbits, 1, "greedy", engine)
+        downlink(pool, qbits, 1, "greedy", engine, 0)
 
 
 def test_walker_near_crossing_wins_the_single_slot():
@@ -210,7 +233,7 @@ def test_walker_near_crossing_wins_the_single_slot():
     pool = pools_of(world)[SENSOR_GNA]
     assert pool == (1, 2, 3)
     engine = KeyEngine(rules.hypotheses, VOCAB.T)
-    assert downlink(pool, grounded(world, 0, pool), 1, SEMANTIC, engine) == (3,)
+    assert downlink(pool, grounded(world, 0, pool), 1, SEMANTIC, engine, 0) == (3,)
 
 
 def test_random_downlink_delegates_to_the_seeded_sampler():

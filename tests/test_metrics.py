@@ -263,7 +263,7 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
     budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in (0, 1, 2, 3, k_over)]
     calls = []
 
-    def counting_downlink(pool, qbits, k, strategy, engine, rng_seed=0):
+    def counting_downlink(pool, qbits, k, strategy, engine, rng_seed):
         calls.append((pool, strategy, k, rng_seed))
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 

@@ -317,7 +317,7 @@ def test_selection_refuses_enormous_enumerations(monkeypatch):
     forbid_scoring(monkeypatch, engine)
     pool = tuple(range(30))
     with pytest.raises(FeasibilityError, match=r"C\(30, 15\) subsets = 155117520 exceeds"):
-        downlink(pool, {i: i for i in pool}, 15, SEMANTIC, engine)
+        downlink(pool, {i: i for i in pool}, 15, SEMANTIC, engine, 0)
 
 
 def test_engine_refuses_enormous_enumerations_before_scoring_any(monkeypatch):
