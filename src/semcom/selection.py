@@ -21,10 +21,12 @@ strategy; the sweep and the tests both go through them.
 candidate subsets it scores each in turn.  Above that it searches sets
 of satisfaction-mask classes: kappa depends only on the OR of the chosen
 patterns' masks and on K, and a crowded pool holds far fewer distinct
-masks than it has k-subsets.  The loop stays for small pools, where the
-search's fixed cost per call exceeds the whole enumeration, and for
-pools whose masks are so varied that the sets of at most k of them
-outnumber the k-subsets.
+masks than it has k-subsets.  The search finds the widest coverage
+first, computes K only for the class sets that reach it, and picks ids
+in one walk that keeps running counts.  The loop stays for small pools,
+where the search's fixed cost per call exceeds the whole enumeration,
+and for pools whose masks are so varied that the sets of at most k of
+them outnumber the k-subsets.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 import random
 from collections import Counter
 from math import comb
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
@@ -170,119 +172,137 @@ class KeyEngine:
 
         kappa of a subset depends only on the set M of mask classes its
         patterns fall in (through the OR of their masks) and on K, its
-        number of distinct patterns.  Step 1 scores every M of at most k
-        classes with the fewest patterns that can hold k entries while
-        taking one pattern from each class of M; kappa* is the smallest
-        score.  Each class's counts are sorted once: K is |M| when the
-        classes' largest counts (their heads) already sum to k, and only
-        otherwise are the other counts merged in, largest first.  Step 2
-        walks the entries in order and takes one whenever some M scoring
-        kappa* can still be completed to exactly K* patterns and k
-        entries from the entries after it, which yields the smallest
-        position tuple.
+        number of distinct patterns.  Step 1 is coverage first.  Pass (a)
+        ORs each M of at most k classes onto its prefix's OR, skips the
+        extensions that cannot cover as many hypotheses as the widest set
+        so far, and keeps the sets that leave the fewest uncovered.  That
+        is the fewest over the sets that can hold k entries, because the
+        pool holds at least k: an M whose classes hold only held < k
+        entries gains at most k - held of the largest other classes, which
+        uncovers nothing and leaves at most k classes.  Pass (b) computes
+        K only for the sets kept, skipping one larger than the best K so
+        far: K is |M| when the classes' largest counts (their heads) sum
+        to k, and only otherwise are the other counts merged in, largest
+        first.  Step 2 walks the entries in order and takes one whenever
+        some M scoring kappa* can still be completed to exactly K*
+        patterns and k entries from the entries after it, which yields the
+        smallest position tuple.  It keeps a running count of the entries
+        left under the taken patterns and only the M that hold every taken
+        class, so an entry whose class is in none of them is refused at once.
         """
-        counts = Counter(patterns)
+        after = Counter(patterns)  # pattern -> entries after the walk's current one
         classes: Dict[int, List[int]] = {}  # sat mask -> its distinct patterns
-        for qbits in counts:
+        for qbits in after:
             classes.setdefault(self.sat_mask(qbits), []).append(qbits)
-        # each class's entry counts, largest first: its head, then its tail
-        ordered = {
-            m: sorted((counts[q] for q in members), reverse=True) for m, members in classes.items()
-        }
-        best: Optional[Tuple[int, ...]] = None
-        kept: List[Tuple[int, ...]] = []
-        for size in range(min(k, len(classes)) + 1):
-            for chosen in itertools.combinations(classes, size):
-                covered = 0
-                held = 0
-                for m in chosen:
-                    covered |= m
-                    held += ordered[m][0]
-                uncovered = self.full_mask & ~covered
-                if best is not None and uncovered.bit_count() > best[0]:
-                    continue
-                n_patterns = size
-                if held < k:
-                    # one pattern per class holds too few: add the largest tail counts
-                    for extra in sorted((c for m in chosen for c in ordered[m][1:]), reverse=True):
-                        held += extra
-                        n_patterns += 1
-                        if held >= k:
-                            break
-                    else:
-                        continue
-                key = (uncovered.bit_count(), n_patterns) + self._tail(uncovered)
-                if best is None or key < best:
-                    best, kept = key, [chosen]
-                elif key == best:
-                    kept.append(chosen)
-        n_best = best[1]
+        masks = list(classes)
+        # rest[j] ORs masks[j:]; extending from j covers at most covered | rest[j]
+        rest = list(itertools.accumulate(reversed(masks), int.__or__, initial=0))[::-1]
+        most, ties = -1, []  # (class positions, OR) of the widest sets so far
 
-        mask_of = {q: m for m, members in classes.items() for q in members}
+        def widen(chosen: Tuple[int, ...], covered: int, start: int) -> None:
+            nonlocal most, ties
+            if covered.bit_count() > most:
+                most, ties = covered.bit_count(), []
+            if covered.bit_count() == most:
+                ties.append((chosen, covered))
+            if len(chosen) == k:
+                return
+            for j in range(start, len(masks)):
+                if (covered | rest[j]).bit_count() < most:
+                    break
+                widen(chosen + (j,), covered | masks[j], j + 1)
+
+        widen((), 0, 0)
+        # each class's entry counts, largest first: its head, then its tail
+        ordered = [sorted((after[q] for q in classes[m]), reverse=True) for m in masks]
+        best: Optional[Tuple[int, ...]] = None
+        kept: List[AbstractSet[int]] = []
+        for chosen, covered in ties:
+            if best is not None and len(chosen) > best[0]:
+                continue
+            held = sum(ordered[i][0] for i in chosen)
+            n_patterns = len(chosen)
+            if held < k:
+                # one pattern per class holds too few: add the largest tail counts
+                for extra in sorted((c for i in chosen for c in ordered[i][1:]), reverse=True):
+                    held += extra
+                    n_patterns += 1
+                    if held >= k:
+                        break
+                else:
+                    continue
+            key = (n_patterns,) + self._tail(self.full_mask & ~covered)
+            if best is None or key < best:
+                best, kept = key, []
+            if key == best:
+                kept.append(frozenset(masks[i] for i in chosen))
+
         picked: List[int] = []
-        taken: AbstractSet[int] = frozenset()  # patterns of the picked entries
-        after = counts.copy()  # pattern -> entries after the current one
+        taken: Set[int] = set()  # patterns of the picked entries
+        taken_masks: Set[int] = set()
+        left = 0  # entries after the current one under the taken patterns
+        reach = frozenset().union(*kept)
+
+        def completes(
+            chosen: AbstractSet[int], qbits: int, mask: int, n_new: int, short: int
+        ) -> bool:
+            """Whether exactly n_new patterns outside taken and qbits, with
+            entries left in after, hold at least short entries while each
+            class of chosen outside taken_masks and mask gains one; the most
+            they hold is those classes' largest counts, then the largest rest."""
+            n_heads = held = 0
+            spares: List[int] = []
+            for m in chosen:
+                required = m != mask and m not in taken_masks
+                head = 0
+                for q in classes[m]:
+                    count = after[q]
+                    if not count or q == qbits or q in taken:
+                        continue
+                    if required and count > head:
+                        count, head = head, count
+                    if count:
+                        spares.append(count)
+                if required:
+                    if not head:
+                        return False
+                    n_heads += 1
+                    held += head
+            extra = n_new - n_heads
+            if not 0 <= extra <= len(spares):
+                return False
+            return held >= short or held + sum(sorted(spares, reverse=True)[:extra]) >= short
+
         for idx, qbits in enumerate(patterns):
             if len(picked) == k:
                 break
             after[qbits] -= 1
-            trial = taken | {qbits}
-            trial_masks = {mask_of[q] for q in trial}
-            n_new = n_best - len(trial)
+            new = qbits not in taken
+            if not new:
+                left -= 1
+            mask = self.sat_mask(qbits)
+            n_new = best[0] - len(taken) - new
             needed = k - len(picked) - 1
-            if not 0 <= n_new <= needed:
+            if mask not in reach or not 0 <= n_new <= needed:
                 continue
-            # entries the new patterns must hold beyond what trial's can
-            short = needed - sum(after[q] for q in trial)
+            # entries the new patterns must hold beyond what the taken ones can
+            short = needed - left - (after[qbits] if new else 0)
+            n_masks = len(taken_masks) + (mask not in taken_masks)
             if any(
-                trial_masks.issubset(chosen)
-                and _completes(classes, chosen, trial, trial_masks, after, n_new, short)
+                mask in chosen
+                and len(chosen) - n_masks <= n_new  # one new pattern per class not yet taken
+                and completes(chosen, qbits, mask, n_new, short)
                 for chosen in kept
             ):
                 picked.append(idx)
-                taken = trial
+                if new:
+                    taken.add(qbits)
+                    left += after[qbits]
+                if mask not in taken_masks:
+                    taken_masks.add(mask)
+                    kept = [chosen for chosen in kept if mask in chosen]
+                    reach = frozenset().union(*kept)
         return tuple(picked)
-
-
-def _completes(
-    classes: Mapping[int, Sequence[int]],
-    chosen: Sequence[int],
-    taken: AbstractSet[int],
-    taken_masks: AbstractSet[int],
-    after: Mapping[int, int],
-    n_new: int,
-    short: int,
-) -> bool:
-    """Whether exactly n_new patterns outside taken, each with an entry
-    left in after, can hold at least short entries while the classes of
-    chosen not yet in taken_masks each gain one of them."""
-    required: List[List[int]] = []
-    optional: List[int] = []
-    for m in chosen:
-        free = [after[q] for q in classes[m] if q not in taken and after[q]]
-        if m in taken_masks:
-            optional.extend(free)
-        elif free:
-            required.append(free)
-        else:
-            return False
-    order = _greedy_counts(required, optional)
-    return len(required) <= n_new <= len(order) and sum(order[:n_new]) >= short
-
-
-def _greedy_counts(required: Sequence[Sequence[int]], optional: Iterable[int]) -> List[int]:
-    """Entry counts ordered so that every prefix from len(required) on
-    holds the most entries possible with one count from each required
-    group: the largest count of each group, then all others, largest
-    first."""
-    heads: List[int] = []
-    rest = list(optional)
-    for group in required:
-        ordered = sorted(group, reverse=True)
-        heads.append(ordered[0])
-        rest.extend(ordered[1:])
-    rest.sort(reverse=True)
-    return heads + rest
 
 
 def check_request(k: int, strategy: str) -> None:

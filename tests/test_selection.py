@@ -7,7 +7,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semcom.comms import Architecture, ego_pools
@@ -226,6 +226,44 @@ def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
         assert tuple(pool[i][0] for i in positions) == ids(expected)
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+@example(19)
+@example(27)
+@settings(max_examples=60, deadline=None)
+def test_mask_search_matches_brute_force_around_a_lone_witness_of_every_hypothesis(seed):
+    # one entry's pattern satisfies every hypothesis, so its class alone
+    # leaves nothing uncovered but holds one entry: from k = 2 on, the
+    # widest class sets must be topped up with other classes.  The other
+    # entries repeat a few patterns under one or two hypotheses, so
+    # classes hold several patterns and many class sets tie on kappa*.
+    # Few seeds make the id tie-break depend on a kappa*-scoring class
+    # set other than the first one found (27) or on a repeated pattern's
+    # entries running out (19), so those two always run
+    rng = random.Random(seed)
+    T = rng.choice((3, 4, 5))
+    witness = rng.randrange(1 << T)
+    hyps = [
+        Hypothesis.from_constraints(
+            h, {s: (witness >> s) & 1 for s in rng.sample(range(T), rng.randint(1, T))}, "Stop"
+        )
+        for h in range(rng.randint(1, 2))
+    ]
+    others = [q for q in range(1 << T) if not all(satisfies(q, h) for h in hyps)]
+    alphabet = rng.sample(others, min(len(others), rng.randint(2, 6)))
+    n = rng.randint(6, 14)
+    patterns = [rng.choice(alphabet) for _ in range(n - 1)]
+    patterns.insert(rng.randrange(n), witness)
+    pool = [(2 * i + 1, q) for i, q in enumerate(patterns)]
+    engine = KeyEngine(hyps, T)
+    for k in range(1, n + 1):
+        expected = min(
+            itertools.combinations(pool, k),
+            key=lambda c: (reference_key(c, hyps, T), ids(c)),
+        )
+        positions = engine._select_by_masks(patterns, k)
+        assert tuple(pool[i][0] for i in positions) == ids(expected)
+
+
 def test_select_matches_brute_force_on_crowded_pools():
     # every pool of two dense one-step worlds with more than
     # SUBSET_LOOP_MAX subsets at k = 4, which select answers by the mask
@@ -384,7 +422,7 @@ def test_select_matches_brute_force_at_budgets_eight_and_nine(monkeypatch):
     assert checked["_select_by_masks"] and checked["_select_by_subsets"]
 
 
-def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets():
+def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets(monkeypatch):
     # 24 entries with 24 distinct masks: C(24, 20) = 10626 subsets, but
     # about 1.7e7 sets of at most 20 mask classes
     T = 5
@@ -393,10 +431,12 @@ def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets():
         for i in range(24)
     ]
     engine = KeyEngine(hyps, T)
+    calls = counting_paths(monkeypatch, engine)
     started = time.perf_counter()
     # every subset has the same kappa, so the smallest ids win
     assert engine.select([(i, i) for i in range(24)], 20) == tuple(range(20))
     assert time.perf_counter() - started < 1.0
+    assert calls == {"_select_by_subsets": 1}
 
 
 def test_select_memo_returns_each_pools_own_ids_per_budget():
