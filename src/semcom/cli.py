@@ -7,9 +7,9 @@ Subcommands:
                   summary when the config lists three or more scenarios
     validate-key  compare lexicographic key ordering with the exact objective
 
-Output location: --out names a directory (created on demand); when absent,
-the SEMCOM_OUT_DIR environment variable is used; when neither is set,
-tables go to stdout.  All randomness flows from explicit seeds, so a fixed
+Output location: --out names a directory, made when its first file is
+written; when absent, the SEMCOM_OUT_DIR environment variable is used;
+when neither is set, tables go to stdout.  All randomness flows from explicit seeds, so a fixed
 config and seed list reproduces output byte for byte regardless of --jobs.
 """
 
@@ -52,16 +52,14 @@ def _parse_seed_list(text: str) -> List[int]:
 
 
 def _out_dir(args: argparse.Namespace) -> Optional[str]:
-    path = args.out or os.environ.get(OUT_DIR_ENV)
-    if path:
-        os.makedirs(path, exist_ok=True)
-    return path
+    return args.out or os.environ.get(OUT_DIR_ENV) or None
 
 
 def _emit(out_dir: Optional[str], filename: str, text: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
     else:
+        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 

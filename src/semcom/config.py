@@ -53,7 +53,7 @@ import yaml
 
 from .errors import ConfigurationError, reject_repeats
 from .comms import ARCHITECTURE_KINDS, Architecture
-from .selection import STRATEGIES, check_request
+from .selection import STRATEGIES
 from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
 from .world import ObservationConfig, RuleSet, ScenarioConfig, default_vocabulary
 
@@ -255,25 +255,6 @@ class RunConfig:
     seeds: Tuple[int, ...]
     advantage_k: int = 3
 
-    def __post_init__(self) -> None:
-        if not self.scenarios or not self.rule_sets or not self.architectures:
-            raise ConfigurationError("need at least one scenario, rule set, architecture")
-        if not self.strategies or not self.ks or not self.seeds:
-            raise ConfigurationError("need at least one strategy, budget, seed")
-        for strategy in self.strategies:
-            for k in self.ks:
-                check_request(k, strategy)
-        # Each of these keys the CSV rows or files; a repeat merges or overwrites them.
-        for what, values in (
-            ("scenario name", [s.name for s in self.scenarios]),
-            ("rule set name", [r.name for r in self.rule_sets]),
-            ("architecture kind", [a.kind for a in self.architectures]),
-            ("strategy", self.strategies),
-            ("budget", self.ks),
-            ("seed", self.seeds),
-        ):
-            reject_repeats(what, values)
-
 
 def _architectures_from_config(obj: Any, source: str) -> Tuple[Architecture, ...]:
     if obj is None:
@@ -309,17 +290,14 @@ def load_run_config(
         scenario_from_config(s, source="%s scenario[%d]" % (path, i))
         for i, s in enumerate(raw_scenarios)
     )
+    # scenario names key the output files; metrics.sweep checks the other axes
+    reject_repeats("scenario name", [s.name for s in scenarios])
     vocab = scenarios[0].vocabulary
     for s in scenarios[1:]:
         if s.vocabulary != vocab:
             raise ConfigurationError("%s: all scenarios must share one vocabulary" % path)
     rule_refs = _as_list(data.get("rule_sets", ["core"]), "%s: rule_sets" % path)
     rule_sets = tuple(load_rule_set(str(r), vocab, base_dir) for r in rule_refs)
-    seeds = (
-        tuple(seeds_override)
-        if seeds_override is not None
-        else _as_int_list(data.get("seeds", [1]), "seeds")
-    )
     return RunConfig(
         scenarios=scenarios,
         rule_sets=rule_sets,
@@ -328,6 +306,8 @@ def load_run_config(
             _as_list(data.get("strategies", list(STRATEGIES)), "%s: strategies" % path)
         ),
         ks=_as_int_list(data.get("k", [0, 1, 2, 3, 4, 5]), "k"),
-        seeds=seeds,
+        seeds=_as_int_list(
+            data.get("seeds", [1]) if seeds_override is None else seeds_override, "seeds"
+        ),
         advantage_k=_as_int(data.get("advantage_k", RunConfig.advantage_k), "advantage_k"),
     )

@@ -12,12 +12,8 @@ class ConfigurationError(SemcomError):
     """A vocabulary, rule set, or scenario config is malformed."""
 
 
-class EnumerationInfeasibleError(SemcomError):
-    """The requested exact computation is outside the enumeration bound."""
-
-
 class FeasibilityError(SemcomError):
-    """The requested exact computation exceeds a configured budget."""
+    """The requested exact computation is over the enumeration T or cap, or the bit budget."""
 
 
 class UndefinedMetricError(SemcomError):

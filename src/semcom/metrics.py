@@ -20,28 +20,13 @@ import io
 import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .comms import MULTI_ZONE_LNA, Architecture, ego_pools
-from .errors import ConfigurationError, UndefinedMetricError
+from .errors import ConfigurationError, UndefinedMetricError, reject_repeats
 from .selection import RANDOM, SEMANTIC, KeyEngine, check_request, downlink
 from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
-
-CSV_HEADER = (
-    "architecture",
-    "rule_set",
-    "strategy",
-    "k",
-    "seeds",
-    "hdsr_mean",
-    "hdsr_std",
-    "adsr_mean",
-    "adsr_std",
-)
-
-PER_SEED_HEADER = ("architecture", "rule_set", "strategy", "k", "seed", "hdsr", "adsr")
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -82,6 +67,10 @@ class AggregateRow:
     hdsr_std: float
     adsr_mean: float
     adsr_std: float
+
+
+PER_SEED_HEADER = tuple(f.name for f in fields(MetricsRow))
+CSV_HEADER = tuple(f.name for f in fields(AggregateRow))
 
 
 def cell_rates(trace: EpisodeTrace, rules: RuleSet) -> List[Tuple[float, float]]:
@@ -206,7 +195,8 @@ def evaluate_cell(
     they are reproducible and shared across architectures and budgets.
     A view's masks for one kind therefore depend only on the kind's
     pool: each view builds one block of masks per distinct pool, and
-    every kind with that pool reuses it.
+    every kind with that pool reuses it.  A negative k or an unknown
+    strategy raises ConfigurationError before anything is scored.
     """
     for strategy, k in dict.fromkeys(budgets):
         check_request(k, strategy)
@@ -266,7 +256,7 @@ def _run_task(
     args: Tuple[ScenarioConfig, RuleSet, int, Tuple[Architecture, ...], Tuple[str, ...], Tuple[int, ...]]
 ) -> List[MetricsRow]:
     scenario, rules, seed, architectures, strategies, ks = args
-    # sweep allows one multi-zone grid per run
+    # sweep refuses repeated kinds, so there is at most one multi-zone grid
     zones = next((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), Architecture.zones)
     engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
     trajectory = build_trajectory(scenario, rules, seed, zones, engine)
@@ -300,14 +290,19 @@ def sweep(
     Tasks are independent per (rule set, seed); with jobs > 1 they run
     in at most one worker process per task and results are merged by
     sorting, so the output does not depend on the degree of parallelism.
+    A repeated rule-set name, kind, strategy, budget or seed would merge
+    distinct cells' rows: it raises ConfigurationError before any task runs.
     """
+    for what, values in (
+        ("rule set name", [r.name for r in rule_sets]),
+        ("architecture kind", [a.kind for a in architectures]),
+        ("strategy", strategies),
+        ("budget", ks),
+        ("seed", seeds),
+    ):
+        reject_repeats(what, values)
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1, got %d" % jobs)
-    zone_grids = {a.zones for a in architectures if a.kind == MULTI_ZONE_LNA}
-    if len(zone_grids) > 1:
-        raise ConfigurationError(
-            "one sweep supports a single multi-zone grid, got %s" % sorted(zone_grids)
-        )
     tasks = [
         (scenario, rules, seed, tuple(architectures), tuple(strategies), tuple(ks))
         for rules in rule_sets

@@ -26,12 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    ConfigurationError,
-    EnumerationInfeasibleError,
-    FeasibilityError,
-    reject_repeats,
-)
+from .errors import ConfigurationError, FeasibilityError, reject_repeats
 from .logic import Hypothesis, QSentence
 
 ENUMERATION_MAX_T = 2
@@ -51,7 +46,7 @@ def total_constituents(T: int) -> int:
 
 def _check_enumeration_bound(T: int) -> None:
     if T > ENUMERATION_MAX_T:
-        raise EnumerationInfeasibleError(
+        raise FeasibilityError(
             "enumeration supports T <= %d, got T=%d" % (ENUMERATION_MAX_T, T)
         )
     if T < 1:

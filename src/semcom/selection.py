@@ -14,8 +14,8 @@ witness more hypotheses, then fewer distinct Q-sentences, then larger
 minimum specificity.
 
 A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
-ranks its k-subsets by kappa and ``downlink`` applies the budget and the
-strategy; the sweep and the tests both go through them.
+ranks its k-subsets by kappa and ``downlink`` applies the strategy to a
+budget strictly inside the pool; the sweep goes through both.
 
 ``select`` has two paths with one result.  Up to SUBSET_LOOP_MAX
 candidate subsets it scores each in turn.  Above that it searches sets
@@ -323,19 +323,14 @@ def downlink(
     engine: Optional[KeyEngine],
     rng_seed: int,
 ) -> Tuple[int, ...]:
-    """Ids of at most k pool entities to transmit.
+    """Ids of the k pool entities to transmit, for 0 < k < len(pool).
 
     The pool holds entity ids ascending and qbits maps each one to its
-    pattern.  k=0 sends nothing and a pool within budget goes whole.
-    Otherwise semantic sends the engine's kappa-lex-minimal k-subset and
+    pattern.  Semantic sends the engine's kappa-lex-minimal k-subset and
     random a uniform without-replacement sample drawn from rng_seed (the
-    engine may then be None).
+    engine may then be None).  The caller, metrics.evaluate_cell, checks
+    the request and sends the budget edges, k = 0 and k >= len(pool).
     """
-    check_request(k, strategy)
-    if k == 0:
-        return ()
-    if len(pool) <= k:
-        return tuple(pool)
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)
     return tuple(random.Random(rng_seed).sample(pool, k))

@@ -329,6 +329,8 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
             pos = rng.randrange(len(route))
             if route[pos] not in occupied:
                 break
+        else:
+            raise ConfigurationError("no free cell for agent %d (%s) in 64 draws" % (agent_id, kind))
         occupied.add(route[pos])
         return AgentState(id=agent_id, kind=kind, route=route, route_pos=pos)
 

@@ -197,9 +197,26 @@ def test_out_dir_environment_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
-    config = write_config(tmp_path, small_run(strategies=["psychic"]))
-    assert cli.main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
-    assert "psychic" in capsys.readouterr().err
+    # metrics.sweep refuses repeated axes and the scorer bad requests;
+    # either way both commands fail before writing any file
+    for overrides, message in (
+        ({"k": [1, 2, 1]}, "duplicate budget: 1"),
+        ({"strategies": ["semantic", "semantic"]}, "duplicate strategy: semantic"),
+        ({"seeds": [1, 1]}, "duplicate seed: 1"),
+        (
+            {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna", "zones": 3}]},
+            "duplicate architecture kind: sensor-gna",
+        ),
+        ({"rule_sets": ["core", "spatial", "core"]}, "duplicate rule set name: core"),
+        ({"strategies": ["psychic"]}, "unknown strategy 'psychic'"),
+        ({"k": [-1]}, "k must be non-negative"),
+    ):
+        config = write_config(tmp_path, small_run(**overrides))
+        out = tmp_path / "o"
+        for command in ("sweep", "run"):
+            assert cli.main([command, "--config", config, "--out", str(out), "--jobs", "2"]) == 2
+            assert "error: %s" % message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_repeated_road_line_exits_two(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Uplink pools per architecture and the downlink selection entry point."""
+"""Uplink pools per architecture, and what the downlink sends from them."""
 
 import random
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pools_reference import ball, reference_pool_ids, zone_of
+from semcom import metrics
 from semcom.comms import (
     ARCHITECTURE_KINDS,
     MULTI_ZONE_LNA,
@@ -17,6 +18,7 @@ from semcom.comms import (
 )
 from semcom.config import load_rule_set
 from semcom.errors import ConfigurationError
+from semcom.metrics import StepView, Trajectory, evaluate_cell
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
     CAR,
@@ -202,19 +204,33 @@ def test_ego_pools_do_not_depend_on_agent_order(order):
                 assert view.pools[kind] == reference_pool_ids(world, ego_id, arch(kind), obs)
 
 
-def test_downlink_budget_edges():
+def test_downlink_budget_edges(monkeypatch):
+    # the scorer alone handles the edges: k = 0 sends nothing and
+    # k >= len(pool) the whole pool under either strategy, without downlink
     world = hand_scene()
     rules = load_rule_set("core", VOCAB)
     engine = KeyEngine(rules.hypotheses, VOCAB.T)
     pool = pools_of(world)[SENSOR_GNA]
     qbits = grounded(world, 0, pool)
-    assert downlink(pool, qbits, 0, SEMANTIC, engine, 0) == ()
-    assert downlink(pool, qbits, 9, SEMANTIC, engine, 0) == pool
-    assert downlink((), {}, 2, RANDOM, None, 0) == ()
+    whole = 0
+    for ent_id in pool:
+        whole |= engine.sat_mask(qbits[ent_id])
+    assert whole  # sending the pool shows in the mask
+
+    def masks(pool, budgets):
+        """Masks of a one-view trajectory with an empty field of view."""
+        view = StepView(fov_ids=(), qbits=qbits, pools={SENSOR_GNA: pool}, fi_mask=whole)
+        trajectory = Trajectory(seed=0, views=({0: view},))
+        return evaluate_cell(trajectory, [SENSOR_GNA], budgets, engine).records[0].strategy_masks
+
+    monkeypatch.setattr(metrics, "downlink", lambda *args: pytest.fail("downlink was called"))
+    edges = [(SEMANTIC, 0), (SEMANTIC, 9), (RANDOM, 0), (RANDOM, len(pool)), (RANDOM, 9)]
+    assert masks(pool, edges) == (0, whole, 0, whole, whole)
+    assert masks((), [(RANDOM, 2)]) == (0,)
     with pytest.raises(ConfigurationError):
-        downlink(pool, qbits, -1, SEMANTIC, engine, 0)
+        masks(pool, [(SEMANTIC, -1)])
     with pytest.raises(ConfigurationError):
-        downlink(pool, qbits, 1, "greedy", engine, 0)
+        masks(pool, [("greedy", 1)])
 
 
 def test_walker_near_crossing_wins_the_single_slot():

@@ -206,6 +206,10 @@ def test_run_defaults(tmp_path):
 def test_seeds_override(tmp_path):
     run = load_run_config(write_run(tmp_path, run_doc()), seeds_override=(7, 8, 9))
     assert run.seeds == (7, 8, 9)
+    # an override is checked like the file's list
+    for bad in ((), (1, "2")):
+        with pytest.raises(ConfigurationError, match="seeds"):
+            load_run_config(write_run(tmp_path, run_doc()), seeds_override=bad)
 
 
 def test_run_rejects_both_scenario_forms(tmp_path):
@@ -215,36 +219,12 @@ def test_run_rejects_both_scenario_forms(tmp_path):
         load_run_config(write_run(tmp_path, doc))
 
 
-def test_run_rejects_bad_strategy_and_budgets(tmp_path):
-    with pytest.raises(ConfigurationError):
-        load_run_config(write_run(tmp_path, run_doc(strategies=["psychic"])))
-    with pytest.raises(ConfigurationError):
-        load_run_config(write_run(tmp_path, run_doc(k=[-1])))
-    with pytest.raises(ConfigurationError):
-        load_run_config(write_run(tmp_path, run_doc(seeds=[1, 1])))
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"k": [1, 2, 1]}, "duplicate budget: 1"),
-        ({"strategies": ["semantic", "semantic"]}, "duplicate strategy: semantic"),
-        ({"seeds": [3, 1, 3]}, "duplicate seed: 3"),
-        (
-            {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna", "zones": 3}]},
-            "duplicate architecture kind: sensor-gna",
-        ),
-        ({"rule_sets": ["core", "spatial", "core"]}, "duplicate rule set name: core"),
-        (
-            {"scenario": None, "scenarios": [dict(SCENARIO_DOC), dict(SCENARIO_DOC, grid=50)]},
-            "duplicate scenario name: mini",
-        ),
-    ],
-)
-def test_run_rejects_repeated_list_entries(tmp_path, overrides, message):
-    # each list keys CSV rows or files: a repeat would merge or overwrite them
-    doc = {key: value for key, value in run_doc(**overrides).items() if value is not None}
-    with pytest.raises(ConfigurationError, match=message):
+def test_run_rejects_repeated_scenario_names(tmp_path):
+    # scenario names key the output files: a repeat would overwrite one;
+    # metrics.sweep refuses repeats on the other axes
+    doc = run_doc(scenarios=[dict(SCENARIO_DOC), dict(SCENARIO_DOC, grid=50)])
+    del doc["scenario"]
+    with pytest.raises(ConfigurationError, match="duplicate scenario name: mini"):
         load_run_config(write_run(tmp_path, doc))
 
 

@@ -223,14 +223,19 @@ def view_keys(traj):
 
 
 def per_cell_masks(traj, cells, engine):
-    """strategy_masks by (step, ego), from one downlink call per (step, ego, cell)."""
+    """strategy_masks by (step, ego), from one downlink call per (step, ego, cell)
+    whose budget is strictly inside the pool."""
     out = {}
     for step_no, step_views in enumerate(traj.views):
         for ego_id, view in step_views.items():
             rng_seed = _record_seed(traj.seed, step_no, ego_id)
             masks = []
             for kind, strategy, k in cells:
-                chosen = downlink(view.pools[kind], view.qbits, k, strategy, engine, rng_seed)
+                pool = view.pools[kind]
+                if 0 < k < len(pool):
+                    chosen = downlink(pool, view.qbits, k, strategy, engine, rng_seed)
+                else:
+                    chosen = pool[:k]  # nothing at k = 0, the whole pool above
                 mask = 0
                 for ent in view.fov_ids + chosen:
                     mask |= engine.sat_mask(view.qbits[ent])
@@ -441,14 +446,63 @@ def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
 
 
 def test_sweep_rejects_conflicting_zone_grids():
+    # kinds are unique, so a sweep has at most one multi-zone grid
     cfg = scenario()
     rules = [load_rule_set("core", VOCAB)]
     archs = [
         Architecture(kind=MULTI_ZONE_LNA, zones=2),
         Architecture(kind=MULTI_ZONE_LNA, zones=3),
     ]
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="duplicate architecture kind: multi-zone-lna"):
         sweep(cfg, rules, archs, (SEMANTIC,), (1,), (1,))
+
+
+AXES = dict(
+    rule_sets=("core",),
+    architectures=(SENSOR_GNA, MULTI_ZONE_LNA),
+    strategies=(SEMANTIC, RANDOM),
+    ks=(0, 1, 2),
+    seeds=(1, 2),
+)
+
+
+def sweep_axes(jobs=1, **overrides):
+    """sweep on a small scenario over AXES, names standing for rule sets and kinds."""
+    axes = dict(AXES, **overrides)
+    return sweep(
+        scenario(cars=3, pedestrians=1, steps=2),
+        [load_rule_set(name, VOCAB) for name in axes["rule_sets"]],
+        [Architecture(kind=kind) for kind in axes["architectures"]],
+        axes["strategies"], axes["ks"], axes["seeds"], jobs=jobs,
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"ks": (1, 2, 1)}, "duplicate budget: 1"),
+        ({"strategies": (SEMANTIC, SEMANTIC)}, "duplicate strategy: semantic"),
+        ({"seeds": (3, 1, 3)}, "duplicate seed: 3"),
+        ({"architectures": (SENSOR_GNA, SENSOR_GNA)}, "duplicate architecture kind: sensor-gna"),
+        ({"rule_sets": ("core", "spatial", "core")}, "duplicate rule set name: core"),
+    ],
+    ids=["budget", "strategy", "seed", "kind", "rule-set"],
+)
+def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides, message):
+    # each axis keys the rows: a repeat would merge two cells' seeds
+    monkeypatch.setattr(metrics, "_run_task", lambda task: pytest.fail("a task ran"))
+    for jobs in (1, 2):
+        with pytest.raises(ConfigurationError, match=message):
+            sweep_axes(jobs, **overrides)
+
+
+def test_sweep_rejects_bad_strategy_and_budgets():
+    with pytest.raises(ConfigurationError, match="unknown strategy 'psychic'"):
+        sweep_axes(strategies=("psychic",))
+    with pytest.raises(ConfigurationError, match="k must be non-negative"):
+        sweep_axes(ks=(-1,))
+    with pytest.raises(ConfigurationError, match="duplicate seed: 1"):
+        sweep_axes(seeds=(1, 1))
 
 
 def test_sweep_writes_the_reference_sweeps_per_seed_csv(monkeypatch):

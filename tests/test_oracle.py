@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semcom.errors import ConfigurationError, EnumerationInfeasibleError, FeasibilityError
+from semcom.errors import ConfigurationError, FeasibilityError
 from semcom.logic import MAX_ENGINE_T, Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
@@ -67,7 +67,7 @@ def test_evidence_probability_of_nothing():
 
 
 def test_enumeration_refuses_wide_vocabularies():
-    with pytest.raises(EnumerationInfeasibleError):
+    with pytest.raises(FeasibilityError):
         compatible_count(qset([0], 3), 3)
 
 

@@ -473,8 +473,6 @@ def test_select_memo_returns_each_pools_own_ids_per_budget():
 def test_random_selection_is_reproducible():
     pool = tuple(range(6))
     assert downlink(pool, {}, 2, RANDOM, None, 42) == downlink(pool, {}, 2, RANDOM, None, 42)
-    assert downlink(pool, {}, 6, RANDOM, None, 0) == pool
-    assert downlink(pool, {}, 9, RANDOM, None, 0) == pool
 
 
 def test_random_selection_draws_pairs_uniformly():

@@ -169,6 +169,17 @@ def test_overfull_world_is_rejected():
         init_world(scenario(grid=8, roads=(2, 5), cars=60, pedestrians=0), seed=0)
 
 
+def test_a_full_route_layout_refuses_rather_than_stacks_agents():
+    # 40 cars fill the route capacity exactly; on these seeds 64 draws
+    # find no free cell for the last car, which must not share a cell
+    cfg = scenario(grid=20, roads=(5, 15), cars=40, pedestrians=0)
+    for seed in (11, 13, 15):
+        with pytest.raises(ConfigurationError, match=r"no free cell for agent 39 \(car\)"):
+            init_world(cfg, seed)
+    world = init_world(cfg, seed=0)
+    assert len({a.position for a in world.agents}) == 40
+
+
 def test_intersections_are_blocks_around_road_crossings():
     world = init_world(scenario(), seed=0)
     for cx, cy in [(10, 10), (10, 30), (30, 10), (30, 30)]:
