@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands:
-    oracle        dump exact confirmation tables (K, Z, c(e), c(phi|e), F term)
+    oracle        dump the exact confirmation table of one slot count T:
+                  c(e), c(phi|e) and the F term for every K in 0..2**T
+                  and Z in 1..T
     run           per-seed metrics rows for a run config
     sweep         aggregated metrics CSV per scenario, plus a correlation
                   summary when the config lists three or more scenarios
     validate-key  compare lexicographic key ordering with the exact objective
+                  on random instances of one fixed shape (see validation)
 
 Output location: --out names a directory, made when its first file is
 written; when absent, the SEMCOM_OUT_DIR environment variable is used;
@@ -24,7 +27,7 @@ from . import metrics
 from .config import RunConfig, load_run_config
 from .errors import SemcomError
 from .oracle import closed_form_table
-from .validation import DEFAULT_K_MAX, DEFAULT_N_MAX, DEFAULT_T_CHOICES, validate_key_ordering
+from .validation import validate_key_ordering
 
 OUT_DIR_ENV = "SEMCOM_OUT_DIR"
 
@@ -73,14 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="dump exact confirmation tables")
     p_oracle.add_argument("--t", type=int, default=2, help="predicate slot count")
-    p_oracle.add_argument(
-        "--k-values", type=_parse_seed_list, default=None,
-        help="evidence sizes, comma separated (default: 0..2^T)",
-    )
-    p_oracle.add_argument(
-        "--z-values", type=_parse_seed_list, default=None,
-        help="fixed-slot counts, comma separated (default: 1..T)",
-    )
     p_oracle.add_argument("--out", default=None, help="output directory")
 
     p_run = sub.add_parser("run", help="per-seed metrics rows")
@@ -98,18 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-key", help="key vs exact-objective ordering check")
     p_val.add_argument("--trials", type=int, default=1000)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument(
-        "--t-values", type=_parse_seed_list, default=DEFAULT_T_CHOICES,
-        help="slot counts sampled per trial",
-    )
-    p_val.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, help="max pool size")
-    p_val.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="max budget")
     p_val.add_argument("--out", default=None, help="output directory")
     return parser
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    table = closed_form_table(args.t, args.k_values, args.z_values)
+    table = closed_form_table(args.t)
     rows = [[row[c] for c in ORACLE_COLUMNS] for row in table]
     _emit(_out_dir(args), "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
     return 0
@@ -170,13 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_key(args: argparse.Namespace) -> int:
-    report = validate_key_ordering(
-        trials=args.trials,
-        seed=args.seed,
-        T_choices=tuple(args.t_values),
-        n_max=args.n_max,
-        k_max=args.k_max,
-    )
+    report = validate_key_ordering(args.trials, args.seed)
     text = "\n".join(report.summary_lines()) + "\n"
     out_dir = _out_dir(args)
     _emit(out_dir, "validate_key.txt", text)

@@ -119,8 +119,6 @@ def _as_list(value: Any, what: str) -> List[Any]:
 def vocabulary_from_config(obj: Any, source: str = "vocabulary") -> PredicateVocabulary:
     if obj is None or obj == "default":
         return default_vocabulary()
-    if isinstance(obj, dict) and "predicates" in obj:
-        obj = obj["predicates"]
     if not isinstance(obj, list):
         raise ConfigurationError(
             "%s: expected 'default' or a list of {name, category} entries" % source

@@ -195,11 +195,9 @@ def evaluate_cell(
     they are reproducible and shared across architectures and budgets.
     A view's masks for one kind therefore depend only on the kind's
     pool: each view builds one block of masks per distinct pool, and
-    every kind with that pool reuses it.  A negative k or an unknown
-    strategy raises ConfigurationError before anything is scored.
+    every kind with that pool reuses it.  The budgets are taken as
+    checked: metrics.sweep runs check_request on them before any task.
     """
-    for strategy, k in dict.fromkeys(budgets):
-        check_request(k, strategy)
     records: List[TraceRecord] = []
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
@@ -291,7 +289,8 @@ def sweep(
     in at most one worker process per task and results are merged by
     sorting, so the output does not depend on the degree of parallelism.
     A repeated rule-set name, kind, strategy, budget or seed would merge
-    distinct cells' rows: it raises ConfigurationError before any task runs.
+    distinct cells' rows: it raises ConfigurationError before any task
+    runs, and so do jobs < 1, a negative k and an unknown strategy.
     """
     for what, values in (
         ("rule set name", [r.name for r in rule_sets]),
@@ -303,6 +302,9 @@ def sweep(
         reject_repeats(what, values)
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1, got %d" % jobs)
+    for strategy in strategies:
+        for k in ks:
+            check_request(k, strategy)
     tasks = [
         (scenario, rules, seed, tuple(architectures), tuple(strategies), tuple(ks))
         for rules in rule_sets

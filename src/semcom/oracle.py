@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ConfigurationError, FeasibilityError, reject_repeats
+from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis, QSentence
 
 ENUMERATION_MAX_T = 2
@@ -391,32 +391,19 @@ def exact_objective_compare(a: ClosedFormParams, b: ClosedFormParams) -> int:
 # Diagnostic table for the CLI
 # ---------------------------------------------------------------------------
 
-def closed_form_table(
-    T: int, k_values: Optional[Sequence[int]] = None, z_values: Optional[Sequence[int]] = None
-) -> List[Dict[str, str]]:
-    """One row per (K, Z), Z varying fastest: c(e), c(phi|e), and the objective term, exact.
+def closed_form_table(T: int) -> List[Dict[str, str]]:
+    """One row per (K, Z): c(e), c(phi|e), and the objective term, exact.
 
-    K defaults to 0..2**T and Z to 1..T.  Each Z is treated as a single
-    non-overlapping hypothesis when K + H fits inside Q, otherwise as
-    witnessed.  At T <= 2 every row is cross-checked against the
-    enumeration oracle before being emitted.  T, repeated K or Z values
-    and every Z are checked before any row is built; a K outside
-    [0, 2**T] is refused at its first row.
+    K runs over 0..2**T and Z over 1..T, Z varying fastest.  Each Z is
+    treated as a single non-overlapping hypothesis when K + H fits inside
+    Q, otherwise as witnessed.  At T <= 2 every row is cross-checked
+    against the enumeration oracle before being emitted.  T < 1 is refused
+    before any row is built; a T whose c(e) needs more than the bit
+    budget is refused at its first row.
     """
     if T < 1:
         raise ConfigurationError("T must be at least 1, got %d" % T)
-    if k_values is None:
-        k_values = range((1 << T) + 1)
-    else:
-        reject_repeats("K value", k_values)
-    if z_values is None:
-        z_values = range(1, T + 1)
-    else:
-        reject_repeats("Z value", z_values)
-    for z in z_values:
-        if not 1 <= z <= T:
-            raise ConfigurationError("Z=%d outside [1, T=%d]" % (z, T))
-    return [_table_row(T, K, z) for K in k_values for z in z_values]
+    return [_table_row(T, K, z) for K in range((1 << T) + 1) for z in range(1, T + 1)]
 
 
 def _table_row(T: int, K: int, z: int) -> Dict[str, str]:

@@ -328,8 +328,8 @@ def downlink(
     The pool holds entity ids ascending and qbits maps each one to its
     pattern.  Semantic sends the engine's kappa-lex-minimal k-subset and
     random a uniform without-replacement sample drawn from rng_seed (the
-    engine may then be None).  The caller, metrics.evaluate_cell, checks
-    the request and sends the budget edges, k = 0 and k >= len(pool).
+    engine may then be None).  metrics.sweep checks the request, and
+    metrics._mask_block sends the budget edges, k = 0 and k >= len(pool).
     """
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)

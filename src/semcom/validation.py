@@ -28,22 +28,21 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ConfigurationError, FeasibilityError
+from .errors import ConfigurationError
 from .logic import Hypothesis
-from .oracle import DEFAULT_BIT_BUDGET
 from .oracle import ClosedFormParams, HypothesisParams, exact_objective_compare
-from .selection import KeyEngine, check_cap
+from .selection import KeyEngine
 
 # disagreements a report keeps and prints
 MAX_EXAMPLES = 5
-# validate-key's instance shape: slot counts sampled, largest pool, largest budget
-DEFAULT_T_CHOICES = (3, 4, 5)
-DEFAULT_N_MAX = 8
-DEFAULT_K_MAX = 3
-M_MAX = 6  # largest hypothesis set of a random instance
+# validate-key's instance shape: slot counts sampled, largest pool, largest
+# budget (so at most C(8, 3) = 56 subsets a trial), largest hypothesis set
+T_CHOICES = (3, 4, 5)
+N_MAX = 8
+K_MAX = 3
+M_MAX = 6
 
 
 @dataclass
@@ -111,39 +110,20 @@ def _key_params(key: Tuple[int, ...], T: int) -> ClosedFormParams:
     return ClosedFormParams(T=T, K=key[1], hypotheses=hyps)
 
 
-def validate_key_ordering(
-    trials: int,
-    seed: int,
-    T_choices: Sequence[int] = DEFAULT_T_CHOICES,
-    n_max: int = DEFAULT_N_MAX,
-    k_max: int = DEFAULT_K_MAX,
-) -> ValidationReport:
+def validate_key_ordering(trials: int, seed: int) -> ValidationReport:
     """Compare kappa ordering with exact-F ordering over random instances.
 
-    A trial over the enumeration cap of k-subsets raises FeasibilityError,
-    and so, before any trial, does a slot count T whose objective
-    exponents (alpha = 2**(2**T - K)) need more than DEFAULT_BIT_BUDGET bits.
+    Every trial draws one instance of the fixed shape: T from T_CHOICES,
+    a pool of 2..N_MAX entries, a budget of 1..min(K_MAX, n - 1) and up
+    to M_MAX hypotheses.  A negative trial count raises ConfigurationError.
     """
     if trials < 0:
         raise ConfigurationError("trials must be non-negative, got %d" % trials)
-    if not T_choices or min(T_choices) < 1:
-        raise ConfigurationError("slot counts must be a non-empty list of positive integers")
-    if n_max < 2:
-        raise ConfigurationError("max pool size must be at least 2, got %d" % n_max)
-    if k_max < 1:
-        raise ConfigurationError("max budget must be at least 1, got %d" % k_max)
-    widest = max(T_choices)
-    if widest >= DEFAULT_BIT_BUDGET.bit_length():  # 2**T > DEFAULT_BIT_BUDGET
-        raise FeasibilityError(
-            "slot count T=%d: exact objective exponents reach 2**(2**%d - K), "
-            "over the %d-bit budget" % (widest, widest, DEFAULT_BIT_BUDGET)
-        )
     rng = random.Random(seed)
     report = ValidationReport(trials=trials)
     started = time.perf_counter()
     for trial in range(trials):
-        T, k, pool, hypotheses = random_instance(rng, T_choices, n_max, k_max)
-        check_cap(comb(len(pool), k), "C(%d, %d) subsets" % (len(pool), k))
+        T, k, pool, hypotheses = random_instance(rng, T_CHOICES, N_MAX, K_MAX)
         engine = KeyEngine(hypotheses, T)
         groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
         for combo in itertools.combinations(pool, k):

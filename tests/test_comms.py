@@ -227,10 +227,6 @@ def test_downlink_budget_edges(monkeypatch):
     edges = [(SEMANTIC, 0), (SEMANTIC, 9), (RANDOM, 0), (RANDOM, len(pool)), (RANDOM, 9)]
     assert masks(pool, edges) == (0, whole, 0, whole, whole)
     assert masks((), [(RANDOM, 2)]) == (0,)
-    with pytest.raises(ConfigurationError):
-        masks(pool, [(SEMANTIC, -1)])
-    with pytest.raises(ConfigurationError):
-        masks(pool, [("greedy", 1)])
 
 
 def test_walker_near_crossing_wins_the_single_slot():

@@ -50,8 +50,8 @@ def test_custom_vocabulary_subset():
     vocab = vocabulary_from_config(doc)
     assert vocab.T == 2
     assert vocab.slot_of("Close") == 1
-    wrapped = vocabulary_from_config({"predicates": doc})
-    assert wrapped == vocab
+    with pytest.raises(ConfigurationError, match="expected 'default' or a list"):
+        vocabulary_from_config({"predicates": doc})
 
 
 def test_vocabulary_category_must_be_known():

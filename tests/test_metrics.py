@@ -485,11 +485,14 @@ def sweep_axes(jobs=1, **overrides):
         ({"seeds": (3, 1, 3)}, "duplicate seed: 3"),
         ({"architectures": (SENSOR_GNA, SENSOR_GNA)}, "duplicate architecture kind: sensor-gna"),
         ({"rule_sets": ("core", "spatial", "core")}, "duplicate rule set name: core"),
+        ({"strategies": (SEMANTIC, "psychic")}, "unknown strategy 'psychic'"),
+        ({"ks": (0, 2, -1)}, "k must be non-negative"),
     ],
-    ids=["budget", "strategy", "seed", "kind", "rule-set"],
+    ids=["budget", "strategy", "seed", "kind", "rule-set", "unknown-strategy", "negative-k"],
 )
 def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides, message):
-    # each axis keys the rows: a repeat would merge two cells' seeds
+    # each axis keys the rows: a repeat would merge two cells' seeds; a bad
+    # request is refused as early, not once per task in each worker
     monkeypatch.setattr(metrics, "_run_task", lambda task: pytest.fail("a task ran"))
     for jobs in (1, 2):
         with pytest.raises(ConfigurationError, match=message):

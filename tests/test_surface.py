@@ -1,4 +1,5 @@
-"""Every name the package defines is used by the package or the benchmark.
+"""Every name the package defines is used by the package or the benchmark,
+and every name a package module imports is used in that module.
 
 A function, class, constant or method that only tests call is a second
 entry point beside the one production runs.  The scan reads the code's
@@ -72,6 +73,37 @@ def test_every_package_name_is_referenced_outside_its_definition():
         if name.rsplit(".", 1)[-1] not in ALLOWED_UNREFERENCED
     ]
     assert missing == [], "referenced only by tests or by nothing: %s" % ", ".join(missing)
+
+
+def unused_imports(tree):
+    """Names a module imports but never loads, ``__future__`` features aside."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    loaded = {
+        sub.id for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in loaded)
+
+
+def test_every_package_import_is_used_in_its_module():
+    unused = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in PACKAGE
+        for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unused == [], "imported but never used: %s" % ", ".join(unused)
+
+
+def test_the_import_scan_flags_a_planted_unused_import():
+    source = "from math import comb, gcd\nimport os.path\nimport sys as system\ngcd(4, 6)\n"
+    assert unused_imports(ast.parse(source)) == [(1, "comb"), (2, "os"), (3, "system")]
 
 
 def test_the_scan_sees_the_package_and_the_benchmark():
