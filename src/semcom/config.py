@@ -11,9 +11,6 @@ scenario:
     r_fov: 5
     r_vic: 15
     steps: 40
-    close_radius: 2          # optional, default 2
-    near_radius: 6           # optional, default 6
-    vocabulary: default      # or a list of {name, category} entries
 
 rule set file:
     name: core
@@ -21,7 +18,7 @@ rule set file:
     hypotheses:
       - id: 1
         action: Stop
-        when: {IsPedestrian: true, Close: true}
+        when: {IsPedestrian: true, Close: true}   # names from world.PREDICATES
 
 run / sweep file:
     scenario: {...}          # or scenarios: [{...}, ...] for a suite
@@ -35,7 +32,7 @@ run / sweep file:
     advantage_k: 3           # optional; correlation summary for suites
 
 Unknown keys are rejected at the top level of a run file, in a scenario
-and in an architecture entry.
+and in an architecture entry; no key changes the fixed ``world.PREDICATES``.
 
 Shipped rule sets (``core``, ``extended``, ``spatial``, ``discriminative``)
 resolve from the package's data directory; anything containing a path
@@ -54,8 +51,8 @@ import yaml
 from .errors import ConfigurationError, reject_repeats
 from .comms import ARCHITECTURE_KINDS, Architecture
 from .selection import STRATEGIES
-from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
-from .world import ObservationConfig, RuleSet, ScenarioConfig, default_vocabulary
+from .logic import Hypothesis
+from .world import PREDICATES, ObservationConfig, RuleSet, ScenarioConfig
 
 SHIPPED_RULE_SETS = ("core", "extended", "spatial", "discriminative")
 
@@ -113,40 +110,10 @@ def _as_list(value: Any, what: str) -> List[Any]:
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary
-# ---------------------------------------------------------------------------
-
-def vocabulary_from_config(obj: Any, source: str = "vocabulary") -> PredicateVocabulary:
-    if obj is None or obj == "default":
-        return default_vocabulary()
-    if not isinstance(obj, list):
-        raise ConfigurationError(
-            "%s: expected 'default' or a list of {name, category} entries" % source
-        )
-    predicates: List[Tuple[str, PredicateCategory]] = []
-    for entry in obj:
-        if not isinstance(entry, dict):
-            raise ConfigurationError("%s: predicate entries must be mappings" % source)
-        name = _require(entry, "name", source)
-        raw_category = _require(entry, "category", source)
-        try:
-            category = PredicateCategory(raw_category)
-        except ValueError:
-            raise ConfigurationError(
-                "%s: unknown category %r for predicate %r (choose from %s)"
-                % (source, raw_category, name, ", ".join(c.value for c in PredicateCategory))
-            ) from None
-        predicates.append((str(name), category))
-    return PredicateVocabulary(predicates=tuple(predicates))
-
-
-# ---------------------------------------------------------------------------
 # Rule sets
 # ---------------------------------------------------------------------------
 
-def rule_set_from_config(
-    data: Mapping[str, Any], vocab: PredicateVocabulary, source: str = "rule set"
-) -> RuleSet:
+def rule_set_from_config(data: Mapping[str, Any], source: str = "rule set") -> RuleSet:
     name = str(_require(data, "name", source))
     priority = _require(data, "action_priority", source)
     if not isinstance(priority, list) or not all(isinstance(a, str) for a in priority):
@@ -168,11 +135,11 @@ def rule_set_from_config(
         constraints: Dict[int, int] = {}
         for pred_name, raw_bit in when.items():
             try:
-                slot = vocab.slot_of(str(pred_name))
-            except Exception:
+                slot = PREDICATES.index(pred_name)
+            except ValueError:
                 raise ConfigurationError(
-                    "%s: hypothesis %d references unknown predicate %r"
-                    % (source, hid, pred_name)
+                    "%s: hypothesis %d references unknown predicate %r (known: %s)"
+                    % (source, hid, pred_name, ", ".join(PREDICATES))
                 ) from None
             if not isinstance(raw_bit, bool):
                 raise ConfigurationError(
@@ -186,16 +153,14 @@ def rule_set_from_config(
     )
 
 
-def load_rule_set(
-    ref: str, vocab: PredicateVocabulary, base_dir: Optional[str] = None
-) -> RuleSet:
+def load_rule_set(ref: str, base_dir: Optional[str] = None) -> RuleSet:
     """Resolve a shipped rule-set name or a filesystem path."""
     if ref in SHIPPED_RULE_SETS:
         text = (
             resources.files("semcom").joinpath("data", "rules_%s.yaml" % ref).read_text()
         )
         data = _load_yaml_text(text, "shipped rule set %r" % ref)
-        return rule_set_from_config(data, vocab, source="rule set %r" % ref)
+        return rule_set_from_config(data, source="rule set %r" % ref)
     path = ref
     if base_dir is not None and not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -204,7 +169,7 @@ def load_rule_set(
             "unknown rule set %r (shipped sets: %s; or give a .yaml path)"
             % (ref, ", ".join(SHIPPED_RULE_SETS))
         )
-    return rule_set_from_config(load_yaml_file(path), vocab, source=path)
+    return rule_set_from_config(load_yaml_file(path), source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +179,10 @@ def load_rule_set(
 def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> ScenarioConfig:
     if not isinstance(data, Mapping):
         raise ConfigurationError("%s: must be a mapping" % source)
-    known = {
-        "name", "grid", "roads", "cars", "pedestrians", "r_fov", "r_vic",
-        "steps", "close_radius", "near_radius", "vocabulary",
-    }
+    known = {"name", "grid", "roads", "cars", "pedestrians", "r_fov", "r_vic", "steps"}
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError("%s: unknown keys %s" % (source, sorted(unknown)))
-    vocab = vocabulary_from_config(data.get("vocabulary"), source="%s.vocabulary" % source)
     return ScenarioConfig(
         name=str(data.get("name", "scenario")),
         grid=_as_int(_require(data, "grid", source), "grid"),
@@ -233,9 +194,6 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
             r_vic=_as_int(_require(data, "r_vic", source), "r_vic"),
         ),
         steps=_as_int(_require(data, "steps", source), "steps"),
-        vocabulary=vocab,
-        # optional keys keep the dataclass's defaults when absent
-        **{key: _as_int(data[key], key) for key in ("close_radius", "near_radius") if key in data},
     )
 
 
@@ -290,12 +248,8 @@ def load_run_config(
     )
     # scenario names key the output files; metrics.sweep checks the other axes
     reject_repeats("scenario name", [s.name for s in scenarios])
-    vocab = scenarios[0].vocabulary
-    for s in scenarios[1:]:
-        if s.vocabulary != vocab:
-            raise ConfigurationError("%s: all scenarios must share one vocabulary" % path)
     rule_refs = _as_list(data.get("rule_sets", ["core"]), "%s: rule_sets" % path)
-    rule_sets = tuple(load_rule_set(str(r), vocab, base_dir) for r in rule_refs)
+    rule_sets = tuple(load_rule_set(str(r), base_dir) for r in rule_refs)
     return RunConfig(
         scenarios=scenarios,
         rule_sets=rule_sets,

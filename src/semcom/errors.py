@@ -9,7 +9,7 @@ class SemcomError(Exception):
 
 
 class ConfigurationError(SemcomError):
-    """A vocabulary, rule set, or scenario config is malformed."""
+    """A rule set, scenario or run config, or a parameter, is malformed."""
 
 
 class FeasibilityError(SemcomError):

@@ -1,11 +1,11 @@
-"""Predicate vocabularies, Q-sentences and hypotheses.
+"""Q-sentences and hypotheses.
 
 A Q-sentence is the complete true/false pattern over all T predicate
 slots for one (ego, entity) pair.  It is a plain int bit pattern: slot
-``s`` is the vocabulary's ``s``-th predicate and maps to bit position
-``s``; a set sign flag becomes bit value 1.  The simulator grounds a
-pair into its pattern (``world.ground_entity``); ``QSentence`` pairs a
-pattern with its width and is the oracle's validated input type.
+``s`` maps to bit position ``s``; a set sign flag becomes bit value 1.
+The simulator's language fixes the slots (``world.PREDICATES``) and
+grounds a pair into its pattern (``world.ground_entity``); ``QSentence``
+pairs a pattern with its width and is the oracle's validated input type.
 
 ``Hypothesis.satisfied_by`` is the one definition of satisfaction: a
 pattern satisfies a hypothesis iff it matches every fixed slot.
@@ -14,45 +14,9 @@ pattern satisfies a hypothesis iff it matches every fixed slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import FrozenSet, Mapping, Tuple
 
 from .errors import ConfigurationError, reject_repeats
-
-MAX_ENGINE_T = 62
-
-
-class PredicateCategory(str, Enum):
-    MONADIC = "monadic-on-entity"
-    EGO_ENTITY = "dyadic-ego-entity"
-    ENTITY_EGO = "dyadic-entity-ego"
-
-
-@dataclass(frozen=True)
-class PredicateVocabulary:
-    """Ordered list of predicate occurrences; T is the slot count."""
-
-    predicates: Tuple[Tuple[str, PredicateCategory], ...]
-
-    def __post_init__(self) -> None:
-        if not self.predicates:
-            raise ConfigurationError("vocabulary must list at least one predicate")
-        reject_repeats("predicate name", (name for name, _ in self.predicates))
-        if len(self.predicates) > MAX_ENGINE_T:
-            raise ConfigurationError(
-                "T=%d exceeds the engine bound of %d slots"
-                % (len(self.predicates), MAX_ENGINE_T)
-            )
-
-    @property
-    def T(self) -> int:
-        return len(self.predicates)
-
-    def slot_of(self, name: str) -> int:
-        for i, (pname, _) in enumerate(self.predicates):
-            if pname == name:
-                return i
-        raise ConfigurationError("unknown predicate %r" % name)
 
 
 @dataclass(frozen=True, order=True)

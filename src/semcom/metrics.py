@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 from .comms import MULTI_ZONE_LNA, Architecture, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError, reject_repeats
 from .selection import RANDOM, SEMANTIC, KeyEngine, check_request, downlink
-from .world import RuleSet, ScenarioConfig, ground_entity, init_world, step
+from .world import T, RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -151,7 +151,7 @@ def build_trajectory(
         for ego_id, seen in ego_pools(world, obs, zones).items():
             ego = by_id[ego_id]
             qbits = {
-                ent_id: ground_entity(world, ego, by_id[ent_id], scenario)
+                ent_id: ground_entity(world, ego, by_id[ent_id])
                 for ent_id in seen.vic_ids
             }
             fi_mask = _witnessed(engine, qbits, seen.vic_ids)
@@ -256,7 +256,7 @@ def _run_task(
     scenario, rules, seed, architectures, strategies, ks = args
     # sweep refuses repeated kinds, so there is at most one multi-zone grid
     zones = next((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), Architecture.zones)
-    engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
+    engine = KeyEngine(rules.hypotheses, T)
     trajectory = build_trajectory(scenario, rules, seed, zones, engine)
     budgets = [(strategy, k) for strategy in strategies for k in ks]
     trace = evaluate_cell(trajectory, [a.kind for a in architectures], budgets, engine)

@@ -21,6 +21,8 @@ that this reading reproduces the closed forms exactly.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -399,11 +401,35 @@ def closed_form_table(T: int) -> List[Dict[str, str]]:
     Q, otherwise as witnessed.  At T <= 2 every row is cross-checked
     against the enumeration oracle before being emitted.  T < 1 is refused
     before any row is built; a T whose c(e) needs more than the bit
-    budget is refused at its first row.
+    budget is refused at its first row, and a T whose widest value has
+    more decimal digits than ``str`` may print is refused before it.
     """
     if T < 1:
         raise ConfigurationError("T must be at least 1, got %d" % T)
+    limit = sys.get_int_max_str_digits()  # 0 means no limit
+    # (1 << T) >= the budget's bit length is the first row's own refusal
+    if limit and (1 << T) < DEFAULT_BIT_BUDGET.bit_length():
+        digits = _widest_digits(T)
+        if digits > limit:
+            raise FeasibilityError(
+                "T=%d: the table's widest value has %d decimal digits, over Python's "
+                "int-to-str limit of %d digits" % (T, digits, limit)
+            )
     return [_table_row(T, K, z) for K in range((1 << T) + 1) for z in range(1, T + 1)]
+
+
+def _widest_digits(T: int) -> int:
+    """Decimal digits of the widest integer the T table prints, from T alone.
+
+    It is the denominator of F at K = 0, Z = 1: with a = 2**Q and
+    g = a - 2**(Q/2), F = (2**g - 1) / D where
+    D = 2**g * (2**a - 1) / (2**(a-g) - 1), an integer of 2*g + 1 bits.
+    Only called where the first row fits the bit budget, so D stays small.
+    """
+    a = 1 << (1 << T)
+    g = a - (1 << (1 << (T - 1)))
+    widest = (1 << g) * ((1 << a) - 1) // ((1 << (a - g)) - 1)
+    return math.floor(math.log10(widest)) + 1
 
 
 def _table_row(T: int, K: int, z: int) -> Dict[str, str]:

@@ -7,10 +7,10 @@ pauses baked into their routes as repeated cells.  Movement is
 route-index arithmetic (so a state plus decided actions fully determines
 the next state); each AgentState derives its position and heading once,
 and the route layout is built once per (grid, roads).  Grounding
-evaluates the ten built-in predicates inline, as integer arithmetic on
-simulator ground truth, and places them through a slot table compiled
-per scenario vocabulary; ``BUILTIN_PREDICATES`` names each predicate's
-category and what it asserts.  Who observes whom (Chebyshev closed
+evaluates the ten predicates of the fixed language ``PREDICATES`` inline
+as integer arithmetic on simulator ground truth, bit i for
+``PREDICATES[i]``, with Close and Near within ``CLOSE_RADIUS`` and
+``NEAR_RADIUS``.  Who observes whom (Chebyshev closed
 balls) is ``comms.ego_pools``; whether a Q-sentence pattern satisfies a
 hypothesis is ``logic.Hypothesis.satisfied_by``, memoized per pattern as
 a hypothesis mask by ``selection.KeyEngine.sat_mask``; the decision is
@@ -22,10 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from .errors import ConfigurationError, reject_repeats
-from .logic import Hypothesis, PredicateCategory, PredicateVocabulary
+from .logic import Hypothesis
 
 Cell = Tuple[int, int]
 
@@ -107,11 +107,6 @@ class ScenarioConfig:
     pedestrians: int
     observation: ObservationConfig
     steps: int
-    close_radius: int = 2
-    near_radius: int = 6
-    vocabulary: PredicateVocabulary = None  # filled by default_vocabulary() if omitted
-    # bit of each built-in predicate in DEFAULT_PREDICATE_ORDER, 0 if unused
-    slot_bits: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.grid < 8:
@@ -125,15 +120,6 @@ class ScenarioConfig:
             raise ConfigurationError("need at least two road lines to form routes")
         if self.cars < 1 or self.pedestrians < 0 or self.steps < 1:
             raise ConfigurationError("need at least one car, non-negative pedestrians, steps >= 1")
-        if self.vocabulary is None:
-            object.__setattr__(self, "vocabulary", default_vocabulary())
-        validate_vocabulary(self.vocabulary)  # so every slot has a bit in slot_bits
-        slots = {name: 1 << i for i, (name, _) in enumerate(self.vocabulary.predicates)}
-        object.__setattr__(
-            self, "slot_bits", tuple(slots.get(name, 0) for name in DEFAULT_PREDICATE_ORDER)
-        )
-        if not 0 < self.close_radius < self.near_radius:
-            raise ConfigurationError("need 0 < close_radius < near_radius")
 
 
 @dataclass(frozen=True)
@@ -164,48 +150,27 @@ class WorldState:
 
 
 # ---------------------------------------------------------------------------
-# Built-in predicate vocabulary
+# The language
 # ---------------------------------------------------------------------------
 
 # What each predicate asserts about an (ego, entity) pair is evaluated
 # inline by ground_entity; d is (entity - ego) and "within r" is the
-# Chebyshev closed ball.
-BUILTIN_PREDICATES: Dict[str, PredicateCategory] = {
-    "IsPedestrian": PredicateCategory.MONADIC,  # entity kind is pedestrian
-    "IsCar": PredicateCategory.MONADIC,  # entity kind is car
-    "InIntersection": PredicateCategory.MONADIC,  # entity on an intersection cell
-    "IsMoving": PredicateCategory.MONADIC,  # entity changed cell on its last tick
-    "Close": PredicateCategory.EGO_ENTITY,  # entity within close_radius
-    "Near": PredicateCategory.EGO_ENTITY,  # entity within near_radius
-    "AheadOf": PredicateCategory.EGO_ENTITY,  # ego heading . d > 0
-    "LeftOf": PredicateCategory.EGO_ENTITY,  # ego heading x d > 0 (left of its axis)
-    "Facing": PredicateCategory.ENTITY_EGO,  # entity heading . -d > 0
-    "SameHeading": PredicateCategory.ENTITY_EGO,  # equal headings
-}
-
-# slot order of the default vocabulary; ground_entity unpacks slot_bits in it
-DEFAULT_PREDICATE_ORDER = tuple(BUILTIN_PREDICATES)
-
-
-def default_vocabulary() -> PredicateVocabulary:
-    return PredicateVocabulary(
-        predicates=tuple(BUILTIN_PREDICATES.items())
-    )
-
-
-def validate_vocabulary(vocab: PredicateVocabulary) -> None:
-    """Every configured predicate must be one the simulator can evaluate."""
-    for name, category in vocab.predicates:
-        known = BUILTIN_PREDICATES.get(name)
-        if known is None:
-            raise ConfigurationError(
-                "predicate %r has no simulator evaluator (known: %s)"
-                % (name, ", ".join(sorted(BUILTIN_PREDICATES)))
-            )
-        if known != category:
-            raise ConfigurationError(
-                "predicate %r has category %s, not %s" % (name, known.value, category.value)
-            )
+# Chebyshev closed ball.  Bit i of a pattern is PREDICATES[i].
+PREDICATES = (
+    "IsPedestrian",  # entity kind is pedestrian
+    "IsCar",  # entity kind is car
+    "InIntersection",  # entity on an intersection cell
+    "IsMoving",  # entity changed cell on its last tick
+    "Close",  # entity within CLOSE_RADIUS
+    "Near",  # entity within NEAR_RADIUS
+    "AheadOf",  # ego heading . d > 0
+    "LeftOf",  # ego heading x d > 0 (left of its axis)
+    "Facing",  # entity heading . -d > 0
+    "SameHeading",  # equal headings
+)
+T = len(PREDICATES)
+CLOSE_RADIUS = 2
+NEAR_RADIUS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +314,8 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
 # Grounding
 # ---------------------------------------------------------------------------
 
-def ground_entity(
-    world: WorldState, ego: AgentState, ent: AgentState, scenario: ScenarioConfig
-) -> int:
-    """The pair's Q-sentence pattern: bit i is set iff the vocabulary's i-th predicate holds.
-
-    The ten built-in predicates are evaluated as integer arithmetic and
-    placed through the scenario's compiled slot table.
-    """
-    ped, car, crossing, moving, close, near, ahead, left, facing, same = scenario.slot_bits
+def ground_entity(world: WorldState, ego: AgentState, ent: AgentState) -> int:
+    """The pair's Q-sentence pattern: bit i is set iff ``PREDICATES[i]`` holds."""
     ex, ey = ego.position
     nx, ny = ent.position
     dx, dy = nx - ex, ny - ey
@@ -367,23 +325,23 @@ def ground_entity(
     ady = dy if dy >= 0 else -dy
     d = adx if adx >= ady else ady  # Chebyshev distance
     kind = ent.kind
-    bits = ped if kind == PEDESTRIAN else car if kind == CAR else 0
+    bits = 1 if kind == PEDESTRIAN else 2 if kind == CAR else 0
     if ent.position in world.intersections:
-        bits |= crossing
+        bits |= 4  # InIntersection
     if ent.moved:
-        bits |= moving
-    if d <= scenario.close_radius:
-        bits |= close
-    if d <= scenario.near_radius:
-        bits |= near
+        bits |= 8  # IsMoving
+    if d <= CLOSE_RADIUS:
+        bits |= 16  # Close
+    if d <= NEAR_RADIUS:
+        bits |= 32  # Near
     if hx * dx + hy * dy > 0:
-        bits |= ahead
+        bits |= 64  # AheadOf
     if hx * dy - hy * dx > 0:
-        bits |= left
+        bits |= 128  # LeftOf
     if gx * dx + gy * dy < 0:  # the entity heads toward the ego
-        bits |= facing
+        bits |= 256  # Facing
     if gx == hx and gy == hy:
-        bits |= same
+        bits |= 512  # SameHeading
     return bits
 
 

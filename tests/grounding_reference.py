@@ -1,18 +1,15 @@
-"""Per-predicate reference semantics of the built-in vocabulary.
+"""Per-predicate reference semantics of the simulator's language.
 
-``semcom.world.ground_entity`` evaluates all ten predicates inline from a
-compiled slot table and cached headings.  The tests check it against
-these one-predicate-at-a-time definitions, which recompute every
-position and heading from the agents' routes.
+``semcom.world.ground_entity`` evaluates all ten predicates inline at
+constant bits from cached headings.  The tests check it against these
+one-predicate-at-a-time definitions, which recompute every position and
+heading from the agents' routes.  The reference keeps its own slot
+order (the order of ``PREDICATES`` below) and its own radii (Close
+within 2, Near within 6), so a wrong bit or radius in the simulator
+shows as a mismatch.
 """
 
-from semcom.logic import PredicateVocabulary
-from semcom.world import BUILTIN_PREDICATES, CAR, PEDESTRIAN
-
-
-def vocabulary_of(names):
-    """A vocabulary of built-in predicates in the given slot order."""
-    return PredicateVocabulary(predicates=tuple((n, BUILTIN_PREDICATES[n]) for n in names))
+from semcom.world import CAR, PEDESTRIAN
 
 
 def chebyshev(a, b):
@@ -31,50 +28,50 @@ def heading(agent):
     return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
 
 
-def is_pedestrian(world, ego, ent, scen):
+def is_pedestrian(world, ego, ent):
     return ent.kind == PEDESTRIAN
 
 
-def is_car(world, ego, ent, scen):
+def is_car(world, ego, ent):
     return ent.kind == CAR
 
 
-def in_intersection(world, ego, ent, scen):
+def in_intersection(world, ego, ent):
     return position(ent) in world.intersections
 
 
-def is_moving(world, ego, ent, scen):
+def is_moving(world, ego, ent):
     return ent.moved
 
 
-def close(world, ego, ent, scen):
-    return chebyshev(position(ego), position(ent)) <= scen.close_radius
+def close(world, ego, ent):
+    return chebyshev(position(ego), position(ent)) <= 2
 
 
-def near(world, ego, ent, scen):
-    return chebyshev(position(ego), position(ent)) <= scen.near_radius
+def near(world, ego, ent):
+    return chebyshev(position(ego), position(ent)) <= 6
 
 
-def ahead_of(world, ego, ent, scen):
+def ahead_of(world, ego, ent):
     hx, hy = heading(ego)
     dx, dy = position(ent)[0] - position(ego)[0], position(ent)[1] - position(ego)[1]
     return hx * dx + hy * dy > 0
 
 
-def left_of(world, ego, ent, scen):
+def left_of(world, ego, ent):
     # Positive cross product: entity lies left of the ego's heading axis.
     hx, hy = heading(ego)
     dx, dy = position(ent)[0] - position(ego)[0], position(ent)[1] - position(ego)[1]
     return hx * dy - hy * dx > 0
 
 
-def facing(world, ego, ent, scen):
+def facing(world, ego, ent):
     hx, hy = heading(ent)
     dx, dy = position(ego)[0] - position(ent)[0], position(ego)[1] - position(ent)[1]
     return hx * dx + hy * dy > 0
 
 
-def same_heading(world, ego, ent, scen):
+def same_heading(world, ego, ent):
     return heading(ent) == heading(ego)
 
 

@@ -29,11 +29,11 @@ from semcom.selection import SEMANTIC
 from semcom.world import CAR, DEFAULT_ACTION, init_world, step
 
 
-def ground(world, ego, ent, scenario):
-    """Pattern of one entity: slot i is set iff the i-th predicate holds."""
+def ground(world, ego, ent):
+    """Pattern of one entity: slot i is set iff the reference's i-th predicate holds."""
     bits = 0
-    for slot, (name, _) in enumerate(scenario.vocabulary.predicates):
-        if PREDICATES[name](world, ego, ent, scenario):
+    for slot, holds in enumerate(PREDICATES.values()):
+        if holds(world, ego, ent):
             bits |= 1 << slot
     return bits
 
@@ -71,7 +71,7 @@ def sent(pool, qbits, k, strategy, hypotheses, T, rng_seed):
 def task_rows(scenario, rules, seed, architectures, strategies, ks):
     """Per-seed rows of one (rule set, seed) as (architecture, rule set,
     strategy, k, seed, hdsr, adsr) tuples, one per cell."""
-    hyps, T, obs = rules.hypotheses, scenario.vocabulary.T, scenario.observation
+    hyps, T, obs = rules.hypotheses, len(PREDICATES), scenario.observation
     cells = [(arch, strategy, k) for arch in architectures for strategy in strategies for k in ks]
     hits = [0] * len(cells)  # (decision, hypothesis) pairs that match FI
     agreed = [0] * len(cells)  # decisions whose action matches FI
@@ -83,7 +83,7 @@ def task_rows(scenario, rules, seed, architectures, strategies, ks):
         for ego_id in sorted(a.id for a in world.agents if a.kind == CAR):
             vicinity = ball(world, ego_id, obs.r_vic)
             fov = ball(world, ego_id, obs.r_fov)
-            qbits = {i: ground(world, by_id[ego_id], by_id[i], scenario) for i in vicinity}
+            qbits = {i: ground(world, by_id[ego_id], by_id[i]) for i in vicinity}
             fi_mask = witnessed([qbits[i] for i in vicinity], hyps)
             actions[ego_id] = fi_action = action(fi_mask, rules)
             rng_seed = _record_seed(seed, step_idx, ego_id)

@@ -40,6 +40,7 @@ from semcom.oracle import (
 )
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine
 from semcom.validation import validate_key_ordering
+from semcom.world import T as WORLD_T
 
 ROOT = Path(__file__).resolve().parents[1]
 # sha256 of `semcom sweep` / `semcom run` on configs/smoke.yaml
@@ -219,7 +220,7 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
     run = desk_run()
     scenario = run.scenarios[0]
     rules = run.rule_sets[0]
-    engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
+    engine = KeyEngine(rules.hypotheses, WORLD_T)
     k_cover = scenario.cars + scenario.pedestrians - 1
     budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     seeds_checked = 0

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import itertools
+import sys
 import time
 from fractions import Fraction
 
@@ -113,6 +114,17 @@ def test_oracle_refuses_t_30_at_the_first_row(capsys):
     assert cli.main(["oracle", "--t", "30"]) == 2
     assert time.perf_counter() - started < 1.0
     assert "bit budget" in capsys.readouterr().err
+
+
+def test_oracle_refuses_t_4_past_the_int_to_str_limit(tmp_path, capsys):
+    # T = 4 fits the bit budget, but its widest value has more decimal
+    # digits than str() prints: a typed refusal (exit 2) before any row,
+    # never the "some pair disagrees" exit 1
+    assert cli.main(["oracle", "--t", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: T=4: the table's widest value has 39303 decimal digits")
+    assert "int-to-str limit of %d" % sys.get_int_max_str_digits() in err
+    assert not (tmp_path / "oracle.csv").exists()
 
 
 # ------------------------------------------------------------- run and sweep

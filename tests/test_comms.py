@@ -25,15 +25,14 @@ from semcom.world import (
     PEDESTRIAN,
     AgentState,
     ObservationConfig,
+    T,
     ScenarioConfig,
     WorldState,
-    default_vocabulary,
     ground_entity,
     init_world,
     step,
 )
 
-VOCAB = default_vocabulary()
 OBS = ObservationConfig(r_fov=3, r_vic=12)
 
 
@@ -70,7 +69,7 @@ def arch(kind, zones=2):
 def cfg(**overrides):
     base = dict(
         name="t", grid=40, roads=(10, 30), cars=3, pedestrians=2,
-        observation=OBS, steps=5, vocabulary=VOCAB,
+        observation=OBS, steps=5,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -79,7 +78,7 @@ def cfg(**overrides):
 def grounded(world, ego_id, ids):
     """Pattern bits of each pool entity as the ego grounds it."""
     by_id = {a.id: a for a in world.agents}
-    return {i: ground_entity(world, by_id[ego_id], by_id[i], cfg()) for i in ids}
+    return {i: ground_entity(world, by_id[ego_id], by_id[i]) for i in ids}
 
 
 def pools_of(world):
@@ -208,8 +207,8 @@ def test_downlink_budget_edges(monkeypatch):
     # the scorer alone handles the edges: k = 0 sends nothing and
     # k >= len(pool) the whole pool under either strategy, without downlink
     world = hand_scene()
-    rules = load_rule_set("core", VOCAB)
-    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    rules = load_rule_set("core")
+    engine = KeyEngine(rules.hypotheses, T)
     pool = pools_of(world)[SENSOR_GNA]
     qbits = grounded(world, 0, pool)
     whole = 0
@@ -241,10 +240,10 @@ def test_walker_near_crossing_wins_the_single_slot():
         ],
         intersections=frozenset({(10, 16)}),
     )
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     pool = pools_of(world)[SENSOR_GNA]
     assert pool == (1, 2, 3)
-    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    engine = KeyEngine(rules.hypotheses, T)
     assert downlink(pool, grounded(world, 0, pool), 1, SEMANTIC, engine, 0) == (3,)
 
 

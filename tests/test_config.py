@@ -1,4 +1,4 @@
-"""YAML loading for vocabularies, rule sets, scenarios, and runs."""
+"""YAML loading for rule sets, scenarios, and runs."""
 
 from pathlib import Path
 
@@ -14,12 +14,9 @@ from semcom.config import (
     load_run_config,
     rule_set_from_config,
     scenario_from_config,
-    vocabulary_from_config,
 )
 from semcom.errors import ConfigurationError
-from semcom.world import default_vocabulary
-
-VOCAB = default_vocabulary()
+from semcom.world import PREDICATES
 
 
 SCENARIO_DOC = {
@@ -34,40 +31,13 @@ SCENARIO_DOC = {
 }
 
 
-# -------------------------------------------------------------- vocabulary
-
-
-def test_default_vocabulary_spellings():
-    assert vocabulary_from_config(None).T == 10
-    assert vocabulary_from_config("default") == VOCAB
-
-
-def test_custom_vocabulary_subset():
-    doc = [
-        {"name": "IsPedestrian", "category": "monadic-on-entity"},
-        {"name": "Close", "category": "dyadic-ego-entity"},
-    ]
-    vocab = vocabulary_from_config(doc)
-    assert vocab.T == 2
-    assert vocab.slot_of("Close") == 1
-    with pytest.raises(ConfigurationError, match="expected 'default' or a list"):
-        vocabulary_from_config({"predicates": doc})
-
-
-def test_vocabulary_category_must_be_known():
-    with pytest.raises(ConfigurationError):
-        vocabulary_from_config([{"name": "X", "category": "triadic"}])
-    with pytest.raises(ConfigurationError):
-        vocabulary_from_config([{"name": "X"}])
-
-
 # --------------------------------------------------------------- rule sets
 
 
 def test_all_shipped_rule_sets_load():
     sizes = {}
     for name in SHIPPED_RULE_SETS:
-        rules = load_rule_set(name, VOCAB)
+        rules = load_rule_set(name)
         assert rules.name == name
         assert all(h.action in rules.action_priority for h in rules.hypotheses)
         sizes[name] = len(rules.hypotheses)
@@ -76,7 +46,7 @@ def test_all_shipped_rule_sets_load():
 
 def test_unknown_rule_set_name():
     with pytest.raises(ConfigurationError):
-        load_rule_set("imaginary", VOCAB)
+        load_rule_set("imaginary")
 
 
 def test_rule_set_from_mapping():
@@ -88,11 +58,11 @@ def test_rule_set_from_mapping():
             {"id": 2, "action": "Slow", "when": {"IsCar": True, "Near": False}},
         ],
     }
-    rules = rule_set_from_config(doc, VOCAB)
+    rules = rule_set_from_config(doc)
     assert [h.id for h in rules.hypotheses] == [1, 2]
     by_id = {h.id: dict(h.fixed_slots) for h in rules.hypotheses}
-    assert by_id[1] == {VOCAB.slot_of("IsPedestrian"): 1, VOCAB.slot_of("Close"): 1}
-    assert by_id[2] == {VOCAB.slot_of("IsCar"): 1, VOCAB.slot_of("Near"): 0}
+    assert by_id[1] == {PREDICATES.index("IsPedestrian"): 1, PREDICATES.index("Close"): 1}
+    assert by_id[2] == {PREDICATES.index("IsCar"): 1, PREDICATES.index("Near"): 0}
 
 
 def test_rule_set_rejects_unknown_predicate_and_non_bool():
@@ -101,11 +71,15 @@ def test_rule_set_rejects_unknown_predicate_and_non_bool():
         "action_priority": ["Stop", "Normal"],
         "hypotheses": [{"id": 1, "action": "Stop", "when": {"Wings": True}}],
     }
-    with pytest.raises(ConfigurationError):
-        rule_set_from_config(base, VOCAB)
+    with pytest.raises(
+        ConfigurationError,
+        match=r"unknown predicate 'Wings' \(known: IsPedestrian, IsCar, InIntersection, "
+        r"IsMoving, Close, Near, AheadOf, LeftOf, Facing, SameHeading\)",
+    ):
+        rule_set_from_config(base)
     base["hypotheses"] = [{"id": 1, "action": "Stop", "when": {"Close": "yes"}}]
     with pytest.raises(ConfigurationError):
-        rule_set_from_config(base, VOCAB)
+        rule_set_from_config(base)
 
 
 def test_rule_set_file_roundtrip(tmp_path):
@@ -118,7 +92,7 @@ def test_rule_set_file_roundtrip(tmp_path):
         "    action: Stop\n"
         "    when: {IsPedestrian: true}\n"
     )
-    rules = load_rule_set(str(path), VOCAB)
+    rules = load_rule_set(str(path))
     assert rules.name == "local"
     assert rules.hypotheses[0].id == 7
 
@@ -129,15 +103,17 @@ def test_rule_set_file_roundtrip(tmp_path):
 def test_scenario_from_mapping_defaults():
     cfg = scenario_from_config(dict(SCENARIO_DOC))
     assert cfg.name == "mini"
-    assert cfg.close_radius == 2 and cfg.near_radius == 6
     assert cfg.observation.r_fov == 4 and cfg.observation.r_vic == 12
-    assert cfg.vocabulary == VOCAB
 
 
 def test_scenario_rejects_unknown_and_missing_keys():
     doc = dict(SCENARIO_DOC, weather="rain")
     with pytest.raises(ConfigurationError):
         scenario_from_config(doc)
+    # the language and its radii are fixed: their retired keys are unknown keys
+    for key, value in (("vocabulary", "default"), ("close_radius", 2), ("near_radius", 6)):
+        with pytest.raises(ConfigurationError, match=r"unknown keys \['%s'\]" % key):
+            scenario_from_config(dict(SCENARIO_DOC, **{key: value}))
     doc = dict(SCENARIO_DOC)
     del doc["r_vic"]
     with pytest.raises(ConfigurationError):
@@ -241,18 +217,6 @@ def test_run_rejects_unknown_top_level_keys(tmp_path):
     # retired enumeration_cap knob must not be silently ignored
     doc = run_doc(stratgies=["semantic"], enumeration_cap=10)
     with pytest.raises(ConfigurationError, match=r"\['enumeration_cap', 'stratgies'\]"):
-        load_run_config(write_run(tmp_path, doc))
-
-
-def test_multi_scenario_runs_share_a_vocabulary(tmp_path):
-    doc = run_doc()
-    del doc["scenario"]
-    custom = [{"name": "IsPedestrian", "category": "monadic-on-entity"}]
-    doc["scenarios"] = [
-        dict(SCENARIO_DOC, name="a"),
-        dict(SCENARIO_DOC, name="b", vocabulary=custom),
-    ]
-    with pytest.raises(ConfigurationError):
         load_run_config(write_run(tmp_path, doc))
 
 

@@ -1,4 +1,4 @@
-"""Vocabularies, grounding in vocabulary order, and hypothesis satisfaction."""
+"""The language's slot order, grounding in it, and hypothesis satisfaction."""
 
 import itertools
 
@@ -6,95 +6,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grounding_reference import PREDICATES, vocabulary_of
+import grounding_reference as ref
 from satisfaction_reference import bit, satisfies
+from semcom.config import rule_set_from_config
 from semcom.errors import ConfigurationError
-from semcom.logic import (
-    Hypothesis,
-    MAX_ENGINE_T,
-    PredicateCategory,
-    PredicateVocabulary,
-    QSentence,
-)
+from semcom.logic import Hypothesis, QSentence
 from semcom.world import (
     CAR,
-    DEFAULT_PREDICATE_ORDER,
     PEDESTRIAN,
+    PREDICATES,
+    T,
     AgentState,
     ObservationConfig,
     ScenarioConfig,
     WorldState,
-    default_vocabulary,
     ground_entity,
     init_world,
     step,
 )
 
-MON = PredicateCategory.MONADIC
-EGO_ENT = PredicateCategory.EGO_ENTITY
-ENT_EGO = PredicateCategory.ENTITY_EGO
 
-
-def two_slot_vocab():
-    return PredicateVocabulary(predicates=(("Hot", MON), ("Behind", EGO_ENT)))
-
-
-# ---------------------------------------------------------------- vocabulary
+# ------------------------------------------------------------------ language
 
 
 def test_slots_follow_declaration_order():
-    vocab = PredicateVocabulary(
-        predicates=(("A", MON), ("B", EGO_ENT), ("C", ENT_EGO))
-    )
-    assert vocab.T == 3
-    assert [vocab.slot_of(n) for n in "ABC"] == [0, 1, 2]
+    # a rule set's `when:` name fixes the slot of its index in the language
+    for slot, name in enumerate(PREDICATES):
+        doc = {
+            "name": "one",
+            "action_priority": ["Stop", "Normal"],
+            "hypotheses": [{"id": 1, "action": "Stop", "when": {name: True}}],
+        }
+        assert rule_set_from_config(doc).hypotheses[0].fixed_slots == ((slot, 1),)
 
 
 def test_default_vocabulary_is_ten_wide():
-    vocab = default_vocabulary()
-    assert vocab.T == 10
-    assert tuple(name for name, _ in vocab.predicates) == DEFAULT_PREDICATE_ORDER
+    # ten distinct names, each with a per-predicate reference evaluator
+    assert T == len(PREDICATES) == len(set(PREDICATES)) == 10
+    assert set(PREDICATES) == set(ref.PREDICATES)
 
 
 def test_wide_vocabulary_is_supported():
-    # widths well past the shipped ten slots must still ground and key
-    preds = tuple(("P%d" % i, MON) for i in range(34))
-    vocab = PredicateVocabulary(predicates=preds)
-    assert vocab.T == 34
+    # hypotheses past the simulator's ten slots stay valid at their own width
     h = Hypothesis.from_constraints(1, {33: 1}, "Stop")
     h.validate_width(34)
-
-
-def test_vocabulary_rejects_empty():
-    with pytest.raises(ConfigurationError):
-        PredicateVocabulary(predicates=())
-
-
-def test_vocabulary_rejects_duplicate_names():
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        PredicateVocabulary(predicates=(("A", MON), ("A", EGO_ENT)))
-
-
-def test_vocabulary_rejects_widths_past_engine_bound():
-    preds = tuple(("P%d" % i, MON) for i in range(MAX_ENGINE_T + 1))
-    with pytest.raises(ConfigurationError):
-        PredicateVocabulary(predicates=preds)
-
-
-def test_slot_lookup_unknown_name():
-    with pytest.raises(ConfigurationError):
-        two_slot_vocab().slot_of("Cold")
 
 
 # ------------------------------------------------------------------ grounding
 
 
-def scenario_with(vocab):
-    return ScenarioConfig(
-        name="t", grid=40, roads=(10, 30), cars=6, pedestrians=4,
-        observation=ObservationConfig(r_fov=5, r_vic=15), steps=2,
-        vocabulary=vocab,
-    )
+SCENARIO = ScenarioConfig(
+    name="t", grid=40, roads=(10, 30), cars=6, pedestrians=4,
+    observation=ObservationConfig(r_fov=5, r_vic=15), steps=2,
+)
 
 
 def still(aid, kind, pos):
@@ -102,27 +66,18 @@ def still(aid, kind, pos):
 
 
 def test_grounding_follows_the_vocabulary_declaration_order():
-    default = default_vocabulary()
-    reversed_vocab = vocabulary_of(tuple(reversed(DEFAULT_PREDICATE_ORDER)))
-    subset = vocabulary_of(("Near", "IsPedestrian", "AheadOf"))
+    # bit i of a pattern is the predicate PREDICATES[i] names
     for seed in range(3):
-        world = init_world(scenario_with(default), seed=seed)
+        world = init_world(SCENARIO, seed=seed)
         world = step(world, {a.id: "Normal" for a in world.agents if a.kind == CAR})
         for ego in world.agents:
             for ent in world.agents:
                 if ent.id == ego.id:
                     continue
-                for vocab in (reversed_vocab, subset):
-                    cfg = scenario_with(vocab)
-                    q = ground_entity(world, ego, ent, cfg)
-                    assert 0 <= q < 1 << vocab.T
-                    for name, _ in vocab.predicates:
-                        truth = PREDICATES[name](world, ego, ent, cfg)
-                        assert bit(q, vocab.slot_of(name)) == int(truth)
-                # slot i of the default order is slot T-1-i reversed
-                q_default = ground_entity(world, ego, ent, scenario_with(default))
-                q_reversed = ground_entity(world, ego, ent, scenario_with(reversed_vocab))
-                assert format(q_reversed, "010b") == format(q_default, "010b")[::-1]
+                q = ground_entity(world, ego, ent)
+                assert 0 <= q < 1 << T
+                for slot, name in enumerate(PREDICATES):
+                    assert bit(q, slot) == int(ref.PREDICATES[name](world, ego, ent))
 
 
 def test_grounding_is_functional():
@@ -133,30 +88,31 @@ def test_grounding_is_functional():
             intersections=frozenset(),
         )
 
-    cfg = scenario_with(default_vocabulary())
     a, b = scene(), scene()
-    assert ground_entity(a, a.agents[0], a.agents[1], cfg) == ground_entity(
-        b, b.agents[0], b.agents[1], cfg
+    assert ground_entity(a, a.agents[0], a.agents[1]) == ground_entity(
+        b, b.agents[0], b.agents[1]
     )
 
 
 def test_three_entity_scene_grounds_to_hand_checked_patterns():
-    # ego observes three entities under a two-slot (IsPedestrian, Close)
-    # vocabulary; close_radius is 2
+    # ego observes three entities; every agent stands still on a one-cell
+    # route, so all headings are (0, 0): none is ahead, left or facing,
+    # all share a heading, and each counts as moving (the default)
     ego = still(0, CAR, (10, 10))
     scene = WorldState(
         grid=40,
         agents=(
             ego,
-            still(101, PEDESTRIAN, (11, 10)),   # pedestrian, close
-            still(102, CAR, (12, 12)),          # car, close
-            still(103, CAR, (20, 10)),          # car, far
+            still(101, PEDESTRIAN, (11, 10)),   # pedestrian, d = 1
+            still(102, CAR, (12, 12)),          # car, d = 2
+            still(103, CAR, (20, 10)),          # car, d = 10
         ),
         intersections=frozenset(),
     )
-    cfg = scenario_with(vocabulary_of(("IsPedestrian", "Close")))
-    patterns = [ground_entity(scene, ego, ent, cfg) for ent in scene.agents[1:]]
-    assert patterns == [0b11, 0b10, 0b00]
+    patterns = [ground_entity(scene, ego, ent) for ent in scene.agents[1:]]
+    # bits 9..0: SameHeading Facing LeftOf AheadOf Near Close IsMoving
+    # InIntersection IsCar IsPedestrian
+    assert patterns == [0b1000111001, 0b1000111010, 0b1000001010]
 
 
 # ----------------------------------------------------------------- Q-sentences

@@ -41,14 +41,13 @@ from semcom.metrics import (
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
     ObservationConfig,
+    T,
     RuleSet,
     ScenarioConfig,
-    default_vocabulary,
     init_world,
     step,
 )
 
-VOCAB = default_vocabulary()
 ZONES = Architecture.zones
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -62,7 +61,6 @@ def scenario(**overrides):
         pedestrians=3,
         observation=ObservationConfig(r_fov=4, r_vic=12),
         steps=8,
-        vocabulary=VOCAB,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -155,12 +153,12 @@ def test_record_order_does_not_matter():
 
 
 def engine_for(rules):
-    return KeyEngine(rules.hypotheses, VOCAB.T)
+    return KeyEngine(rules.hypotheses, T)
 
 
 def test_full_budget_under_sensor_uplink_is_lossless():
     cfg = scenario()
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     k_cover = cfg.cars + cfg.pedestrians - 1
     budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
@@ -172,7 +170,7 @@ def test_full_budget_under_sensor_uplink_is_lossless():
 
 def test_perfect_hypothesis_recovery_implies_perfect_actions():
     cfg = scenario()
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, 5, ZONES, engine)
     kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
@@ -190,7 +188,7 @@ def test_perfect_hypothesis_recovery_implies_perfect_actions():
 
 def test_zero_budget_loses_to_a_single_semantic_slot():
     cfg = scenario(cars=8, pedestrians=6, steps=10)
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     budgets = [(SEMANTIC, 0), (SEMANTIC, 1)]
     base, one = [], []
@@ -207,7 +205,7 @@ def test_zero_budget_loses_to_a_single_semantic_slot():
 def test_matrix_cells_replay_one_shared_trajectory():
     # the full-information side must not depend on the evaluated cells
     cfg = scenario()
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, 9, ZONES, engine)
     budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in (0, 2)]
@@ -261,7 +259,7 @@ def downlink_requests(traj, cells):
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
 def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatch):
     cfg = scenario(cars=8, pedestrians=5, steps=6)
-    rules = load_rule_set(rule_set, VOCAB)
+    rules = load_rule_set(rule_set)
     engine = engine_for(rules)
     k_over = cfg.cars + cfg.pedestrians  # more than any pool holds
     kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
@@ -309,8 +307,8 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
 def test_cell_rates_match_the_per_column_reference_on_desk_traces(rule_set):
     run = load_run_config(str(CONFIGS / "desk.yaml"))
     desk = run.scenarios[0]
-    rules = load_rule_set(rule_set, desk.vocabulary)
-    engine = KeyEngine(rules.hypotheses, desk.vocabulary.T)
+    rules = load_rule_set(rule_set)
+    engine = KeyEngine(rules.hypotheses, T)
     kinds = [arch.kind for arch in run.architectures]
     budgets = [(strategy, k) for strategy in run.strategies for k in run.ks]
     repeated = 0
@@ -329,7 +327,7 @@ def test_cell_rates_match_the_per_column_reference_on_desk_traces(rule_set):
 def test_trajectory_pools_and_masks_match_the_public_api():
     # replay the recorded episode through world/comms and compare
     cfg = scenario(cars=5, pedestrians=2, steps=5)
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     traj = build_trajectory(cfg, rules, 3, ZONES, engine)
     world = init_world(cfg, seed=3)
@@ -352,7 +350,7 @@ def test_trajectory_pools_and_masks_match_the_public_api():
 
 def test_random_strategy_matches_the_standalone_sampler():
     cfg = scenario(cars=6, pedestrians=3, steps=6)
-    rules = load_rule_set("core", VOCAB)
+    rules = load_rule_set("core")
     engine = engine_for(rules)
     seed = 4
     traj = build_trajectory(cfg, rules, seed, ZONES, engine)
@@ -378,7 +376,7 @@ def test_random_strategy_matches_the_standalone_sampler():
 
 def test_sweep_layout_and_determinism():
     cfg = scenario(cars=4, pedestrians=2, steps=4)
-    rules = [load_rule_set("core", VOCAB)]
+    rules = [load_rule_set("core")]
     archs = [Architecture(kind=SENSOR_GNA), Architecture(kind=MULTI_ZONE_LNA)]
     rows = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 1, 3), (1, 2))
     # 2 architectures x 1 rule set x 2 strategies x 3 budgets x 2 seeds
@@ -392,7 +390,7 @@ def test_sweep_layout_and_determinism():
 
 def test_sweep_runs_in_parallel_identically():
     cfg = scenario(cars=4, pedestrians=2, steps=4)
-    rules = [load_rule_set("core", VOCAB)]
+    rules = [load_rule_set("core")]
     archs = [Architecture(kind=SENSOR_GNA)]
     serial = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3))
     parallel = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3), jobs=2)
@@ -423,7 +421,7 @@ def recording_pool(monkeypatch):
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
     sizes = recording_pool(monkeypatch)
     cfg = scenario(cars=3, pedestrians=1, steps=2)
-    rules = [load_rule_set("core", VOCAB)]
+    rules = [load_rule_set("core")]
     archs = [Architecture(kind=SENSOR_GNA)]
     serial = sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1, 2), jobs=1)
     assert sizes == []
@@ -439,7 +437,7 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
 def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
     sizes = recording_pool(monkeypatch)
     cfg = scenario(cars=3, pedestrians=1, steps=2)
-    rules = [load_rule_set("core", VOCAB)]
+    rules = [load_rule_set("core")]
     with pytest.raises(ConfigurationError, match="jobs"):
         sweep(cfg, rules, [Architecture(kind=SENSOR_GNA)], (SEMANTIC,), (1,), (1, 2), jobs=jobs)
     assert sizes == []
@@ -448,7 +446,7 @@ def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
 def test_sweep_rejects_conflicting_zone_grids():
     # kinds are unique, so a sweep has at most one multi-zone grid
     cfg = scenario()
-    rules = [load_rule_set("core", VOCAB)]
+    rules = [load_rule_set("core")]
     archs = [
         Architecture(kind=MULTI_ZONE_LNA, zones=2),
         Architecture(kind=MULTI_ZONE_LNA, zones=3),
@@ -471,7 +469,7 @@ def sweep_axes(jobs=1, **overrides):
     axes = dict(AXES, **overrides)
     return sweep(
         scenario(cars=3, pedestrians=1, steps=2),
-        [load_rule_set(name, VOCAB) for name in axes["rule_sets"]],
+        [load_rule_set(name) for name in axes["rule_sets"]],
         [Architecture(kind=kind) for kind in axes["architectures"]],
         axes["strategies"], axes["ks"], axes["seeds"], jobs=jobs,
     )

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcom.errors import ConfigurationError, FeasibilityError
-from semcom.logic import MAX_ENGINE_T, Hypothesis, QSentence
+from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
+    _widest_digits,
     closed_form_confirmation,
     closed_form_evidence_probability,
     closed_form_objective,
@@ -162,10 +163,10 @@ def test_overlapping_hypothesis_contributes_nothing():
 
 
 def test_closed_form_rejects_oversized_exponents():
-    # width 5 puts 2**31 bits in play, far past the default budget; at the
-    # widest engine width alpha itself would be a 2**62-bit integer, so
-    # the refusal must come before alpha is built
-    for T in (5, MAX_ENGINE_T):
+    # width 5 puts 2**31 bits in play, far past the default budget; at
+    # width 62 alpha itself would be a 2**62-bit integer, so the refusal
+    # must come before alpha is built
+    for T in (5, 62):
         params = params_for([0], [{0: 1}], T)
         with pytest.raises(FeasibilityError):
             closed_form_objective(params)
@@ -333,3 +334,15 @@ def test_table_checks_t_and_every_z_before_any_row():
     for T in (0, -1):
         with pytest.raises(ConfigurationError, match="T must be at least 1"):
             closed_form_table(T)
+
+
+def test_widest_digits_is_the_widest_integer_each_table_prints():
+    # the digit count the T = 4 refusal names, checked where the table prints
+    for T in (1, 2, 3):
+        widest = max(
+            len(str(part))
+            for row in closed_form_table(T)
+            for column in ("c_e", "c_phi_given_e", "F_term")
+            for part in (Fraction(row[column]).numerator, Fraction(row[column]).denominator)
+        )
+        assert _widest_digits(T) == widest == (2, 8, 145)[T - 1]

@@ -20,8 +20,8 @@ from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downl
 from semcom.validation import random_instance, validate_key_ordering
 from semcom.world import (
     ObservationConfig,
+    T as WORLD_T,
     ScenarioConfig,
-    default_vocabulary,
     ground_entity,
     init_world,
 )
@@ -123,8 +123,7 @@ def test_sat_mask_matches_the_definition_on_every_pattern(T):
 
 @pytest.mark.parametrize("name", SHIPPED_RULE_SETS)
 def test_sat_mask_matches_the_definition_for_shipped_rule_sets(name):
-    vocab = default_vocabulary()
-    assert_sat_masks_match_the_definition(load_rule_set(name, vocab).hypotheses, vocab.T)
+    assert_sat_masks_match_the_definition(load_rule_set(name).hypotheses, WORLD_T)
 
 
 # ------------------------------------------- agreement with the exact form
@@ -272,8 +271,8 @@ def test_select_matches_brute_force_on_crowded_pools():
         name="dense", grid=60, roads=(10, 30, 50), cars=40, pedestrians=60,
         observation=ObservationConfig(r_fov=3, r_vic=15), steps=1,
     )
-    rules = load_rule_set("core", scenario.vocabulary)
-    engine = KeyEngine(rules.hypotheses, scenario.vocabulary.T)
+    rules = load_rule_set("core")
+    engine = KeyEngine(rules.hypotheses, WORLD_T)
     k = 4
     checked = 0
     for seed in (1, 2):
@@ -285,7 +284,7 @@ def test_select_matches_brute_force_on_crowded_pools():
                 if comb(len(pool), k) <= SUBSET_LOOP_MAX:
                     continue
                 entries = [
-                    (i, ground_entity(world, ego, by_id[i], scenario)) for i in pool
+                    (i, ground_entity(world, ego, by_id[i])) for i in pool
                 ]
                 expected = min(
                     itertools.combinations(entries, k),

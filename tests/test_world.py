@@ -1,6 +1,5 @@
 """Grid world: placement, observation, grounding, rules, and dynamics."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,32 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grounding_reference as ref
-from grounding_reference import chebyshev, vocabulary_of
+from grounding_reference import chebyshev
 from satisfaction_reference import bit
 from semcom.comms import Architecture, ego_pools
 from semcom.config import load_rule_set, load_run_config
 from semcom.errors import ConfigurationError
-from semcom.logic import Hypothesis, PredicateCategory, PredicateVocabulary
+from semcom.logic import Hypothesis
 from semcom.selection import KeyEngine
 from semcom.world import (
     ACTION_SPEED,
     CAR,
-    DEFAULT_PREDICATE_ORDER,
     PEDESTRIAN,
+    PREDICATES,
+    T,
     AgentState,
     ObservationConfig,
     RuleSet,
     ScenarioConfig,
     WorldState,
-    default_vocabulary,
     ground_entity,
     init_world,
     step,
-    validate_vocabulary,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-VOCAB = default_vocabulary()
 
 
 def scenario(**overrides):
@@ -45,7 +42,6 @@ def scenario(**overrides):
         pedestrians=2,
         observation=ObservationConfig(r_fov=5, r_vic=15),
         steps=10,
-        vocabulary=VOCAB,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -60,12 +56,12 @@ def hand_world(agents, grid=40, intersections=frozenset()):
 
 
 def slot(name):
-    return VOCAB.slot_of(name)
+    return PREDICATES.index(name)
 
 
 def truth_mask(rules, patterns):
     """Hypotheses witnessed by some observed pattern, as the sweep computes it."""
-    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    engine = KeyEngine(rules.hypotheses, T)
     mask = 0
     for bits in patterns:
         mask |= engine.sat_mask(bits)
@@ -91,8 +87,6 @@ def test_scenario_validation():
         scenario(roads=(10, 99))
     with pytest.raises(ConfigurationError):
         scenario(cars=0)
-    with pytest.raises(ConfigurationError):
-        scenario(close_radius=6, near_radius=6)
 
 
 def test_rule_set_validation():
@@ -114,25 +108,6 @@ def test_rule_set_validation():
             name="x",
             hypotheses=(Hypothesis.from_constraints(1, {0: 1}, "Slow"),),
             action_priority=("Stop", "Normal"),
-        )
-
-
-def test_vocabulary_must_map_onto_simulator_evaluators():
-    with pytest.raises(ConfigurationError):
-        validate_vocabulary(
-            PredicateVocabulary(predicates=(("Mystery", PredicateCategory.MONADIC),))
-        )
-    with pytest.raises(ConfigurationError):
-        validate_vocabulary(
-            PredicateVocabulary(
-                predicates=(("Close", PredicateCategory.MONADIC),)  # wrong category
-            )
-        )
-    validate_vocabulary(VOCAB)
-    # a scenario cannot carry a vocabulary that grounding has no bit for
-    with pytest.raises(ConfigurationError, match="Mystery"):
-        scenario(
-            vocabulary=PredicateVocabulary(predicates=(("Mystery", PredicateCategory.MONADIC),))
         )
 
 
@@ -241,9 +216,8 @@ def test_grounding_matches_hand_truth_assignment():
     behind_far = moving_agent(3, CAR, [(3, 10), (2, 10)])         # behind, facing away
     world = hand_world([ego, ahead_same, left_facing, behind_far],
                        intersections=frozenset({(14, 10)}))
-    cfg = scenario()
 
-    q1 = ground_entity(world, ego, ahead_same, cfg)
+    q1 = ground_entity(world, ego, ahead_same)
     assert bit(q1, slot("IsCar")) == 1
     assert bit(q1, slot("IsPedestrian")) == 0
     assert bit(q1, slot("InIntersection")) == 1
@@ -255,26 +229,26 @@ def test_grounding_matches_hand_truth_assignment():
     assert bit(q1, slot("Facing")) == 0     # heading east, away from ego
     assert bit(q1, slot("SameHeading")) == 1
 
-    q2 = ground_entity(world, ego, left_facing, cfg)
+    q2 = ground_entity(world, ego, left_facing)
     assert bit(q2, slot("IsPedestrian")) == 1
     assert bit(q2, slot("AheadOf")) == 0    # perpendicular to ego heading
     assert bit(q2, slot("LeftOf")) == 1
     assert bit(q2, slot("Facing")) == 1     # walking south toward ego row
 
-    q3 = ground_entity(world, ego, behind_far, cfg)
+    q3 = ground_entity(world, ego, behind_far)
     assert bit(q3, slot("AheadOf")) == 0
     assert bit(q3, slot("Near")) == 0       # distance 7
     assert bit(q3, slot("Facing")) == 0
 
 
-def test_close_and_near_use_scenario_radii():
+def test_close_and_near_hold_up_to_their_fixed_radii():
+    # Close is the Chebyshev ball of radius 2 and Near of radius 6, both closed
     ego = static_agent(0, CAR, (10, 10))
-    other = static_agent(1, CAR, (13, 10))
-    world = hand_world([ego, other])
-    near_cfg = scenario(close_radius=3, near_radius=6)
-    far_cfg = scenario(close_radius=2, near_radius=3)
-    assert bit(ground_entity(world, ego, other, near_cfg), slot("Close")) == 1
-    assert bit(ground_entity(world, ego, other, far_cfg), slot("Close")) == 0
+    for d, close, near in ((2, 1, 1), (3, 0, 1), (6, 0, 1), (7, 0, 0)):
+        for cell in ((10 + d, 10), (10 - d, 10 + d)):
+            other = static_agent(1, CAR, cell)
+            q = ground_entity(hand_world([ego, other]), ego, other)
+            assert (bit(q, slot("Close")), bit(q, slot("Near"))) == (close, near), (d, cell)
 
 
 def test_dwelling_pedestrian_grounds_as_not_moving():
@@ -287,7 +261,7 @@ def test_dwelling_pedestrian_grounds_as_not_moving():
     ped_after = by_id[1]
     assert ped_after.position == (12, 10)
     assert ped_after.moved is False
-    q = ground_entity(walked, by_id[0], ped_after, scenario())
+    q = ground_entity(walked, by_id[0], ped_after)
     assert bit(q, slot("IsMoving")) == 0
 
 
@@ -307,32 +281,23 @@ def seeded_worlds(scen, seeds, steps):
             })
 
 
-GROUNDING_VOCABULARIES = (
-    VOCAB,
-    vocabulary_of(tuple(reversed(DEFAULT_PREDICATE_ORDER))),
-    vocabulary_of(("Facing", "IsMoving", "SameHeading")),
-)
-
-
 @pytest.mark.parametrize(
     "path,seeds,steps",
     [("configs/desk.yaml", (1, 2), 6), ("perfbench/dense.yaml", (1,), 3)],
 )
 def test_grounding_matches_the_per_predicate_reference_on_every_pair(path, seeds, steps):
-    base = shipped_scenario(path)
-    scenarios = [replace(base, vocabulary=v) for v in GROUNDING_VOCABULARIES]
+    # the reference's slot order is its own dict order
     checked = 0
-    for world in seeded_worlds(base, seeds, steps):
+    for world in seeded_worlds(shipped_scenario(path), seeds, steps):
         for ego in world.agents:
             for ent in world.agents:
                 if ent.id == ego.id:
                     continue
-                for scen in scenarios:
-                    expected = 0
-                    for i, (name, _) in enumerate(scen.vocabulary.predicates):
-                        if ref.PREDICATES[name](world, ego, ent, scen):
-                            expected |= 1 << i
-                    assert ground_entity(world, ego, ent, scen) == expected, (ego, ent)
+                expected = 0
+                for i, holds in enumerate(ref.PREDICATES.values()):
+                    if holds(world, ego, ent):
+                        expected |= 1 << i
+                assert ground_entity(world, ego, ent) == expected, (ego, ent)
                 checked += 1
     assert checked > 1000
 
@@ -447,8 +412,8 @@ def test_route_wraps_around():
 def test_two_step_trace_is_reproducible():
     # frozen from a hand-audited run: five cars, two walkers, seed 7
     cfg = scenario(cars=5, pedestrians=2, steps=2)
-    rules = load_rule_set("core", VOCAB)
-    engine = KeyEngine(rules.hypotheses, VOCAB.T)
+    rules = load_rule_set("core")
+    engine = KeyEngine(rules.hypotheses, T)
     world = init_world(cfg, seed=7)
     assert [(a.id, a.position) for a in world.agents] == [
         (0, (20, 30)), (1, (21, 10)), (2, (10, 18)), (3, (30, 14)),
@@ -461,7 +426,7 @@ def test_two_step_trace_is_reproducible():
         for ego_id, view in ego_pools(world, cfg.observation, Architecture.zones).items():
             mask = 0
             for ent_id in view.fov_ids:
-                mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id], cfg))
+                mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id]))
             actions[ego_id] = rules.action_of(mask)
         world = step(world, actions)
         seen.append((dict(sorted(actions.items())), [a.position for a in world.agents]))
