@@ -144,7 +144,7 @@ def build_trajectory(
     obs = scenario.observation
     world = init_world(scenario, seed)
     per_step: List[Dict[int, StepView]] = []
-    for _ in range(scenario.steps):
+    for t in range(scenario.steps):
         by_id = {a.id: a for a in world.agents}
         views: Dict[int, StepView] = {}
         actions: Dict[int, str] = {}
@@ -163,7 +163,8 @@ def build_trajectory(
             )
             actions[ego_id] = rules.action_of(fi_mask)
         per_step.append(views)
-        world = step(world, actions)
+        if t + 1 < scenario.steps:
+            world = step(world, actions)
     return Trajectory(
         seed=seed,
         views=tuple(per_step),

@@ -18,6 +18,7 @@ from semcom.errors import ConfigurationError, FeasibilityError
 from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
+    HypothesisParams,
     _widest_digits,
     closed_form_confirmation,
     closed_form_evidence_probability,
@@ -295,6 +296,91 @@ def test_exact_compare_handles_budget_breaking_widths():
     b = params_for([0, 1], [{0: 1}], 5)
     assert exact_objective_compare(a, a) == 0
     assert exact_objective_compare(a, b) in (-1, 1)
+
+
+def _closed_form_cases(rng, T):
+    """Params at width T: K = 0, 1, Q/2, Q - 1 and Q, random shapes, plus
+    same-Z pairs, witnessed and empty hypothesis sets (F = 0 at any K), and
+    for every case an equal but distinct copy."""
+    Q = 1 << T
+    cases = []
+    for K in sorted({0, 1, Q // 2, Q - 1, Q}):
+        for _ in range(3):
+            hyps = []
+            for _ in range(rng.randint(1, 3)):
+                z = rng.randint(1, T)
+                fits = K + (1 << (T - z)) <= Q
+                hyps.append(HypothesisParams(z=z, overlaps=not fits or rng.random() < 0.3))
+            cases.append(ClosedFormParams(T=T, K=K, hypotheses=tuple(hyps)))
+    for K, z in ((0, 1), (0, T), (Q - 1, T)):
+        same = (HypothesisParams(z=z, overlaps=False),) * 2
+        cases.append(ClosedFormParams(T=T, K=K, hypotheses=same))
+    witnessed = (HypothesisParams(z=1, overlaps=True), HypothesisParams(z=T, overlaps=True))
+    for K in (0, 1, Q):
+        cases.append(ClosedFormParams(T=T, K=K, hypotheses=witnessed))
+        cases.append(ClosedFormParams(T=T, K=K, hypotheses=()))
+    copies = [ClosedFormParams(T=p.T, K=p.K, hypotheses=p.hypotheses) for p in cases]
+    assert all(c == p and c is not p for c, p in zip(copies, cases))
+    return cases + copies
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_exact_compare_agrees_with_rational_arithmetic_at_every_small_width(T):
+    # F's denominators take up to 2**(Q - K + 1) bits: 2**17 at width 4, K = 0
+    cases = _closed_form_cases(random.Random(T), T)
+    values = [closed_form_objective(p, bit_budget=1 << 17) for p in cases]
+    distinct = sorted(set(values))
+    rank = [distinct.index(v) for v in values]
+    assert values.count(0) >= 12  # witnessed and empty sets tie at F = 0 across K
+    for i, a in enumerate(cases):
+        for j, b in enumerate(cases):
+            expected = (rank[i] > rank[j]) - (rank[i] < rank[j])
+            assert exact_objective_compare(a, b) == expected, (a, b)
+
+
+@pytest.mark.parametrize("T", [5, 10])
+def test_exact_compare_is_a_total_preorder_past_the_rational_route(T):
+    cases = _closed_form_cases(random.Random(T), T)
+    n = len(cases)
+    sign = [[exact_objective_compare(a, b) for b in cases] for a in cases]
+    half = n // 2  # cases[half + i] is an equal but distinct copy of cases[i]
+    for i in range(n):
+        assert sign[i][i] == 0
+        assert sign[i][(i + half) % n] == 0
+        for j in range(n):
+            assert sign[i][j] == -sign[j][i]
+    flat = [s for row in sign for s in row]
+    assert {-1, 0, 1} <= set(flat)
+    rng = random.Random(T)
+    for _ in range(3000):
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if sign[i][j] >= 0 and sign[j][k] >= 0:
+            assert sign[i][k] == (0 if sign[i][j] == sign[j][k] == 0 else 1)
+
+
+@pytest.mark.parametrize("T, z", [(5, 1), (5, 5), (10, 1), (10, 10), (16, 1), (16, 16)])
+def test_one_unwitnessed_hypothesis_ranks_k_one_below_k_two(T, z):
+    # gamma = 2**(Q-K) - 2**(Q-K-H) shrinks as K grows, so u = 2**-gamma and F grow
+    hyp = (HypothesisParams(z=z, overlaps=False),)
+    one = ClosedFormParams(T=T, K=1, hypotheses=hyp)
+    two = ClosedFormParams(T=T, K=2, hypotheses=hyp)
+    assert exact_objective_compare(one, two) == -1
+    assert exact_objective_compare(two, one) == 1
+
+
+def test_exact_compare_refuses_exponents_over_the_bit_budget():
+    hyp = (HypothesisParams(z=1, overlaps=False),)
+    wide = ClosedFormParams(T=62, K=0, hypotheses=hyp)
+    narrow = ClosedFormParams(T=62, K=1 << 62, hypotheses=())
+    for a, b in ((wide, wide), (wide, narrow), (narrow, wide)):
+        with pytest.raises(FeasibilityError, match="bit budget"):
+            exact_objective_compare(a, b)
+    # at width 20 the exponents have Q - K + 2 bits: K = 2 fills the
+    # 2**20-bit budget exactly and K = 1 goes one bit over
+    k1, k2, k3 = (ClosedFormParams(T=20, K=K, hypotheses=hyp) for K in (1, 2, 3))
+    assert exact_objective_compare(k2, k3) == -1
+    with pytest.raises(FeasibilityError, match="bit budget"):
+        exact_objective_compare(k1, k3)
 
 
 # -------------------------------------------------------------- table rows
