@@ -26,8 +26,6 @@ from typing import List, Optional, Sequence
 from . import metrics
 from .config import RunConfig, load_run_config
 from .errors import SemcomError
-from .oracle import closed_form_table
-from .validation import validate_key_ordering
 
 OUT_DIR_ENV = "SEMCOM_OUT_DIR"
 
@@ -98,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import closed_form_table
+
     table = closed_form_table(args.t)
     rows = [[row[c] for c in ORACLE_COLUMNS] for row in table]
     _emit(_out_dir(args), "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
@@ -159,6 +159,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_key(args: argparse.Namespace) -> int:
+    from .validation import validate_key_ordering
+
     report = validate_key_ordering(args.trials, args.seed)
     text = "\n".join(report.summary_lines()) + "\n"
     out_dir = _out_dir(args)

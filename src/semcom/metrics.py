@@ -19,7 +19,6 @@ import csv
 import io
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -199,6 +198,10 @@ def evaluate_cell(
     every kind with that pool reuses it.  The budgets are taken as
     checked: metrics.sweep runs check_request on them before any task.
     """
+    ranked = sorted(
+        ((column, strategy, k) for column, (strategy, k) in enumerate(budgets)),
+        key=lambda budget: budget[2],
+    )
     records: List[TraceRecord] = []
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
@@ -212,7 +215,7 @@ def evaluate_cell(
                 block = blocks.get(pool)
                 if block is None:
                     block = blocks[pool] = _mask_block(
-                        engine, view.qbits, pool, budgets, fov_mask, rng_seed
+                        engine, view.qbits, pool, ranked, fov_mask, rng_seed
                     )
                 masks += block
             records.append(TraceRecord(fi_mask=view.fi_mask, strategy_masks=tuple(masks)))
@@ -224,26 +227,59 @@ def _mask_block(
     engine: KeyEngine,
     qbits: Mapping[int, int],
     pool: Tuple[int, ...],
-    budgets: Sequence[Tuple[str, int]],
+    ranked: Sequence[Tuple[int, str, int]],
     fov_mask: int,
     rng_seed: int,
 ) -> Tuple[int, ...]:
     """Hypothesis masks of one view's FOV plus what one pool downlinks
-    under each (strategy, k).  Nothing is sent at k = 0, the whole pool
-    goes at k >= len(pool) under either strategy (an empty pool adds
-    nothing), and only 0 < k < len(pool) calls downlink."""
-    whole = None
-    block = []
-    for strategy, k in budgets:
+    under each budget; ranked holds (column, strategy, k) ascending by k.
+
+    Nothing is sent at k = 0.  Above that, a budget the pool's coverage
+    C already fixes sends fov_mask | C without calling downlink:
+    - k > misses, under either strategy, where misses is the largest
+      number of entries that miss any one hypothesis of C & ~fov_mask:
+      every k-subset holds a witness of each of them.  k >= len(pool)
+      is the case misses <= len(pool) - 1, and an empty pool adds nothing.
+    - semantic k < len(pool) above a semantic budget whose kappa choice
+      witnessed all of C: kappa's first field is the uncovered count, some
+      k-subset extends that choice and leaves only ~C uncovered, and no
+      subset can leave less, so the kappa-minimal k-subset covers exactly C.
+    Every other budget calls downlink.  Skipping a draw moves no other,
+    since each is seeded per (seed, step, ego), and skipping a search only
+    leaves the select memo without that entry, so the masks are those of
+    one downlink call per budget.
+    """
+    sat_mask = engine.sat_mask
+    masks = [sat_mask(qbits[i]) for i in pool]
+    cover = 0
+    for mask in masks:
+        cover |= mask
+    # counted only until it reaches the largest budget, which decides no
+    # budget differently from the full count
+    top = ranked[-1][2] if ranked else 0
+    misses = 0
+    rest = cover & ~fov_mask
+    while rest and misses < top:
+        bit = rest & -rest
+        rest ^= bit
+        miss = 0
+        for mask in masks:
+            if not mask & bit:
+                miss += 1
+        if miss > misses:
+            misses = miss
+    whole = fov_mask | cover
+    block = [fov_mask] * len(ranked)
+    saturated = False  # a smaller semantic budget's choice witnessed all of C
+    for column, strategy, k in ranked:
         if k == 0:
-            block.append(fov_mask)
-        elif k >= len(pool):
-            if whole is None:
-                whole = fov_mask | _witnessed(engine, qbits, pool)
-            block.append(whole)
+            continue
+        if k > misses or saturated and strategy == SEMANTIC:
+            block[column] = whole
         else:
-            ids = downlink(pool, qbits, k, strategy, engine, rng_seed)
-            block.append(fov_mask | _witnessed(engine, qbits, ids))
+            sent = _witnessed(engine, qbits, downlink(pool, qbits, k, strategy, engine, rng_seed))
+            saturated = saturated or strategy == SEMANTIC and sent == cover
+            block[column] = fov_mask | sent
     return tuple(block)
 
 
@@ -291,7 +327,9 @@ def sweep(
     sorting, so the output does not depend on the degree of parallelism.
     A repeated rule-set name, kind, strategy, budget or seed would merge
     distinct cells' rows: it raises ConfigurationError before any task
-    runs, and so do jobs < 1, a negative k and an unknown strategy.
+    runs, and so do a negative seed (random.Random(-s) seeds like
+    random.Random(s), so seeds -s and s would count one world twice),
+    jobs < 1, a negative k and an unknown strategy.
     """
     for what, values in (
         ("rule set name", [r.name for r in rule_sets]),
@@ -301,6 +339,12 @@ def sweep(
         ("seed", seeds),
     ):
         reject_repeats(what, values)
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigurationError(
+                "seed must be non-negative, got %d (it would draw the world of seed %d)"
+                % (seed, -seed)
+            )
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1, got %d" % jobs)
     for strategy in strategies:
@@ -314,6 +358,8 @@ def sweep(
     rows: List[MetricsRow] = []
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_run_task, tasks):
                 rows.extend(chunk)

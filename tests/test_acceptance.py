@@ -22,6 +22,7 @@ from semcom.metrics import (
     advantage_correlation,
     advantage_points,
     aggregate,
+    aggregate_csv,
     build_trajectory,
     cell_rates,
     evaluate_cell,
@@ -46,6 +47,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # sha256 of `semcom sweep` / `semcom run` on configs/smoke.yaml
 SMOKE_SHA256 = "118eb6f1c71b771668984a75eb760d1ac1468ca7ac38fe20925fa5ccc45d52b9"
 SMOKE_PER_SEED_SHA256 = "0556ca7a3df1c057f21d7cb0515141f3b07c67e56b78be54766a7ece8f6e62d2"
+# sha256 of the aggregate CSV of configs/desk.yaml as shipped (seeds 1-20),
+# the same bytes as perfbench's seed-0 desk digest
+DESK_SHA256 = "bfe513fbb9f7375785997270d4b9a4b9165b168fdcbb5ff2604168ba504cd261"
 
 
 def report(criterion, ok, detail):
@@ -170,9 +174,12 @@ def test_criterion_5_semantic_dominates_random_at_desk_scale():
     rows = sweep(
         scenario, run.rule_sets, run.architectures, run.strategies, run.ks, run.seeds
     )
+    aggregates = aggregate(rows)
+    # pinned bytes: a speedup that moves any headline number fails here
+    assert hashlib.sha256(aggregate_csv(aggregates).encode()).hexdigest() == DESK_SHA256
     means = {
         (a.architecture, a.rule_set, a.strategy, a.k): a.adsr_mean
-        for a in aggregate(rows)
+        for a in aggregates
     }
     arch_names = sorted({a.kind for a in run.architectures})
     rule_names = [r.name for r in run.rule_sets]

@@ -197,12 +197,13 @@ def test_out_dir_environment_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
-    # metrics.sweep refuses repeated axes and the scorer bad requests;
+    # metrics.sweep refuses repeated axes, a negative seed and bad requests;
     # either way both commands fail before writing any file
     for overrides, message in (
         ({"k": [1, 2, 1]}, "duplicate budget: 1"),
         ({"strategies": ["semantic", "semantic"]}, "duplicate strategy: semantic"),
         ({"seeds": [1, 1]}, "duplicate seed: 1"),
+        ({"seeds": [-3, 3]}, "seed must be non-negative, got -3"),
         (
             {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna", "zones": 3}]},
             "duplicate architecture kind: sensor-gna",

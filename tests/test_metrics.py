@@ -220,6 +220,13 @@ def view_keys(traj):
     return [(s, ego) for s, step_views in enumerate(traj.views) for ego in sorted(step_views)]
 
 
+def witnessed_by(engine, qbits, ids):
+    mask = 0
+    for ent in ids:
+        mask |= engine.sat_mask(qbits[ent])
+    return mask
+
+
 def per_cell_masks(traj, cells, engine):
     """strategy_masks by (step, ego), from one downlink call per (step, ego, cell)
     whose budget is strictly inside the pool."""
@@ -234,26 +241,52 @@ def per_cell_masks(traj, cells, engine):
                     chosen = downlink(pool, view.qbits, k, strategy, engine, rng_seed)
                 else:
                     chosen = pool[:k]  # nothing at k = 0, the whole pool above
-                mask = 0
-                for ent in view.fov_ids + chosen:
-                    mask |= engine.sat_mask(view.qbits[ent])
-                masks.append(mask)
+                masks.append(witnessed_by(engine, view.qbits, view.fov_ids + chosen))
             out[(step_no, ego_id)] = tuple(masks)
     return out
 
 
-def downlink_requests(traj, cells):
-    """(pool, strategy, k, rng seed) of every downlink call the scorer
-    needs: one per view, distinct pool, strategy and 0 < k < len(pool)."""
-    requests = set()
+def coverage_and_misses(hypotheses, patterns, fov_mask):
+    """(C, misses) of a pool's patterns by definition: bit i of C is set
+    when some pattern satisfies hypotheses[i], and misses is the most
+    patterns that fail any one hypothesis of C outside fov_mask."""
+    fails = [sum(not h.satisfied_by(q) for q in patterns) for h in hypotheses]
+    cover = sum(1 << i for i, failed in enumerate(fails) if failed < len(patterns))
+    beyond = cover & ~fov_mask
+    return cover, max((f for i, f in enumerate(fails) if beyond >> i & 1), default=0)
+
+
+def rule_requests(traj, cells, engine):
+    """(pool, strategy, k, rng seed) of every request with 0 < k < len(pool),
+    split by definition into three sets: those left to downlink, those
+    decided because k > misses, and semantic ones decided because the
+    choice of a smaller semantic budget witnessed the pool's coverage C."""
+    left, by_misses, by_saturation = set(), set(), set()
     for step_no, step_views in enumerate(traj.views):
         for ego_id, view in step_views.items():
             rng_seed = _record_seed(traj.seed, step_no, ego_id)
+            fov_mask = witnessed_by(engine, view.qbits, view.fov_ids)
             for kind, strategy, k in cells:
                 pool = view.pools[kind]
-                if 0 < k < len(pool):
-                    requests.add((pool, strategy, k, rng_seed))
-    return requests
+                if not 0 < k < len(pool):
+                    continue
+                request = (pool, strategy, k, rng_seed)
+                cover, misses = coverage_and_misses(
+                    engine.hypotheses, [view.qbits[i] for i in pool], fov_mask
+                )
+                if k > misses:
+                    by_misses.add(request)
+                elif strategy == SEMANTIC and any(
+                    s == SEMANTIC and 0 < j < k
+                    and witnessed_by(
+                        engine, view.qbits, downlink(pool, view.qbits, j, s, engine, rng_seed)
+                    ) == cover
+                    for _, s, j in cells
+                ):
+                    by_saturation.add(request)
+                else:
+                    left.add(request)
+    return left, by_misses, by_saturation
 
 
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
@@ -271,7 +304,7 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 
     monkeypatch.setattr(metrics, "downlink", counting_downlink)
-    shared = distinct = crowded = within = 0
+    shared = distinct = crowded = within = decided_by_misses = decided_by_saturation = 0
     for seed in (1, 2, 3):
         traj = build_trajectory(cfg, rules, seed, ZONES, engine)
         keys = view_keys(traj)
@@ -281,10 +314,15 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
             trace = evaluate_cell(traj, *order, engine)
             cells = [(kind, s, k) for kind in order[0] for s, k in order[1]]
             assert trace.cells == tuple(cells)
-            # k = 0 and k >= len(pool) send without a call, and equal pools
-            # share one block, so each other request is made once
-            assert set(calls) == downlink_requests(traj, cells)
+            # k = 0 and the budgets the pool's coverage fixes send without
+            # a call, and equal pools share one block, so each request the
+            # rule leaves open is made once and no other is made
+            left, by_misses, by_saturation = rule_requests(traj, cells, engine)
+            assert set(calls) == left
+            assert not set(calls) & (by_misses | by_saturation)
             assert len(calls) == len(set(calls))
+            decided_by_misses += len(by_misses)
+            decided_by_saturation += len(by_saturation)
             expected = per_cell_masks(traj, cells, engine)
             assert [r.strategy_masks for r in trace.records] == [expected[key] for key in keys]
             fi_masks = [traj.views[s][e].fi_mask for s, e in keys]
@@ -298,9 +336,63 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
                 within += 0 < len(pools[0]) <= 3
     # every case is exercised: pools above every k < k_over (where k = 0
     # must still send nothing), pools two architectures share, views where
-    # all three differ, and nonempty pools that a k below k_over already
-    # sends whole under both strategies
+    # all three differ, nonempty pools that a k below k_over already sends
+    # whole under both strategies, and budgets inside a pool that the rule
+    # decides by each of its two routes
     assert crowded and shared and distinct and within
+    assert decided_by_misses and decided_by_saturation
+
+
+def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
+    # the coverage rule against the block without it, on random pools and
+    # FOV masks, every k from 0 to len(pool) + 1 and both strategies, and
+    # again with the budgets cut below the pool size, where the count of
+    # misses stops at the largest budget
+    hypotheses = rules_of(5).hypotheses
+    engine = KeyEngine(hypotheses, T)  # one engine for every pool, as in a task
+    reference = KeyEngine(hypotheses, T)
+    calls = []
+
+    def recording_downlink(pool, qbits, k, strategy, engine, rng_seed):
+        calls.append((strategy, k))
+        return downlink(pool, qbits, k, strategy, engine, rng_seed)
+
+    monkeypatch.setattr(metrics, "downlink", recording_downlink)
+    rng = random.Random(11)
+    by_misses = by_saturation = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        pool = tuple(sorted(rng.sample(range(40), n)))
+        # a few patterns per pool, so patterns repeat and one may cover the rest
+        palette = [rng.randrange(1 << len(hypotheses)) for _ in range(rng.randint(1, 4))]
+        qbits = {ent: rng.choice(palette) for ent in pool}
+        fov_mask = rng.randrange(1 << len(hypotheses))
+        rng_seed = rng.randrange(1 << 31)
+        _, misses = coverage_and_misses(hypotheses, qbits.values(), fov_mask)
+        for top in (n + 1, rng.randrange(n)):
+            budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in range(top + 1)]
+            rng.shuffle(budgets)
+            ranked = sorted(
+                ((column, s, k) for column, (s, k) in enumerate(budgets)), key=lambda b: b[2]
+            )
+            calls.clear()
+            block = metrics._mask_block(engine, qbits, pool, ranked, fov_mask, rng_seed)
+            expected = []
+            for s, k in budgets:
+                if 0 < k < n:
+                    sent = downlink(pool, qbits, k, s, reference, rng_seed)
+                else:
+                    sent = pool[:k]  # nothing at k = 0, the whole pool above
+                expected.append(fov_mask | witnessed_by(reference, qbits, sent))
+            assert block == tuple(expected)
+            for s, k in budgets:
+                if 0 < k < n and (s, k) not in calls:
+                    if k > misses:
+                        by_misses += 1
+                    else:
+                        assert s == SEMANTIC
+                        by_saturation += 1
+    assert by_misses and by_saturation
 
 
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
@@ -414,7 +506,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -485,12 +577,17 @@ def sweep_axes(jobs=1, **overrides):
         ({"rule_sets": ("core", "spatial", "core")}, "duplicate rule set name: core"),
         ({"strategies": (SEMANTIC, "psychic")}, "unknown strategy 'psychic'"),
         ({"ks": (0, 2, -1)}, "k must be non-negative"),
+        ({"seeds": (-3, 3)}, "seed must be non-negative, got -3"),
     ],
-    ids=["budget", "strategy", "seed", "kind", "rule-set", "unknown-strategy", "negative-k"],
+    ids=[
+        "budget", "strategy", "seed", "kind", "rule-set", "unknown-strategy", "negative-k",
+        "negative-seed",
+    ],
 )
 def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides, message):
-    # each axis keys the rows: a repeat would merge two cells' seeds; a bad
-    # request is refused as early, not once per task in each worker
+    # each axis keys the rows: a repeat would merge two cells' seeds, and
+    # seed -s draws the world of seed s; a bad request is refused as early,
+    # not once per task in each worker
     monkeypatch.setattr(metrics, "_run_task", lambda task: pytest.fail("a task ran"))
     for jobs in (1, 2):
         with pytest.raises(ConfigurationError, match=message):
