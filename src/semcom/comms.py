@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
-from .errors import ConfigurationError
 from .world import CAR, ObservationConfig, WorldState
 
 SENSOR_GNA = "sensor-gna"
@@ -20,20 +19,7 @@ MULTI_ZONE_LNA = "multi-zone-lna"
 
 ARCHITECTURE_KINDS = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
 
-
-@dataclass(frozen=True)
-class Architecture:
-    kind: str
-    zones: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in ARCHITECTURE_KINDS:
-            raise ConfigurationError(
-                "unknown architecture %r (choose from %s)"
-                % (self.kind, ", ".join(ARCHITECTURE_KINDS))
-            )
-        if self.zones < 1:
-            raise ConfigurationError("zone grid must be at least 1x1")
+ZONES = 2  # multi-zone-lna cuts the grid into a ZONES x ZONES partition
 
 
 @dataclass(frozen=True)
@@ -45,7 +31,7 @@ class EgoPools:
     pools: Mapping[str, Tuple[int, ...]]
 
 
-def ego_pools(world: WorldState, obs: ObservationConfig, zones: int) -> Dict[int, EgoPools]:
+def ego_pools(world: WorldState, obs: ObservationConfig) -> Dict[int, EgoPools]:
     """FOV, vicinity and the three architecture pools of every car.
 
     sensor-gna: roadside sensing covers the ego's whole vicinity.
@@ -54,7 +40,7 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int) -> Dict[int
         vicinity.  Pedestrians carry no transmitter, so one nobody sees
         stays invisible to the assistant.
     multi-zone-lna: as single-zone, but only uploads from cars in the
-        ego's zone of the zones x zones grid reach it.
+        ego's zone of the ZONES x ZONES grid reach it.
 
     One (id, x, y) list is sorted by id per call.  Each car scans it once
     against the coordinate windows of its two Chebyshev balls, so its
@@ -81,7 +67,7 @@ def ego_pools(world: WorldState, obs: ObservationConfig, zones: int) -> Dict[int
                 if fx0 <= xj <= fx1 and fy0 <= yj <= fy1:
                     fov.append(j)
         # half-open zone rectangles; edge cells clamp inward
-        zone = (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
+        zone = (min(x * ZONES // grid, ZONES - 1), min(y * ZONES // grid, ZONES - 1))
         uploads_all.add(ego)
         uploads_all.update(fov)
         zone_src = uploads_by_zone.setdefault(zone, set())

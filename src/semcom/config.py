@@ -23,16 +23,18 @@ rule set file:
 run / sweep file:
     scenario: {...}          # or scenarios: [{...}, ...] for a suite
     rule_sets: [core]        # shipped names, or paths ending in .yaml
-    architectures:
+    architectures:           # comms.ARCHITECTURE_KINDS; all three when absent
       - {kind: sensor-gna}
-      - {kind: multi-zone-lna, zones: 2}
+      - {kind: multi-zone-lna}
     strategies: [semantic, random]
     k: [0, 1, 2, 3, 4, 5]
     seeds: [1, 2, 3]
     advantage_k: 3           # optional; correlation summary for suites
 
 Unknown keys are rejected at the top level of a run file, in a scenario
-and in an architecture entry; no key changes the fixed ``world.PREDICATES``.
+and in an architecture entry; no key changes the fixed ``world.PREDICATES``
+or the fixed ``comms.ZONES`` grid.  A scenario's name names its output
+files, so it must be one path component.
 
 Shipped rule sets (``core``, ``extended``, ``spatial``, ``discriminative``)
 resolve from the package's data directory; anything containing a path
@@ -49,7 +51,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import yaml
 
 from .errors import ConfigurationError, reject_repeats
-from .comms import ARCHITECTURE_KINDS, Architecture
+from .comms import ARCHITECTURE_KINDS
 from .selection import STRATEGIES
 from .logic import Hypothesis
 from .world import PREDICATES, ObservationConfig, RuleSet, ScenarioConfig
@@ -183,8 +185,17 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
     unknown = set(data) - known
     if unknown:
         raise ConfigurationError("%s: unknown keys %s" % (source, sorted(unknown)))
+    name = data.get("name", "scenario")
+    # the name becomes <out>/<name>.csv, so it may not climb or nest
+    if (
+        not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+        or os.path.split(name) != ("", name)
+    ):
+        raise ConfigurationError(
+            "%s: name must be a file name without a path separator, got %r" % (source, name)
+        )
     return ScenarioConfig(
-        name=str(data.get("name", "scenario")),
+        name=name,
         grid=_as_int(_require(data, "grid", source), "grid"),
         roads=_as_int_list(_require(data, "roads", source), "roads"),
         cars=_as_int(_require(data, "cars", source), "cars"),
@@ -205,25 +216,25 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
 class RunConfig:
     scenarios: Tuple[ScenarioConfig, ...]
     rule_sets: Tuple[RuleSet, ...]
-    architectures: Tuple[Architecture, ...]
+    architectures: Tuple[str, ...]  # kinds, as metrics.sweep takes them
     strategies: Tuple[str, ...]
     ks: Tuple[int, ...]
     seeds: Tuple[int, ...]
     advantage_k: int = 3
 
 
-def _architectures_from_config(obj: Any, source: str) -> Tuple[Architecture, ...]:
+def _architectures_from_config(obj: Any, source: str) -> Tuple[str, ...]:
+    """Kind names; metrics.sweep refuses an unknown or repeated one."""
     if obj is None:
-        return tuple(Architecture(kind=k) for k in ARCHITECTURE_KINDS)
+        return ARCHITECTURE_KINDS
     out = []
     for entry in _as_list(obj, "%s: architectures" % source):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigurationError("%s: each architecture needs a 'kind'" % source)
-        extra = set(entry) - {"kind", "zones"}
+        extra = set(entry) - {"kind"}
         if extra:
             raise ConfigurationError("%s: unknown architecture keys %s" % (source, sorted(extra)))
-        zones = _as_int(entry.get("zones", Architecture.zones), "zones")
-        out.append(Architecture(kind=entry["kind"], zones=zones))
+        out.append(entry["kind"])
     return tuple(out)
 
 

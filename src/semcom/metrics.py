@@ -22,9 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .comms import MULTI_ZONE_LNA, Architecture, ego_pools
+from .comms import ARCHITECTURE_KINDS, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError, reject_repeats
-from .selection import RANDOM, SEMANTIC, KeyEngine, check_request, downlink
+from .selection import RANDOM, SEMANTIC, STRATEGIES, KeyEngine, downlink
 from .world import T, RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 @dataclass(frozen=True)
@@ -130,15 +130,13 @@ def build_trajectory(
     scenario: ScenarioConfig,
     rules: RuleSet,
     seed: int,
-    zones: int,
     engine: KeyEngine,
 ) -> Trajectory:
     """Simulate one episode under full-information decisions.
 
     Cars are the deciding egos; pedestrians advance on their scripted
-    routes.  Pools are precomputed for all three architecture kinds
-    using the given zone grid, so every matrix cell replays the same
-    states.
+    routes.  Pools are precomputed for all three architecture kinds,
+    so every matrix cell replays the same states.
     """
     obs = scenario.observation
     world = init_world(scenario, seed)
@@ -147,7 +145,7 @@ def build_trajectory(
         by_id = {a.id: a for a in world.agents}
         views: Dict[int, StepView] = {}
         actions: Dict[int, str] = {}
-        for ego_id, seen in ego_pools(world, obs, zones).items():
+        for ego_id, seen in ego_pools(world, obs).items():
             ego = by_id[ego_id]
             qbits = {
                 ent_id: ground_entity(world, ego, by_id[ent_id])
@@ -196,7 +194,7 @@ def evaluate_cell(
     A view's masks for one kind therefore depend only on the kind's
     pool: each view builds one block of masks per distinct pool, and
     every kind with that pool reuses it.  The budgets are taken as
-    checked: metrics.sweep runs check_request on them before any task.
+    checked: metrics.sweep refuses a bad one before any task.
     """
     ranked = sorted(
         ((column, strategy, k) for column, (strategy, k) in enumerate(budgets)),
@@ -288,15 +286,13 @@ def _mask_block(
 # ---------------------------------------------------------------------------
 
 def _run_task(
-    args: Tuple[ScenarioConfig, RuleSet, int, Tuple[Architecture, ...], Tuple[str, ...], Tuple[int, ...]]
+    args: Tuple[ScenarioConfig, RuleSet, int, Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]]
 ) -> List[MetricsRow]:
-    scenario, rules, seed, architectures, strategies, ks = args
-    # sweep refuses repeated kinds, so there is at most one multi-zone grid
-    zones = next((a.zones for a in architectures if a.kind == MULTI_ZONE_LNA), Architecture.zones)
+    scenario, rules, seed, kinds, strategies, ks = args
     engine = KeyEngine(rules.hypotheses, T)
-    trajectory = build_trajectory(scenario, rules, seed, zones, engine)
+    trajectory = build_trajectory(scenario, rules, seed, engine)
     budgets = [(strategy, k) for strategy in strategies for k in ks]
-    trace = evaluate_cell(trajectory, [a.kind for a in architectures], budgets, engine)
+    trace = evaluate_cell(trajectory, kinds, budgets, engine)
     return [
         MetricsRow(
             architecture=kind,
@@ -314,7 +310,7 @@ def _run_task(
 def sweep(
     scenario: ScenarioConfig,
     rule_sets: Sequence[RuleSet],
-    architectures: Sequence[Architecture],
+    architectures: Sequence[str],
     strategies: Sequence[str],
     ks: Sequence[int],
     seeds: Sequence[int],
@@ -325,15 +321,26 @@ def sweep(
     Tasks are independent per (rule set, seed); with jobs > 1 they run
     in at most one worker process per task and results are merged by
     sorting, so the output does not depend on the degree of parallelism.
-    A repeated rule-set name, kind, strategy, budget or seed would merge
-    distinct cells' rows: it raises ConfigurationError before any task
-    runs, and so do a negative seed (random.Random(-s) seeds like
-    random.Random(s), so seeds -s and s would count one world twice),
-    jobs < 1, a negative k and an unknown strategy.
+    An unknown architecture kind or strategy raises ConfigurationError
+    before any task runs, and is checked first, so an unhashable entry
+    is refused by name.  A repeated rule-set name, kind, strategy, budget
+    or seed would merge distinct cells' rows, and raises likewise; so do
+    a negative seed (random.Random(-s) seeds like random.Random(s), so
+    seeds -s and s would count one world twice), a negative k and
+    jobs < 1.
     """
+    for what, values, known in (
+        ("architecture", architectures, ARCHITECTURE_KINDS),
+        ("strategy", strategies, STRATEGIES),
+    ):
+        for value in values:
+            if value not in known:
+                raise ConfigurationError(
+                    "unknown %s %r (choose from %s)" % (what, value, ", ".join(known))
+                )
     for what, values in (
         ("rule set name", [r.name for r in rule_sets]),
-        ("architecture kind", [a.kind for a in architectures]),
+        ("architecture kind", architectures),
         ("strategy", strategies),
         ("budget", ks),
         ("seed", seeds),
@@ -347,9 +354,8 @@ def sweep(
             )
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1, got %d" % jobs)
-    for strategy in strategies:
-        for k in ks:
-            check_request(k, strategy)
+    if min(ks, default=0) < 0:
+        raise ConfigurationError("k must be non-negative")
     tasks = [
         (scenario, rules, seed, tuple(architectures), tuple(strategies), tuple(ks))
         for rules in rule_sets

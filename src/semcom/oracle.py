@@ -7,7 +7,7 @@ Two independent computation paths:
   of attributive-constituent space (which kinds exist).  At T=2 that is
   2**16 = 65,536 constituents, each tested directly for compatibility.
 * Closed forms for any T, on exact rationals, refusing computations
-  whose intermediate exponents exceed a configurable bit budget rather
+  whose intermediate exponents exceed the fixed DEFAULT_BIT_BUDGET rather
   than approximating.  Probabilities like v = 2**(-2**(Q-K)) underflow
   any float, so everything is Fraction or pure exponent arithmetic.
 
@@ -21,9 +21,8 @@ that this reading reproduces the closed forms exactly.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -289,7 +288,7 @@ class ClosedFormParams:
         return cls(T=T, K=len(qs), hypotheses=tuple(hyp_params))
 
 
-def _require_budget(params: ClosedFormParams, doublings: int, bit_budget: int, what: str) -> None:
+def _require_budget(params: ClosedFormParams, doublings: int, what: str) -> None:
     """Refuse a 2**(alpha * 2**doublings) denominator over the bit budget.
 
     alpha = 2**(Q-K) is never built here: alpha * 2**d > budget holds iff
@@ -297,36 +296,30 @@ def _require_budget(params: ClosedFormParams, doublings: int, bit_budget: int, w
     2**T-bit integer is allocated.
     """
     exponent = params.Q - params.K + doublings
-    if bit_budget < 1 or exponent >= bit_budget.bit_length():
+    if exponent >= DEFAULT_BIT_BUDGET.bit_length():
         raise FeasibilityError(
             "%s needs a 2**(2**%d) denominator, over the %d-bit budget"
-            % (what, exponent, bit_budget)
+            % (what, exponent, DEFAULT_BIT_BUDGET)
         )
 
 
-def closed_form_evidence_probability(
-    params: ClosedFormParams, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Fraction:
+def closed_form_evidence_probability(params: ClosedFormParams) -> Fraction:
     """c(e) = 1 - v with v = 2**(-alpha)."""
-    _require_budget(params, 0, bit_budget, "c(e)")
+    _require_budget(params, 0, "c(e)")
     return 1 - Fraction(1, 1 << params.alpha)
 
 
-def closed_form_confirmation(
-    params: ClosedFormParams, hp: HypothesisParams, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Fraction:
+def closed_form_confirmation(params: ClosedFormParams, hp: HypothesisParams) -> Fraction:
     """c(phi_i | e): exactly 1 when witnessed, else (1-u_i)/(1-v)."""
     if hp.overlaps:
         return Fraction(1)
-    _require_budget(params, 0, bit_budget, "c(phi|e)")
+    _require_budget(params, 0, "c(phi|e)")
     u = Fraction(1, 1 << params.gamma(hp))
     v = Fraction(1, 1 << params.alpha)
     return (1 - u) / (1 - v)
 
 
-def closed_form_objective(
-    params: ClosedFormParams, bit_budget: int = DEFAULT_BIT_BUDGET
-) -> Fraction:
+def closed_form_objective(params: ClosedFormParams) -> Fraction:
     """F = sum over non-overlapping i of (1 - u_i)(u_i - v)/(1 - v).
 
     Witnessed hypotheses contribute exactly 0.  Intermediate exponents
@@ -336,7 +329,7 @@ def closed_form_objective(
     nonover = params.nonoverlapping()
     if not nonover:
         return Fraction(0)
-    _require_budget(params, 1, bit_budget, "objective F")
+    _require_budget(params, 1, "objective F")
     v = Fraction(1, 1 << params.alpha)
     total = Fraction(0)
     for hp in nonover:
@@ -420,36 +413,19 @@ def closed_form_table(T: int) -> List[Dict[str, str]]:
     treated as a single non-overlapping hypothesis when K + H fits inside
     Q, otherwise as witnessed.  At T <= 2 every row is cross-checked
     against the enumeration oracle before being emitted.  T < 1 is refused
-    before any row is built; a T whose c(e) needs more than the bit
-    budget is refused at its first row, and a T whose widest value has
-    more decimal digits than ``str`` may print is refused before it.
+    before any row is built, and a T whose c(e) needs more than the bit
+    budget is refused at its first row.
     """
     if T < 1:
         raise ConfigurationError("T must be at least 1, got %d" % T)
-    limit = sys.get_int_max_str_digits()  # 0 means no limit
-    # (1 << T) >= the budget's bit length is the first row's own refusal
-    if limit and (1 << T) < DEFAULT_BIT_BUDGET.bit_length():
-        digits = _widest_digits(T)
-        if digits > limit:
-            raise FeasibilityError(
-                "T=%d: the table's widest value has %d decimal digits, over Python's "
-                "int-to-str limit of %d digits" % (T, digits, limit)
-            )
     return [_table_row(T, K, z) for K in range((1 << T) + 1) for z in range(1, T + 1)]
 
 
-def _widest_digits(T: int) -> int:
-    """Decimal digits of the widest integer the T table prints, from T alone.
-
-    It is the denominator of F at K = 0, Z = 1: with a = 2**Q and
-    g = a - 2**(Q/2), F = (2**g - 1) / D where
-    D = 2**g * (2**a - 1) / (2**(a-g) - 1), an integer of 2*g + 1 bits.
-    Only called where the first row fits the bit budget, so D stays small.
-    """
-    a = 1 << (1 << T)
-    g = a - (1 << (1 << (T - 1)))
-    widest = (1 << g) * ((1 << a) - 1) // ((1 << (a - g)) - 1)
-    return math.floor(math.log10(widest)) + 1
+def _exact_text(value: Fraction) -> str:
+    """str(value) for any width: Decimal prints an int with no digit limit."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return "%s/%s" % (Decimal(value.numerator), Decimal(value.denominator))
 
 
 def _table_row(T: int, K: int, z: int) -> Dict[str, str]:
@@ -459,33 +435,43 @@ def _table_row(T: int, K: int, z: int) -> Dict[str, str]:
     cphi = closed_form_confirmation(params, params.hypotheses[0])
     fterm = closed_form_objective(params)
     if T <= ENUMERATION_MAX_T:
-        _cross_check_row(T, K, z, overlaps, ce, cphi)
+        _cross_check_row(params, ce, cphi)
     return {
         "T": str(T),
         "K": str(K),
         "Z": str(z),
         "overlap": "1" if overlaps else "0",
-        "c_e": str(ce),
-        "c_phi_given_e": str(cphi),
-        "F_term": str(fterm),
+        "c_e": _exact_text(ce),
+        "c_phi_given_e": _exact_text(cphi),
+        "F_term": _exact_text(fterm),
     }
 
 
-def _cross_check_row(
-    T: int, K: int, z: int, overlaps: bool, ce: Fraction, cphi: Fraction
-) -> None:
+def _cross_check_row(params: ClosedFormParams, ce: Fraction, cphi: Fraction) -> None:
+    """Rebuild a T <= 2 row on canonical sentences and check it by enumeration.
+
+    The evidence is the first K sentences of a pool that leads with the
+    hypothesis's own sentences exactly when the row overlaps.  It must
+    reproduce the row's params, c(e) and c(phi|e), and the information
+    measures on it must satisfy I(Phi; e) = H(Phi) - H(Phi | e).
+    """
+    T, K = params.T, params.K
+    hp = params.hypotheses[0]
     q = 1 << T
-    hyp = Hypothesis.from_constraints(0, {s: 1 for s in range(z)}, "check")
+    hyp = Hypothesis.from_constraints(0, {s: 1 for s in range(hp.z)}, "check")
     hyp_qs = hyp.compatible_qs(T)
     hyp_bits = {s.bits for s in hyp_qs}
-    if overlaps:
+    if hp.overlaps:
         pool = sorted(hyp_bits) + sorted(set(range(q)) - hyp_bits)
     else:
         pool = sorted(set(range(q)) - hyp_bits)
     evidence = [QSentence(bits, T) for bits in pool[:K]]
-    if len(evidence) != K:
-        raise AssertionError("cannot build K=%d canonical evidence sentences" % K)
+    if ClosedFormParams.from_subset(evidence, [hyp], T) != params:
+        raise AssertionError("canonical evidence does not realize the row's params")
     if evidence_probability(evidence, T) != ce:
         raise AssertionError("enumeration disagrees with closed-form c(e)")
     if degree_of_confirmation(hyp_qs, evidence, T) != cphi:
         raise AssertionError("enumeration disagrees with closed-form c(phi|e)")
+    gain = semantic_mutual_information([hyp_qs], evidence, T)
+    if gain != semantic_entropy([hyp_qs], T) - conditional_semantic_entropy([hyp_qs], evidence, T):
+        raise AssertionError("I(Phi; e) differs from H(Phi) - H(Phi | e)")

@@ -305,16 +305,6 @@ class KeyEngine:
         return tuple(picked)
 
 
-def check_request(k: int, strategy: str) -> None:
-    """ConfigurationError unless k is a budget and strategy a known one."""
-    if k < 0:
-        raise ConfigurationError("k must be non-negative")
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            "unknown strategy %r (choose from %s)" % (strategy, ", ".join(STRATEGIES))
-        )
-
-
 def downlink(
     pool: Sequence[int],
     qbits: Mapping[int, int],

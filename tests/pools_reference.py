@@ -8,7 +8,7 @@ these definitions, which rescan the world once per ego and per uploader.
 from typing import Set
 
 from grounding_reference import chebyshev
-from semcom.comms import MULTI_ZONE_LNA, SENSOR_GNA
+from semcom.comms import MULTI_ZONE_LNA, SENSOR_GNA, ZONES
 from semcom.world import CAR
 
 
@@ -21,26 +21,26 @@ def ball(world, ego_id, radius):
     ))
 
 
-def zone_of(position, grid, zones):
-    """Half-open zone rectangle containing a cell (edge cells clamp inward)."""
+def zone_of(position, grid):
+    """Half-open ZONES x ZONES rectangle containing a cell (edge cells clamp inward)."""
     x, y = position
-    return (min(x * zones // grid, zones - 1), min(y * zones // grid, zones - 1))
+    return (min(x * ZONES // grid, ZONES - 1), min(y * ZONES // grid, ZONES - 1))
 
 
-def reference_pool_ids(world, ego_id, arch, obs):
+def reference_pool_ids(world, ego_id, kind, obs):
     """Per-ego pool by definition: rescans every uploader's FOV."""
     vic = set(ball(world, ego_id, obs.r_vic))
     fov = set(ball(world, ego_id, obs.r_fov))
-    if arch.kind == SENSOR_GNA:
+    if kind == SENSOR_GNA:
         candidates = vic
     else:
-        if arch.kind == MULTI_ZONE_LNA:
+        if kind == MULTI_ZONE_LNA:
             ego_pos = {a.id: a for a in world.agents}[ego_id].position
-            ego_zone = zone_of(ego_pos, world.grid, arch.zones)
+            ego_zone = zone_of(ego_pos, world.grid)
             uploaders = [
                 a for a in world.agents
                 if a.kind == CAR
-                and zone_of(a.position, world.grid, arch.zones) == ego_zone
+                and zone_of(a.position, world.grid) == ego_zone
             ]
         else:
             uploaders = [a for a in world.agents if a.kind == CAR]

@@ -97,7 +97,7 @@ def task_rows(scenario, rules, seed, architectures, strategies, ks):
         world = step(world, actions)
     evaluations = decisions * len(hyps)
     return [
-        (arch.kind, rules.name, strategy, k, seed, hits[c] / evaluations, agreed[c] / decisions)
+        (arch, rules.name, strategy, k, seed, hits[c] / evaluations, agreed[c] / decisions)
         for c, (arch, strategy, k) in enumerate(cells)
     ]
 

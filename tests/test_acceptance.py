@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from semcom import cli
-from semcom.comms import SENSOR_GNA, Architecture
+from semcom.comms import SENSOR_GNA
 from semcom.config import load_run_config
 from semcom.logic import Hypothesis, QSentence
 from semcom.metrics import (
@@ -130,7 +130,7 @@ def test_criterion_3_witnessed_hypotheses_are_certain_and_costless():
         fillers = [rng.randrange(1 << T) for _ in range(rng.randint(0, 2))]
         params = ClosedFormParams.from_subset(qset([witness] + fillers, T), [h], T)
         assert params.hypotheses[0].overlaps
-        assert closed_form_objective(params, bit_budget=1 << 17) == 0
+        assert closed_form_objective(params) == 0
         cases += 1
     # enumeration oracle at widths 1..2
     for _ in range(4000):
@@ -181,7 +181,7 @@ def test_criterion_5_semantic_dominates_random_at_desk_scale():
         (a.architecture, a.rule_set, a.strategy, a.k): a.adsr_mean
         for a in aggregates
     }
-    arch_names = sorted({a.kind for a in run.architectures})
+    arch_names = sorted(run.architectures)
     rule_names = [r.name for r in run.rule_sets]
     worst_gap = 1.0
     for rule_set in rule_names:
@@ -232,7 +232,7 @@ def test_criterion_7_covering_budget_is_lossless_on_every_seed():
     budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     seeds_checked = 0
     for seed in run.seeds:
-        trajectory = build_trajectory(scenario, rules, seed, Architecture.zones, engine)
+        trajectory = build_trajectory(scenario, rules, seed, engine)
         occupancy = max(
             (len(view.qbits) for views in trajectory.views for view in views.values()),
             default=0,

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import itertools
-import sys
 import time
 from fractions import Fraction
 
@@ -116,15 +115,18 @@ def test_oracle_refuses_t_30_at_the_first_row(capsys):
     assert "bit budget" in capsys.readouterr().err
 
 
-def test_oracle_refuses_t_4_past_the_int_to_str_limit(tmp_path, capsys):
-    # T = 4 fits the bit budget, but its widest value has more decimal
-    # digits than str() prints: a typed refusal (exit 2) before any row,
-    # never the "some pair disagrees" exit 1
-    assert cli.main(["oracle", "--t", "4", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: T=4: the table's widest value has 39303 decimal digits")
-    assert "int-to-str limit of %d" % sys.get_int_max_str_digits() in err
-    assert not (tmp_path / "oracle.csv").exists()
+def test_oracle_prints_t_4_exactly_and_refuses_t_5(tmp_path, capsys):
+    # T = 4's widest value has 39303 decimal digits, past str()'s default
+    # int limit, yet every row prints; T = 5 is the first width the bit
+    # budget refuses, with a typed error (exit 2) and no file
+    digest = "7eaf3b581baf5d72c49432099f6030bc91e5d81c79d052be88cdf6a13b853e5a"
+    assert cli.main(["oracle", "--t", "4", "--out", str(tmp_path / "t4")]) == 0
+    assert hashlib.sha256((tmp_path / "t4" / "oracle.csv").read_bytes()).hexdigest() == digest
+    assert cli.main(["oracle", "--t", "5", "--out", str(tmp_path / "t5")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: c(e) needs a 2**(2**32) denominator, over the 1048576-bit budget"
+    )
+    assert not (tmp_path / "t5").exists()
 
 
 # ------------------------------------------------------------- run and sweep
@@ -205,12 +207,16 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"seeds": [1, 1]}, "duplicate seed: 1"),
         ({"seeds": [-3, 3]}, "seed must be non-negative, got -3"),
         (
-            {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna", "zones": 3}]},
+            {"architectures": [{"kind": "sensor-gna"}, {"kind": "sensor-gna"}]},
             "duplicate architecture kind: sensor-gna",
         ),
         ({"rule_sets": ["core", "spatial", "core"]}, "duplicate rule set name: core"),
         ({"strategies": ["psychic"]}, "unknown strategy 'psychic'"),
         ({"k": [-1]}, "k must be non-negative"),
+        ({"architectures": [{"kind": "carrier-pigeon"}]}, "unknown architecture 'carrier-pigeon'"),
+        # unhashable entries are refused by name before the repeat checks
+        ({"strategies": [["semantic"]]}, "unknown strategy ['semantic']"),
+        ({"architectures": [{"kind": ["sensor-gna"]}]}, "unknown architecture ['sensor-gna']"),
     ):
         config = write_config(tmp_path, small_run(**overrides))
         out = tmp_path / "o"
@@ -218,6 +224,19 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             assert cli.main([command, "--config", config, "--out", str(out), "--jobs", "2"]) == 2
             assert "error: %s" % message in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "nested/name", "/abs", ".", "..", "", "nul\0byte", ["s"], 5]
+)
+def test_scenario_name_that_is_not_one_file_name_exits_two(tmp_path, capsys, name):
+    # the name becomes <out>/<name>.csv; "../escaped" would land beside --out
+    config = write_config(tmp_path, small_run(scenario=dict(SCENARIO, name=name)))
+    out = tmp_path / "box" / "o"
+    for command in ("sweep", "run"):
+        assert cli.main([command, "--config", config, "--out", str(out)]) == 2
+        assert "name must be a file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
 
 def test_repeated_road_line_exits_two(tmp_path, capsys):

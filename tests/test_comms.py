@@ -13,11 +13,10 @@ from semcom.comms import (
     MULTI_ZONE_LNA,
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
-    Architecture,
+    ZONES,
     ego_pools,
 )
 from semcom.config import load_rule_set
-from semcom.errors import ConfigurationError
 from semcom.metrics import StepView, Trajectory, evaluate_cell
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
@@ -62,10 +61,6 @@ def hand_scene():
     )
 
 
-def arch(kind, zones=2):
-    return Architecture(kind=kind, zones=zones)
-
-
 def cfg(**overrides):
     base = dict(
         name="t", grid=40, roads=(10, 30), cars=3, pedestrians=2,
@@ -83,26 +78,18 @@ def grounded(world, ego_id, ids):
 
 def pools_of(world):
     """Car 0's pool per architecture kind (2x2 zones), as the sweep reads them."""
-    return ego_pools(world, OBS, Architecture.zones)[0].pools
-
-
-def test_architecture_validation():
-    for kind in ARCHITECTURE_KINDS:
-        arch(kind)
-    with pytest.raises(ConfigurationError):
-        arch("carrier-pigeon")
-    with pytest.raises(ConfigurationError):
-        arch(MULTI_ZONE_LNA, zones=0)
+    return ego_pools(world, OBS)[0].pools
 
 
 def test_zone_partition_is_half_open():
-    assert zone_of((19, 0), 40, 2) == (0, 0)
-    assert zone_of((20, 0), 40, 2) == (1, 0)
-    assert zone_of((39, 39), 40, 2) == (1, 1)
-    # uneven split still covers the whole grid
-    assert zone_of((13, 26), 40, 3) == (0, 1)
-    assert zone_of((14, 27), 40, 3) == (1, 2)
-    assert zone_of((39, 39), 40, 3) == (2, 2)
+    assert ZONES == 2
+    assert zone_of((19, 0), 40) == (0, 0)
+    assert zone_of((20, 0), 40) == (1, 0)
+    assert zone_of((39, 39), 40) == (1, 1)
+    # an odd grid still splits into whole cells, the larger half last
+    assert zone_of((18, 20), 41) == (0, 0)
+    assert zone_of((20, 21), 41) == (0, 1)
+    assert zone_of((40, 40), 41) == (1, 1)
 
 
 def test_hand_scene_pools_match_manual_enumeration():
@@ -143,7 +130,7 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
     config = cfg(cars=8, pedestrians=4, observation=ObservationConfig(r_fov=4, r_vic=14))
     for seed in range(6):
         world = init_world(config, seed=seed)
-        for ego_id, seen in ego_pools(world, config.observation, Architecture.zones).items():
+        for ego_id, seen in ego_pools(world, config.observation).items():
             sensor = set(seen.pools[SENSOR_GNA])
             single = set(seen.pools[SINGLE_ZONE_GNA])
             multi = set(seen.pools[MULTI_ZONE_LNA])
@@ -157,12 +144,11 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
     pedestrians=st.integers(min_value=0, max_value=8),
     r_fov=st.integers(min_value=1, max_value=6),
     extra_vic=st.integers(min_value=0, max_value=12),
-    zones=st.integers(min_value=1, max_value=3),
     steps=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=80, deadline=None)
 def test_ego_pools_match_the_per_ego_reference(
-    seed, cars, pedestrians, r_fov, extra_vic, zones, steps
+    seed, cars, pedestrians, r_fov, extra_vic, steps
 ):
     obs = ObservationConfig(r_fov=r_fov, r_vic=r_fov + extra_vic)
     world = init_world(cfg(cars=cars, pedestrians=pedestrians, observation=obs), seed=seed)
@@ -170,13 +156,13 @@ def test_ego_pools_match_the_per_ego_reference(
     for _ in range(steps):
         world = step(world, {a.id: rng.choice(("Stop", "Slow", "Normal", "Fast"))
                              for a in world.agents if a.kind == CAR})
-    seen = ego_pools(world, obs, zones)
+    seen = ego_pools(world, obs)
     assert sorted(seen) == [a.id for a in world.agents if a.kind == CAR]
     for ego_id, view in seen.items():
         assert view.fov_ids == ball(world, ego_id, obs.r_fov)
         assert view.vic_ids == ball(world, ego_id, obs.r_vic)
         for kind in ARCHITECTURE_KINDS:
-            expected = reference_pool_ids(world, ego_id, arch(kind, zones), obs)
+            expected = reference_pool_ids(world, ego_id, kind, obs)
             assert view.pools[kind] == expected
 
 
@@ -192,7 +178,7 @@ def test_ego_pools_do_not_depend_on_agent_order(order):
         else:
             random.Random(seed).shuffle(agents)
         world = scene(agents, grid=world.grid, intersections=world.intersections)
-        seen = ego_pools(world, obs, Architecture.zones)
+        seen = ego_pools(world, obs)
         assert sorted(seen) == sorted(a.id for a in agents if a.kind == CAR)
         for ego_id, view in seen.items():
             for ids in (view.fov_ids, view.vic_ids, *view.pools.values()):
@@ -200,7 +186,7 @@ def test_ego_pools_do_not_depend_on_agent_order(order):
             assert view.fov_ids == ball(world, ego_id, obs.r_fov)
             assert view.vic_ids == ball(world, ego_id, obs.r_vic)
             for kind in ARCHITECTURE_KINDS:
-                assert view.pools[kind] == reference_pool_ids(world, ego_id, arch(kind), obs)
+                assert view.pools[kind] == reference_pool_ids(world, ego_id, kind, obs)
 
 
 def test_downlink_budget_edges(monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from semcom.comms import MULTI_ZONE_LNA, SENSOR_GNA
+from semcom.comms import ARCHITECTURE_KINDS, MULTI_ZONE_LNA, SENSOR_GNA
 from semcom.config import (
     SHIPPED_RULE_SETS,
     YAML_LOADER,
@@ -142,7 +142,7 @@ def run_doc(**overrides):
         "rule_sets": ["core"],
         "architectures": [
             {"kind": "sensor-gna"},
-            {"kind": "multi-zone-lna", "zones": 2},
+            {"kind": "multi-zone-lna"},
         ],
         "strategies": ["semantic", "random"],
         "k": [0, 1, 2],
@@ -164,7 +164,7 @@ def test_run_config_loads(tmp_path):
     run = load_run_config(write_run(tmp_path, run_doc()))
     assert [s.name for s in run.scenarios] == ["mini"]
     assert [r.name for r in run.rule_sets] == ["core"]
-    assert {a.kind for a in run.architectures} == {SENSOR_GNA, MULTI_ZONE_LNA}
+    assert run.architectures == (SENSOR_GNA, MULTI_ZONE_LNA)
     assert run.ks == (0, 1, 2)
     assert run.seeds == (1, 2)
     assert run.advantage_k == 3
@@ -174,7 +174,7 @@ def test_run_defaults(tmp_path):
     doc = {"scenario": dict(SCENARIO_DOC)}
     run = load_run_config(write_run(tmp_path, doc))
     assert [r.name for r in run.rule_sets] == ["core"]
-    assert len(run.architectures) == 3
+    assert run.architectures == ARCHITECTURE_KINDS
     assert run.ks == (0, 1, 2, 3, 4, 5)
     assert run.seeds == (1,)
 
@@ -217,6 +217,15 @@ def test_run_rejects_unknown_top_level_keys(tmp_path):
     # retired enumeration_cap knob must not be silently ignored
     doc = run_doc(stratgies=["semantic"], enumeration_cap=10)
     with pytest.raises(ConfigurationError, match=r"\['enumeration_cap', 'stratgies'\]"):
+        load_run_config(write_run(tmp_path, doc))
+
+
+def test_architectures_are_kind_names_on_the_fixed_zone_grid(tmp_path):
+    run = load_run_config(write_run(tmp_path, run_doc(architectures=[{"kind": "multi-zone-lna"}])))
+    assert run.architectures == (MULTI_ZONE_LNA,)
+    # the grid is comms.ZONES for every sweep, so zones is an unknown key
+    doc = run_doc(architectures=[{"kind": "multi-zone-lna", "zones": 2}])
+    with pytest.raises(ConfigurationError, match=r"unknown architecture keys \['zones'\]"):
         load_run_config(write_run(tmp_path, doc))
 
 

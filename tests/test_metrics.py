@@ -14,7 +14,6 @@ from semcom.comms import (
     MULTI_ZONE_LNA,
     SENSOR_GNA,
     SINGLE_ZONE_GNA,
-    Architecture,
     ego_pools,
 )
 from semcom.config import load_rule_set, load_run_config
@@ -48,7 +47,6 @@ from semcom.world import (
     step,
 )
 
-ZONES = Architecture.zones
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -163,7 +161,7 @@ def test_full_budget_under_sensor_uplink_is_lossless():
     k_cover = cfg.cars + cfg.pedestrians - 1
     budgets = [(strategy, k_cover) for strategy in (SEMANTIC, RANDOM)]
     for seed in (1, 2, 3):
-        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        traj = build_trajectory(cfg, rules, seed, engine)
         trace = evaluate_cell(traj, [SENSOR_GNA], budgets, engine)
         assert cell_rates(trace, rules) == [(1.0, 1.0)] * len(budgets)
 
@@ -172,7 +170,7 @@ def test_perfect_hypothesis_recovery_implies_perfect_actions():
     cfg = scenario()
     rules = load_rule_set("core")
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, 5, ZONES, engine)
+    traj = build_trajectory(cfg, rules, 5, engine)
     kinds = (SENSOR_GNA, SINGLE_ZONE_GNA, MULTI_ZONE_LNA)
     trace = evaluate_cell(traj, kinds, [(SEMANTIC, k) for k in (0, 1, 2, 13)], engine)
     # per decision: every column that recovers every hypothesis also
@@ -193,7 +191,7 @@ def test_zero_budget_loses_to_a_single_semantic_slot():
     budgets = [(SEMANTIC, 0), (SEMANTIC, 1)]
     base, one = [], []
     for seed in range(1, 25):
-        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        traj = build_trajectory(cfg, rules, seed, engine)
         (_, base_adsr), (_, one_adsr) = cell_rates(
             evaluate_cell(traj, [SENSOR_GNA], budgets, engine), rules
         )
@@ -207,7 +205,7 @@ def test_matrix_cells_replay_one_shared_trajectory():
     cfg = scenario()
     rules = load_rule_set("core")
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, 9, ZONES, engine)
+    traj = build_trajectory(cfg, rules, 9, engine)
     budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in (0, 2)]
     traces = [evaluate_cell(traj, [SENSOR_GNA], [budget], engine) for budget in budgets]
     traces.append(evaluate_cell(traj, [SENSOR_GNA], budgets, engine))
@@ -306,7 +304,7 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
     monkeypatch.setattr(metrics, "downlink", counting_downlink)
     shared = distinct = crowded = within = decided_by_misses = decided_by_saturation = 0
     for seed in (1, 2, 3):
-        traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+        traj = build_trajectory(cfg, rules, seed, engine)
         keys = view_keys(traj)
         # the product in the given order and with kinds and budgets reversed
         for order in ((kinds, budgets), (kinds[::-1], budgets[::-1])):
@@ -401,11 +399,11 @@ def test_cell_rates_match_the_per_column_reference_on_desk_traces(rule_set):
     desk = run.scenarios[0]
     rules = load_rule_set(rule_set)
     engine = KeyEngine(rules.hypotheses, T)
-    kinds = [arch.kind for arch in run.architectures]
+    kinds = list(run.architectures)
     budgets = [(strategy, k) for strategy in run.strategies for k in run.ks]
     repeated = 0
     for seed in (1, 2, 3):
-        traj = build_trajectory(desk, rules, seed, ZONES, engine)
+        traj = build_trajectory(desk, rules, seed, engine)
         for order in ((kinds, budgets), (kinds[::-1], budgets[::-1])):
             trace = evaluate_cell(traj, *order, engine)
             assert len(trace.cells) == 36
@@ -421,10 +419,10 @@ def test_trajectory_pools_and_masks_match_the_public_api():
     cfg = scenario(cars=5, pedestrians=2, steps=5)
     rules = load_rule_set("core")
     engine = engine_for(rules)
-    traj = build_trajectory(cfg, rules, 3, ZONES, engine)
+    traj = build_trajectory(cfg, rules, 3, engine)
     world = init_world(cfg, seed=3)
     for step_views in traj.views:
-        seen = ego_pools(world, cfg.observation, ZONES)
+        seen = ego_pools(world, cfg.observation)
         assert sorted(step_views) == sorted(seen)
         for ego_id, view in step_views.items():
             assert view.fov_ids == seen[ego_id].fov_ids
@@ -445,7 +443,7 @@ def test_random_strategy_matches_the_standalone_sampler():
     rules = load_rule_set("core")
     engine = engine_for(rules)
     seed = 4
-    traj = build_trajectory(cfg, rules, seed, ZONES, engine)
+    traj = build_trajectory(cfg, rules, seed, engine)
     k = 2
     trace = evaluate_cell(traj, [SENSOR_GNA], [(RANDOM, k)], engine)
     keys = view_keys(traj)
@@ -469,7 +467,7 @@ def test_random_strategy_matches_the_standalone_sampler():
 def test_sweep_layout_and_determinism():
     cfg = scenario(cars=4, pedestrians=2, steps=4)
     rules = [load_rule_set("core")]
-    archs = [Architecture(kind=SENSOR_GNA), Architecture(kind=MULTI_ZONE_LNA)]
+    archs = [SENSOR_GNA, MULTI_ZONE_LNA]
     rows = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 1, 3), (1, 2))
     # 2 architectures x 1 rule set x 2 strategies x 3 budgets x 2 seeds
     assert len(rows) == 24
@@ -483,7 +481,7 @@ def test_sweep_layout_and_determinism():
 def test_sweep_runs_in_parallel_identically():
     cfg = scenario(cars=4, pedestrians=2, steps=4)
     rules = [load_rule_set("core")]
-    archs = [Architecture(kind=SENSOR_GNA)]
+    archs = [SENSOR_GNA]
     serial = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3))
     parallel = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3), jobs=2)
     assert serial == parallel
@@ -514,7 +512,7 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
     sizes = recording_pool(monkeypatch)
     cfg = scenario(cars=3, pedestrians=1, steps=2)
     rules = [load_rule_set("core")]
-    archs = [Architecture(kind=SENSOR_GNA)]
+    archs = [SENSOR_GNA]
     serial = sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1, 2), jobs=1)
     assert sizes == []
     assert sweep(cfg, rules, archs, (SEMANTIC,), (0, 1), (1, 2), jobs=512) == serial
@@ -531,20 +529,8 @@ def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
     cfg = scenario(cars=3, pedestrians=1, steps=2)
     rules = [load_rule_set("core")]
     with pytest.raises(ConfigurationError, match="jobs"):
-        sweep(cfg, rules, [Architecture(kind=SENSOR_GNA)], (SEMANTIC,), (1,), (1, 2), jobs=jobs)
+        sweep(cfg, rules, [SENSOR_GNA], (SEMANTIC,), (1,), (1, 2), jobs=jobs)
     assert sizes == []
-
-
-def test_sweep_rejects_conflicting_zone_grids():
-    # kinds are unique, so a sweep has at most one multi-zone grid
-    cfg = scenario()
-    rules = [load_rule_set("core")]
-    archs = [
-        Architecture(kind=MULTI_ZONE_LNA, zones=2),
-        Architecture(kind=MULTI_ZONE_LNA, zones=3),
-    ]
-    with pytest.raises(ConfigurationError, match="duplicate architecture kind: multi-zone-lna"):
-        sweep(cfg, rules, archs, (SEMANTIC,), (1,), (1,))
 
 
 AXES = dict(
@@ -562,7 +548,7 @@ def sweep_axes(jobs=1, **overrides):
     return sweep(
         scenario(cars=3, pedestrians=1, steps=2),
         [load_rule_set(name) for name in axes["rule_sets"]],
-        [Architecture(kind=kind) for kind in axes["architectures"]],
+        axes["architectures"],
         axes["strategies"], axes["ks"], axes["seeds"], jobs=jobs,
     )
 
@@ -578,10 +564,14 @@ def sweep_axes(jobs=1, **overrides):
         ({"strategies": (SEMANTIC, "psychic")}, "unknown strategy 'psychic'"),
         ({"ks": (0, 2, -1)}, "k must be non-negative"),
         ({"seeds": (-3, 3)}, "seed must be non-negative, got -3"),
+        ({"architectures": (SENSOR_GNA, "carrier-pigeon")}, "unknown architecture 'carrier-pigeon'"),
+        # membership comes first, so an unhashable entry is refused by name
+        ({"strategies": ([SEMANTIC], [SEMANTIC])}, r"unknown strategy \['semantic'\]"),
+        ({"architectures": ([SENSOR_GNA],)}, r"unknown architecture \['sensor-gna'\]"),
     ],
     ids=[
         "budget", "strategy", "seed", "kind", "rule-set", "unknown-strategy", "negative-k",
-        "negative-seed",
+        "negative-seed", "unknown-kind", "unhashable-strategy", "unhashable-kind",
     ],
 )
 def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides, message):

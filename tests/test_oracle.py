@@ -19,7 +19,6 @@ from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import (
     ClosedFormParams,
     HypothesisParams,
-    _widest_digits,
     closed_form_confirmation,
     closed_form_evidence_probability,
     closed_form_objective,
@@ -175,19 +174,19 @@ def test_closed_form_rejects_oversized_exponents():
             closed_form_evidence_probability(params)
         with pytest.raises(FeasibilityError):
             closed_form_confirmation(params, params.hypotheses[0])
-    # the budget bounds alpha for c(e) and c(phi|e) and 2*alpha for F:
-    # here alpha = 2**(Q-K) = 8 exactly
-    params = params_for([0], [{0: 1}], 2)
-    assert closed_form_evidence_probability(params, bit_budget=8) == Fraction(255, 256)
-    assert closed_form_confirmation(params, params.hypotheses[0], bit_budget=8) > 0
-    assert closed_form_objective(params, bit_budget=16) > 0
+    # the 2**20-bit budget bounds alpha = 2**(Q-K) for c(e) and c(phi|e)
+    # and 2*alpha for F: at width 5 (Q = 32), K = 12 gives alpha = 2**20
+    # exactly and K = 11 one bit more, so F is refused at K = 12 too
+    hp = HypothesisParams(z=1, overlaps=False)
+    k11, k12 = (ClosedFormParams(T=5, K=K, hypotheses=(hp,)) for K in (11, 12))
+    assert closed_form_evidence_probability(k12) == 1 - Fraction(1, 1 << (1 << 20))
+    assert 0 < closed_form_confirmation(k12, hp) < 1
     for refused in (
-        lambda: closed_form_evidence_probability(params, bit_budget=7),
-        lambda: closed_form_confirmation(params, params.hypotheses[0], bit_budget=7),
-        lambda: closed_form_objective(params, bit_budget=15),
-        lambda: closed_form_evidence_probability(params, bit_budget=0),
+        lambda: closed_form_evidence_probability(k11),
+        lambda: closed_form_confirmation(k11, hp),
+        lambda: closed_form_objective(k12),
     ):
-        with pytest.raises(FeasibilityError):
+        with pytest.raises(FeasibilityError, match="over the 1048576-bit budget"):
             refused()
 
 
@@ -280,12 +279,11 @@ def _random_params(rng, T):
 def test_exact_compare_agrees_with_rational_arithmetic():
     # width 3 keeps the exponents small enough for Fraction arithmetic
     rng = random.Random(4)
-    budget = 1 << 12
     for _ in range(300):
         a = _random_params(rng, 3)
         b = _random_params(rng, 3)
-        fa = closed_form_objective(a, bit_budget=budget)
-        fb = closed_form_objective(b, bit_budget=budget)
+        fa = closed_form_objective(a)
+        fb = closed_form_objective(b)
         expected = (fa > fb) - (fa < fb)
         assert exact_objective_compare(a, b) == expected
 
@@ -328,7 +326,7 @@ def _closed_form_cases(rng, T):
 def test_exact_compare_agrees_with_rational_arithmetic_at_every_small_width(T):
     # F's denominators take up to 2**(Q - K + 1) bits: 2**17 at width 4, K = 0
     cases = _closed_form_cases(random.Random(T), T)
-    values = [closed_form_objective(p, bit_budget=1 << 17) for p in cases]
+    values = [closed_form_objective(p) for p in cases]
     distinct = sorted(set(values))
     rank = [distinct.index(v) for v in values]
     assert values.count(0) >= 12  # witnessed and empty sets tie at F = 0 across K
@@ -420,15 +418,3 @@ def test_table_checks_t_and_every_z_before_any_row():
     for T in (0, -1):
         with pytest.raises(ConfigurationError, match="T must be at least 1"):
             closed_form_table(T)
-
-
-def test_widest_digits_is_the_widest_integer_each_table_prints():
-    # the digit count the T = 4 refusal names, checked where the table prints
-    for T in (1, 2, 3):
-        widest = max(
-            len(str(part))
-            for row in closed_form_table(T)
-            for column in ("c_e", "c_phi_given_e", "F_term")
-            for part in (Fraction(row[column]).numerator, Fraction(row[column]).denominator)
-        )
-        assert _widest_digits(T) == widest == (2, 8, 145)[T - 1]

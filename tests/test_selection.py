@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from semcom.comms import Architecture, ego_pools
+from semcom.comms import ego_pools
 from semcom.config import SHIPPED_RULE_SETS, load_rule_set
 from semcom.errors import FeasibilityError
 from satisfaction_reference import reference_key, satisfies
@@ -31,9 +31,7 @@ from semcom.world import (
 def exact_objective(subset, hyps, T):
     # K=1 at width 4 already needs a 2**16-bit denominator
     qs = frozenset(QSentence(bits, T) for _, bits in subset)
-    return closed_form_objective(
-        ClosedFormParams.from_subset(qs, hyps, T), bit_budget=1 << 17
-    )
+    return closed_form_objective(ClosedFormParams.from_subset(qs, hyps, T))
 
 
 def ids(subset):
@@ -279,7 +277,7 @@ def test_select_matches_brute_force_on_crowded_pools():
     for seed in (1, 2):
         world = init_world(scenario, seed)
         by_id = {a.id: a for a in world.agents}
-        for ego_id, seen in ego_pools(world, scenario.observation, Architecture.zones).items():
+        for ego_id, seen in ego_pools(world, scenario.observation).items():
             ego = by_id[ego_id]
             for pool in seen.pools.values():
                 if comb(len(pool), k) <= SUBSET_LOOP_MAX:

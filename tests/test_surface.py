@@ -1,19 +1,23 @@
 """Every name the package defines is used by the package or the benchmark,
+every option a package function offers is passed by some call there,
 every name a package module imports is used in that module, and every
 package name the README spells out still exists.
 
 A function, class, constant or method that only tests call is a second
-entry point beside the one production runs.  The scan reads the code's
-syntax trees: a name counts as referenced when it appears as a loaded
-name, an attribute, or an imported name anywhere in ``src/semcom`` or
-``perfbench`` outside its own definition.  The README check reads the
-names in its backtick spans of the forms ``semcom.<module>.<name>`` and
-``<Class>.<member>``.
+entry point beside the one production runs, and a defaulted parameter
+that only tests pass is a setting with one production value.  The scan
+reads the code's syntax trees: a name counts as referenced when it
+appears as a loaded name, an attribute, or an imported name anywhere in
+``src/semcom`` or ``perfbench`` outside its own definition, and a
+parameter counts as passed when a call there to a function of its name
+gives it by keyword, by position, or through ``*args`` or ``**kwargs``.
+The README check reads the names in its backtick spans of the forms
+``semcom.<module>.<name>`` and ``<Class>.<member>``.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +81,82 @@ def test_every_package_name_is_referenced_outside_its_definition():
         if name.rsplit(".", 1)[-1] not in ALLOWED_UNREFERENCED
     ]
     assert missing == [], "referenced only by tests or by nothing: %s" % ", ".join(missing)
+
+
+def defaulted_parameters(tree):
+    """(qualified name, name, parameter, call position or None) per defaulted parameter.
+
+    A method's position skips its ``self`` or ``cls``, as calls through
+    an instance or the class give it; keyword-only parameters have none.
+    """
+    for qualified, name, node in definitions(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = "." in qualified and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield qualified, name, arg.arg, index - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def passes(call, parameter, position):
+    """Whether a call may give the parameter a value of its own."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def unpassed_defaults(package, scanned):
+    """Defaulted parameters of the package trees that no scanned call passes."""
+    calls = defaultdict(list)
+    for tree in scanned:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls[func.id].append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls[func.attr].append(node)
+    return [
+        "%s.%s(%s)" % (module, qualified, parameter)
+        for module, tree in package
+        for qualified, name, parameter, position in defaulted_parameters(tree)
+        if not any(passes(call, parameter, position) for call in calls[name])
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SCANNED}
+    unpassed = unpassed_defaults([(p.stem, trees[p]) for p in PACKAGE], trees.values())
+    assert unpassed == [], "options only tests set, or none: %s" % ", ".join(unpassed)
+
+
+def test_the_default_scan_flags_planted_unpassed_options():
+    source = (
+        "def f(a, b=1, *, c=2, d=None): pass\n"
+        "class K:\n"
+        "    def m(self, x=0, y=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(x=0): pass\n"
+        "f(1, 2)\nf(0, d=3)\nK().m(1)\nK.s()\n"
+    )
+    tree = ast.parse(source)
+    assert unpassed_defaults([("mod", tree)], [tree]) == [
+        "mod.f(c)", "mod.K.m(y)", "mod.K.s(x)",
+    ]
+    # *args may fill any position and **kwargs any keyword
+    spread = ast.parse("f(*args, c=1)\nf(**options)\n")
+    assert unpassed_defaults([("mod", tree)], [spread]) == [
+        "mod.K.m(x)", "mod.K.m(y)", "mod.K.s(x)",
+    ]
 
 
 def unused_imports(tree):

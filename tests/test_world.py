@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import grounding_reference as ref
 from grounding_reference import chebyshev
 from satisfaction_reference import bit
-from semcom.comms import Architecture, ego_pools
+from semcom.comms import ego_pools
 from semcom.config import load_rule_set, load_run_config
 from semcom.errors import ConfigurationError
 from semcom.logic import Hypothesis
@@ -177,7 +177,7 @@ def test_visibility_boundary_is_inclusive():
             static_agent(4, CAR, (18, 10)),   # one past
         ]
     )
-    view = ego_pools(world, obs, Architecture.zones)[0]
+    view = ego_pools(world, obs)[0]
     assert view.fov_ids == (1,)
     assert view.vic_ids == (1, 2, 3)
 
@@ -186,7 +186,7 @@ def test_fov_is_contained_in_vicinity():
     # only cars decide, so only cars get a view
     cfg = scenario(cars=8, pedestrians=4)
     world = init_world(cfg, seed=11)
-    views = ego_pools(world, cfg.observation, Architecture.zones)
+    views = ego_pools(world, cfg.observation)
     assert sorted(views) == [a.id for a in world.agents if a.kind == CAR]
     for ego_id, view in views.items():
         assert set(view.fov_ids) <= set(view.vic_ids)
@@ -196,7 +196,7 @@ def test_fov_is_contained_in_vicinity():
 def test_isolated_ego_sees_nothing():
     world = hand_world([static_agent(0, CAR, (10, 10)), static_agent(1, CAR, (39, 39))])
     obs = ObservationConfig(r_fov=3, r_vic=7)
-    view = ego_pools(world, obs, Architecture.zones)[0]
+    view = ego_pools(world, obs)[0]
     assert view.fov_ids == ()
     assert view.vic_ids == ()
 
@@ -423,7 +423,7 @@ def test_two_step_trace_is_reproducible():
     for _ in range(2):
         actions = {}
         by_id = {a.id: a for a in world.agents}
-        for ego_id, view in ego_pools(world, cfg.observation, Architecture.zones).items():
+        for ego_id, view in ego_pools(world, cfg.observation).items():
             mask = 0
             for ent_id in view.fov_ids:
                 mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id]))
