@@ -11,9 +11,9 @@ Subcommands:
                   on random instances of one fixed shape (see validation)
 
 Output location: --out names a directory, made when its first file is
-written; when absent, the SEMCOM_OUT_DIR environment variable is used;
-when neither is set, tables go to stdout.  All randomness flows from explicit seeds, so a fixed
-config and seed list reproduces output byte for byte regardless of --jobs.
+written; without it, tables go to stdout.  All randomness flows from
+explicit seeds, so a fixed config and seed list reproduces output byte
+for byte regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from typing import List, Optional, Sequence
 from . import metrics
 from .config import RunConfig, load_run_config
 from .errors import SemcomError
-
-OUT_DIR_ENV = "SEMCOM_OUT_DIR"
 
 ORACLE_COLUMNS = ("T", "K", "Z", "overlap", "c_e", "c_phi_given_e", "F_term")
 
@@ -52,14 +50,11 @@ def _parse_seed_list(text: str) -> List[int]:
     return seeds
 
 
-def _out_dir(args: argparse.Namespace) -> Optional[str]:
-    return args.out or os.environ.get(OUT_DIR_ENV) or None
-
-
-def _emit(out_dir: Optional[str], filename: str, text: str) -> None:
-    if out_dir is None:
+def _emit(out_dir: Optional[str], filename: str, text: str, echo: bool = False) -> None:
+    """Write text to out_dir/filename, or to stdout without --out; echo prints it too."""
+    if not out_dir or echo:
         sys.stdout.write(text)
-    else:
+    if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -100,7 +95,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     table = closed_form_table(args.t)
     rows = [[row[c] for c in ORACLE_COLUMNS] for row in table]
-    _emit(_out_dir(args), "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
+    _emit(args.out, "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
     return 0
 
 
@@ -110,19 +105,17 @@ def _load(args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out_dir = _out_dir(args)
     for scenario in cfg.scenarios:
         rows = metrics.sweep(
             scenario, cfg.rule_sets, cfg.architectures, cfg.strategies,
             cfg.ks, cfg.seeds, jobs=args.jobs,
         )
-        _emit(out_dir, "%s_per_seed.csv" % scenario.name, metrics.per_seed_csv(rows))
+        _emit(args.out, "%s_per_seed.csv" % scenario.name, metrics.per_seed_csv(rows))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out_dir = _out_dir(args)
     points = []
     summary: List[str] = []
     for scenario in cfg.scenarios:
@@ -131,7 +124,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg.ks, cfg.seeds, jobs=args.jobs,
         )
         aggregates = metrics.aggregate(rows)
-        _emit(out_dir, "%s.csv" % scenario.name, metrics.aggregate_csv(aggregates))
+        _emit(args.out, "%s.csv" % scenario.name, metrics.aggregate_csv(aggregates))
         dips = metrics.monotonicity_violations(rows)
         summary.append("scenario %s: %d rows, %d aggregate cells" % (
             scenario.name, len(rows), len(aggregates)))
@@ -140,21 +133,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "  semantic A-DSR dip: %s/%s seed %d between k=%d and k=%d"
                 % (arch, rule_set, seed, k_lo, k_hi)
             )
-        if 0 in cfg.ks and cfg.advantage_k in cfg.ks:
+        if 0 in cfg.ks and metrics.ADVANTAGE_K in cfg.ks:
             try:
-                points.append(metrics.advantage_points(rows, cfg.advantage_k))
+                points.append(metrics.advantage_points(rows))
             except SemcomError as exc:
                 summary.append("  no advantage point for %s: %s" % (scenario.name, exc))
     if len(points) >= 3:
         r = metrics.advantage_correlation(points)
         summary.append(
             "advantage correlation (baseline A-DSR vs semantic-minus-random at k=%d, "
-            "%d configurations): %.6f" % (cfg.advantage_k, len(points), r)
+            "%d configurations): %.6f" % (metrics.ADVANTAGE_K, len(points), r)
         )
-    text = "\n".join(summary) + "\n"
-    _emit(out_dir, "summary.txt", text)
-    if out_dir is not None:
-        sys.stdout.write(text)  # the summary is echoed even when written to a file
+    _emit(args.out, "summary.txt", "\n".join(summary) + "\n", echo=True)
     return 0
 
 
@@ -162,11 +152,7 @@ def cmd_validate_key(args: argparse.Namespace) -> int:
     from .validation import validate_key_ordering
 
     report = validate_key_ordering(args.trials, args.seed)
-    text = "\n".join(report.summary_lines()) + "\n"
-    out_dir = _out_dir(args)
-    _emit(out_dir, "validate_key.txt", text)
-    if out_dir is not None:
-        sys.stdout.write(text)  # the report is echoed even when written to a file
+    _emit(args.out, "validate_key.txt", "\n".join(report.summary_lines()) + "\n", echo=True)
     return 0 if report.disagreements == 0 else 1
 
 

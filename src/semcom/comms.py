@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Set, Tuple
 
-from .world import CAR, ObservationConfig, WorldState
+from .world import CAR, WorldState
 
 SENSOR_GNA = "sensor-gna"
 SINGLE_ZONE_GNA = "single-zone-gna"
@@ -31,7 +31,7 @@ class EgoPools:
     pools: Mapping[str, Tuple[int, ...]]
 
 
-def ego_pools(world: WorldState, obs: ObservationConfig) -> Dict[int, EgoPools]:
+def ego_pools(world: WorldState, r_fov: int, r_vic: int) -> Dict[int, EgoPools]:
     """FOV, vicinity and the three architecture pools of every car.
 
     sensor-gna: roadside sensing covers the ego's whole vicinity.
@@ -43,10 +43,10 @@ def ego_pools(world: WorldState, obs: ObservationConfig) -> Dict[int, EgoPools]:
         ego's zone of the ZONES x ZONES grid reach it.
 
     One (id, x, y) list is sorted by id per call.  Each car scans it once
-    against the coordinate windows of its two Chebyshev balls, so its
-    vicinity and FOV ids come out ascending for any world.agents order.
+    against the coordinate windows of its Chebyshev balls of radii r_fov
+    and r_vic, so its vicinity and FOV ids come out ascending for any
+    world.agents order.
     """
-    r_vic, r_fov = obs.r_vic, obs.r_fov
     points = sorted((a.id, a.position[0], a.position[1]) for a in world.agents)
     grid = world.grid
     uploads_all: Set[int] = set()

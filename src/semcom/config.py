@@ -29,12 +29,13 @@ run / sweep file:
     strategies: [semantic, random]
     k: [0, 1, 2, 3, 4, 5]
     seeds: [1, 2, 3]
-    advantage_k: 3           # optional; correlation summary for suites
 
-Unknown keys are rejected at the top level of a run file, in a scenario
-and in an architecture entry; no key changes the fixed ``world.PREDICATES``
-or the fixed ``comms.ZONES`` grid.  A scenario's name names its output
-files, so it must be one path component.
+Unknown keys are rejected at the top level of a run file, in a scenario,
+in an architecture entry, and at the top level and in each hypothesis of
+a rule-set file; no key changes the fixed ``world.PREDICATES``, the fixed
+``comms.ZONES`` grid or the budget ``metrics.ADVANTAGE_K`` at which a
+suite's correlation summary reads the semantic advantage.  A scenario's
+name names its output files, so it must be one path component.
 
 Shipped rule sets (``core``, ``extended``, ``spatial``, ``discriminative``)
 resolve from the package's data directory; anything containing a path
@@ -46,7 +47,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import yaml
 
@@ -54,7 +55,7 @@ from .errors import ConfigurationError, reject_repeats
 from .comms import ARCHITECTURE_KINDS
 from .selection import STRATEGIES
 from .logic import Hypothesis
-from .world import PREDICATES, ObservationConfig, RuleSet, ScenarioConfig
+from .world import PREDICATES, RuleSet, ScenarioConfig
 
 SHIPPED_RULE_SETS = ("core", "extended", "spatial", "discriminative")
 
@@ -64,7 +65,6 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 RUN_CONFIG_KEYS = frozenset({
     "scenario", "scenarios", "rule_sets", "architectures", "strategies", "k", "seeds",
-    "advantage_k",
 })
 
 
@@ -93,6 +93,13 @@ def _require(mapping: Mapping[str, Any], key: str, source: str) -> Any:
     return mapping[key]
 
 
+def _reject_unknown(data: Mapping[Any, Any], known: AbstractSet[str], what: str) -> None:
+    unknown = set(data) - known
+    if unknown:
+        # YAML keys need not be strings: sort their text, not the mixed keys
+        raise ConfigurationError("%s: unknown keys %s" % (what, sorted(map(str, unknown))))
+
+
 def _as_int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError("%s must be an integer, got %r" % (what, value))
@@ -116,6 +123,7 @@ def _as_list(value: Any, what: str) -> List[Any]:
 # ---------------------------------------------------------------------------
 
 def rule_set_from_config(data: Mapping[str, Any], source: str = "rule set") -> RuleSet:
+    _reject_unknown(data, {"name", "action_priority", "hypotheses"}, source)
     name = str(_require(data, "name", source))
     priority = _require(data, "action_priority", source)
     if not isinstance(priority, list) or not all(isinstance(a, str) for a in priority):
@@ -124,9 +132,10 @@ def rule_set_from_config(data: Mapping[str, Any], source: str = "rule set") -> R
     if not isinstance(raw_hypotheses, list) or not raw_hypotheses:
         raise ConfigurationError("%s: hypotheses must be a non-empty list" % source)
     hypotheses = []
-    for entry in raw_hypotheses:
+    for i, entry in enumerate(raw_hypotheses):
         if not isinstance(entry, dict):
             raise ConfigurationError("%s: hypothesis entries must be mappings" % source)
+        _reject_unknown(entry, {"id", "action", "when"}, "%s hypothesis[%d]" % (source, i))
         hid = _as_int(_require(entry, "id", source), "%s: hypothesis id" % source)
         action = str(_require(entry, "action", source))
         when = _require(entry, "when", source)
@@ -182,9 +191,7 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
     if not isinstance(data, Mapping):
         raise ConfigurationError("%s: must be a mapping" % source)
     known = {"name", "grid", "roads", "cars", "pedestrians", "r_fov", "r_vic", "steps"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError("%s: unknown keys %s" % (source, sorted(unknown)))
+    _reject_unknown(data, known, source)
     name = data.get("name", "scenario")
     # the name becomes <out>/<name>.csv, so it may not climb or nest
     if (
@@ -200,10 +207,8 @@ def scenario_from_config(data: Mapping[str, Any], source: str = "scenario") -> S
         roads=_as_int_list(_require(data, "roads", source), "roads"),
         cars=_as_int(_require(data, "cars", source), "cars"),
         pedestrians=_as_int(_require(data, "pedestrians", source), "pedestrians"),
-        observation=ObservationConfig(
-            r_fov=_as_int(_require(data, "r_fov", source), "r_fov"),
-            r_vic=_as_int(_require(data, "r_vic", source), "r_vic"),
-        ),
+        r_fov=_as_int(_require(data, "r_fov", source), "r_fov"),
+        r_vic=_as_int(_require(data, "r_vic", source), "r_vic"),
         steps=_as_int(_require(data, "steps", source), "steps"),
     )
 
@@ -220,7 +225,6 @@ class RunConfig:
     strategies: Tuple[str, ...]
     ks: Tuple[int, ...]
     seeds: Tuple[int, ...]
-    advantage_k: int = 3
 
 
 def _architectures_from_config(obj: Any, source: str) -> Tuple[str, ...]:
@@ -228,12 +232,10 @@ def _architectures_from_config(obj: Any, source: str) -> Tuple[str, ...]:
     if obj is None:
         return ARCHITECTURE_KINDS
     out = []
-    for entry in _as_list(obj, "%s: architectures" % source):
+    for i, entry in enumerate(_as_list(obj, "%s: architectures" % source)):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigurationError("%s: each architecture needs a 'kind'" % source)
-        extra = set(entry) - {"kind"}
-        if extra:
-            raise ConfigurationError("%s: unknown architecture keys %s" % (source, sorted(extra)))
+        _reject_unknown(entry, {"kind"}, "%s architecture[%d]" % (source, i))
         out.append(entry["kind"])
     return tuple(out)
 
@@ -243,9 +245,7 @@ def load_run_config(
     seeds_override: Optional[Sequence[int]] = None,
 ) -> RunConfig:
     data = load_yaml_file(path)
-    unknown = set(data) - RUN_CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError("%s: unknown keys %s" % (path, sorted(map(str, unknown))))
+    _reject_unknown(data, RUN_CONFIG_KEYS, path)
     base_dir = os.path.dirname(os.path.abspath(path))
     if ("scenario" in data) == ("scenarios" in data):
         raise ConfigurationError("%s: give exactly one of 'scenario' or 'scenarios'" % path)
@@ -272,5 +272,4 @@ def load_run_config(
         seeds=_as_int_list(
             data.get("seeds", [1]) if seeds_override is None else seeds_override, "seeds"
         ),
-        advantage_k=_as_int(data.get("advantage_k", RunConfig.advantage_k), "advantage_k"),
     )

@@ -138,14 +138,13 @@ def build_trajectory(
     routes.  Pools are precomputed for all three architecture kinds,
     so every matrix cell replays the same states.
     """
-    obs = scenario.observation
     world = init_world(scenario, seed)
     per_step: List[Dict[int, StepView]] = []
     for t in range(scenario.steps):
         by_id = {a.id: a for a in world.agents}
         views: Dict[int, StepView] = {}
         actions: Dict[int, str] = {}
-        for ego_id, seen in ego_pools(world, obs).items():
+        for ego_id, seen in ego_pools(world, scenario.r_fov, scenario.r_vic).items():
             ego = by_id[ego_id]
             qbits = {
                 ent_id: ground_entity(world, ego, by_id[ent_id])
@@ -454,13 +453,14 @@ def monotonicity_violations(rows: Iterable[MetricsRow]) -> List[Tuple[str, str, 
 # Baseline-vs-advantage correlation
 # ---------------------------------------------------------------------------
 
-def advantage_points(
-    rows: Iterable[MetricsRow], advantage_k: int
-) -> Tuple[float, float]:
+ADVANTAGE_K = 3  # the budget at which the semantic advantage is read
+
+
+def advantage_points(rows: Iterable[MetricsRow]) -> Tuple[float, float]:
     """(baseline, advantage) for one configuration's row set.
 
     Baseline is mean A-DSR at k=0; advantage is mean semantic A-DSR
-    minus mean random A-DSR at the chosen budget.
+    minus mean random A-DSR at k = ADVANTAGE_K.
     """
     baseline: List[float] = []
     semantic: List[float] = []
@@ -468,13 +468,13 @@ def advantage_points(
     for row in rows:
         if row.k == 0 and row.strategy == SEMANTIC:
             baseline.append(row.adsr)
-        elif row.k == advantage_k and row.strategy == SEMANTIC:
+        elif row.k == ADVANTAGE_K and row.strategy == SEMANTIC:
             semantic.append(row.adsr)
-        elif row.k == advantage_k and row.strategy == RANDOM:
+        elif row.k == ADVANTAGE_K and row.strategy == RANDOM:
             rand.append(row.adsr)
     if not baseline or not semantic or not rand:
         raise UndefinedMetricError(
-            "advantage point needs k=0 and k=%d rows for both strategies" % advantage_k
+            "advantage point needs k=0 and k=%d rows for both strategies" % ADVANTAGE_K
         )
     return (statistics.fmean(baseline), statistics.fmean(semantic) - statistics.fmean(rand))
 

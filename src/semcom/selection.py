@@ -318,16 +318,9 @@ def downlink(
     The pool holds entity ids ascending and qbits maps each one to its
     pattern.  Semantic sends the engine's kappa-lex-minimal k-subset and
     random a uniform without-replacement sample drawn from rng_seed (the
-    engine may then be None).  metrics.sweep checks the request.
-
-    metrics._mask_block calls it only for a budget whose mask the pool's
-    coverage C does not already fix.  It sends nothing at k = 0 and all of
-    C beyond the FOV without a call when k > misses, the most entries that
-    miss one hypothesis of C outside the FOV: every k-subset then holds a
-    witness of each (k >= len(pool) is the case misses < len(pool)).  It
-    does the same for a semantic k above a semantic budget whose kappa
-    choice covered C: kappa counts uncovered hypotheses first and some
-    k-subset extends that choice, so the kappa-minimal one covers exactly C.
+    engine may then be None).  metrics.sweep checks the request, and
+    metrics._mask_block, which owns the budget rules, calls it only for a
+    budget whose mask the pool's coverage does not already fix.
     """
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)

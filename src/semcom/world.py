@@ -37,18 +37,6 @@ DEFAULT_ACTION = "Normal"
 
 
 @dataclass(frozen=True)
-class ObservationConfig:
-    r_fov: int
-    r_vic: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r_fov <= self.r_vic:
-            raise ConfigurationError(
-                "need 0 < r_fov <= r_vic, got r_fov=%d r_vic=%d" % (self.r_fov, self.r_vic)
-            )
-
-
-@dataclass(frozen=True)
 class RuleSet:
     """Hypotheses plus a total action-priority order (index 0 wins).
 
@@ -105,7 +93,8 @@ class ScenarioConfig:
     roads: Tuple[int, ...]
     cars: int
     pedestrians: int
-    observation: ObservationConfig
+    r_fov: int  # field-of-view radius (Chebyshev)
+    r_vic: int  # vicinity radius
     steps: int
 
     def __post_init__(self) -> None:
@@ -120,6 +109,10 @@ class ScenarioConfig:
             raise ConfigurationError("need at least two road lines to form routes")
         if self.cars < 1 or self.pedestrians < 0 or self.steps < 1:
             raise ConfigurationError("need at least one car, non-negative pedestrians, steps >= 1")
+        if not 0 < self.r_fov <= self.r_vic:
+            raise ConfigurationError(
+                "need 0 < r_fov <= r_vic, got r_fov=%d r_vic=%d" % (self.r_fov, self.r_vic)
+            )
 
 
 @dataclass(frozen=True)

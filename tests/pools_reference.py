@@ -27,10 +27,10 @@ def zone_of(position, grid):
     return (min(x * ZONES // grid, ZONES - 1), min(y * ZONES // grid, ZONES - 1))
 
 
-def reference_pool_ids(world, ego_id, kind, obs):
+def reference_pool_ids(world, ego_id, kind, r_fov, r_vic):
     """Per-ego pool by definition: rescans every uploader's FOV."""
-    vic = set(ball(world, ego_id, obs.r_vic))
-    fov = set(ball(world, ego_id, obs.r_fov))
+    vic = set(ball(world, ego_id, r_vic))
+    fov = set(ball(world, ego_id, r_fov))
     if kind == SENSOR_GNA:
         candidates = vic
     else:
@@ -47,6 +47,6 @@ def reference_pool_ids(world, ego_id, kind, obs):
         uploaded: Set[int] = set()
         for a in uploaders:
             uploaded.add(a.id)
-            uploaded.update(ball(world, a.id, obs.r_fov))
+            uploaded.update(ball(world, a.id, r_fov))
         candidates = uploaded & vic
     return tuple(sorted(candidates - fov - {ego_id}))

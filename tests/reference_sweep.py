@@ -71,7 +71,8 @@ def sent(pool, qbits, k, strategy, hypotheses, T, rng_seed):
 def task_rows(scenario, rules, seed, architectures, strategies, ks):
     """Per-seed rows of one (rule set, seed) as (architecture, rule set,
     strategy, k, seed, hdsr, adsr) tuples, one per cell."""
-    hyps, T, obs = rules.hypotheses, len(PREDICATES), scenario.observation
+    hyps, T = rules.hypotheses, len(PREDICATES)
+    r_fov, r_vic = scenario.r_fov, scenario.r_vic
     cells = [(arch, strategy, k) for arch in architectures for strategy in strategies for k in ks]
     hits = [0] * len(cells)  # (decision, hypothesis) pairs that match FI
     agreed = [0] * len(cells)  # decisions whose action matches FI
@@ -81,13 +82,13 @@ def task_rows(scenario, rules, seed, architectures, strategies, ks):
         by_id = {a.id: a for a in world.agents}
         actions = {}
         for ego_id in sorted(a.id for a in world.agents if a.kind == CAR):
-            vicinity = ball(world, ego_id, obs.r_vic)
-            fov = ball(world, ego_id, obs.r_fov)
+            vicinity = ball(world, ego_id, r_vic)
+            fov = ball(world, ego_id, r_fov)
             qbits = {i: ground(world, by_id[ego_id], by_id[i]) for i in vicinity}
             fi_mask = witnessed([qbits[i] for i in vicinity], hyps)
             actions[ego_id] = fi_action = action(fi_mask, rules)
             rng_seed = _record_seed(seed, step_idx, ego_id)
-            pools = {arch: reference_pool_ids(world, ego_id, arch, obs) for arch in architectures}
+            pools = {arch: reference_pool_ids(world, ego_id, arch, r_fov, r_vic) for arch in architectures}
             for c, (arch, strategy, k) in enumerate(cells):
                 ids = fov + tuple(sent(pools[arch], qbits, k, strategy, hyps, T, rng_seed))
                 mask = witnessed([qbits[i] for i in ids], hyps)

@@ -19,6 +19,7 @@ from semcom.comms import SENSOR_GNA
 from semcom.config import load_run_config
 from semcom.logic import Hypothesis, QSentence
 from semcom.metrics import (
+    ADVANTAGE_K,
     advantage_correlation,
     advantage_points,
     aggregate,
@@ -212,12 +213,13 @@ def test_criterion_5_semantic_dominates_random_at_desk_scale():
 def test_criterion_6_baseline_predicts_advantage_inversely():
     run = load_run_config(str(ROOT / "configs" / "density_suite.yaml"))
     assert len(run.scenarios) >= 8
+    assert 0 in run.ks and ADVANTAGE_K in run.ks
     points = []
     for scenario in run.scenarios:
         rows = sweep(
             scenario, run.rule_sets, run.architectures, run.strategies, run.ks, run.seeds
         )
-        points.append(advantage_points(rows, run.advantage_k))
+        points.append(advantage_points(rows))
     r = advantage_correlation(points)
     ok = r < -0.3
     assert report(6, ok, "%d configurations, r = %.4f" % (len(points), r)) and ok

@@ -190,14 +190,6 @@ def test_seed_ranges_parse(tmp_path):
     assert {r["seed"] for r in rows} == {"1", "3", "4", "5"}
 
 
-def test_out_dir_environment_fallback(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path, small_run(seeds=[1], k=[0, 1]))
-    target = tmp_path / "env_out"
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
-    assert cli.main(["sweep", "--config", config]) == 0
-    assert (target / "mini.csv").exists()
-
-
 def test_invalid_config_exits_two(tmp_path, capsys):
     # metrics.sweep refuses repeated axes, a negative seed and bad requests;
     # either way both commands fail before writing any file
@@ -237,6 +229,21 @@ def test_scenario_name_that_is_not_one_file_name_exits_two(tmp_path, capsys, nam
         assert cli.main([command, "--config", config, "--out", str(out)]) == 2
         assert "name must be a file name" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
+
+
+@pytest.mark.parametrize("level", ["run", "scenario", "architecture"])
+def test_unknown_keys_of_mixed_type_exit_two(tmp_path, capsys, level):
+    # YAML keys need not be strings: the refusal sorts their text, not 1 against "weather"
+    doc = small_run()
+    entry = {"run": doc, "scenario": doc["scenario"], "architecture": doc["architectures"][0]}
+    entry[level].update({1: "x", "weather": "rain"})
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = tmp_path / "o"
+    for command in ("sweep", "run"):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert "unknown keys ['1', 'weather']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_repeated_road_line_exits_two(tmp_path, capsys):

@@ -23,7 +23,6 @@ from semcom.world import (
     CAR,
     PEDESTRIAN,
     AgentState,
-    ObservationConfig,
     T,
     ScenarioConfig,
     WorldState,
@@ -32,7 +31,7 @@ from semcom.world import (
     step,
 )
 
-OBS = ObservationConfig(r_fov=3, r_vic=12)
+R_FOV, R_VIC = 3, 12
 
 
 def static_agent(aid, kind, pos):
@@ -64,7 +63,7 @@ def hand_scene():
 def cfg(**overrides):
     base = dict(
         name="t", grid=40, roads=(10, 30), cars=3, pedestrians=2,
-        observation=OBS, steps=5,
+        r_fov=R_FOV, r_vic=R_VIC, steps=5,
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -78,7 +77,7 @@ def grounded(world, ego_id, ids):
 
 def pools_of(world):
     """Car 0's pool per architecture kind (2x2 zones), as the sweep reads them."""
-    return ego_pools(world, OBS)[0].pools
+    return ego_pools(world, R_FOV, R_VIC)[0].pools
 
 
 def test_zone_partition_is_half_open():
@@ -111,7 +110,7 @@ def test_pool_never_includes_fov_or_ego():
     for kind in ARCHITECTURE_KINDS:
         ids = set(pools_of(world)[kind])
         assert 0 not in ids
-        assert ids.isdisjoint(ball(world, 0, OBS.r_fov))
+        assert ids.isdisjoint(ball(world, 0, R_FOV))
 
 
 def test_alone_in_zone_gets_an_empty_local_pool():
@@ -127,15 +126,15 @@ def test_alone_in_zone_gets_an_empty_local_pool():
 
 
 def test_pools_nest_across_architectures_on_simulated_worlds():
-    config = cfg(cars=8, pedestrians=4, observation=ObservationConfig(r_fov=4, r_vic=14))
+    config = cfg(cars=8, pedestrians=4, r_fov=4, r_vic=14)
     for seed in range(6):
         world = init_world(config, seed=seed)
-        for ego_id, seen in ego_pools(world, config.observation).items():
+        for ego_id, seen in ego_pools(world, config.r_fov, config.r_vic).items():
             sensor = set(seen.pools[SENSOR_GNA])
             single = set(seen.pools[SINGLE_ZONE_GNA])
             multi = set(seen.pools[MULTI_ZONE_LNA])
             assert multi <= single <= sensor
-            assert sensor <= set(ball(world, ego_id, config.observation.r_vic))
+            assert sensor <= set(ball(world, ego_id, config.r_vic))
 
 
 @given(
@@ -150,26 +149,28 @@ def test_pools_nest_across_architectures_on_simulated_worlds():
 def test_ego_pools_match_the_per_ego_reference(
     seed, cars, pedestrians, r_fov, extra_vic, steps
 ):
-    obs = ObservationConfig(r_fov=r_fov, r_vic=r_fov + extra_vic)
-    world = init_world(cfg(cars=cars, pedestrians=pedestrians, observation=obs), seed=seed)
+    r_vic = r_fov + extra_vic
+    world = init_world(
+        cfg(cars=cars, pedestrians=pedestrians, r_fov=r_fov, r_vic=r_vic), seed=seed
+    )
     rng = random.Random(seed)
     for _ in range(steps):
         world = step(world, {a.id: rng.choice(("Stop", "Slow", "Normal", "Fast"))
                              for a in world.agents if a.kind == CAR})
-    seen = ego_pools(world, obs)
+    seen = ego_pools(world, r_fov, r_vic)
     assert sorted(seen) == [a.id for a in world.agents if a.kind == CAR]
     for ego_id, view in seen.items():
-        assert view.fov_ids == ball(world, ego_id, obs.r_fov)
-        assert view.vic_ids == ball(world, ego_id, obs.r_vic)
+        assert view.fov_ids == ball(world, ego_id, r_fov)
+        assert view.vic_ids == ball(world, ego_id, r_vic)
         for kind in ARCHITECTURE_KINDS:
-            expected = reference_pool_ids(world, ego_id, kind, obs)
+            expected = reference_pool_ids(world, ego_id, kind, r_fov, r_vic)
             assert view.pools[kind] == expected
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_ego_pools_do_not_depend_on_agent_order(order):
-    obs = ObservationConfig(r_fov=4, r_vic=14)
-    config = cfg(cars=8, pedestrians=6, observation=obs)
+    r_fov, r_vic = 4, 14
+    config = cfg(cars=8, pedestrians=6, r_fov=r_fov, r_vic=r_vic)
     for seed in range(4):
         world = init_world(config, seed=seed)
         agents = list(world.agents)
@@ -178,15 +179,15 @@ def test_ego_pools_do_not_depend_on_agent_order(order):
         else:
             random.Random(seed).shuffle(agents)
         world = scene(agents, grid=world.grid, intersections=world.intersections)
-        seen = ego_pools(world, obs)
+        seen = ego_pools(world, r_fov, r_vic)
         assert sorted(seen) == sorted(a.id for a in agents if a.kind == CAR)
         for ego_id, view in seen.items():
             for ids in (view.fov_ids, view.vic_ids, *view.pools.values()):
                 assert list(ids) == sorted(set(ids))
-            assert view.fov_ids == ball(world, ego_id, obs.r_fov)
-            assert view.vic_ids == ball(world, ego_id, obs.r_vic)
+            assert view.fov_ids == ball(world, ego_id, r_fov)
+            assert view.vic_ids == ball(world, ego_id, r_vic)
             for kind in ARCHITECTURE_KINDS:
-                assert view.pools[kind] == reference_pool_ids(world, ego_id, kind, obs)
+                assert view.pools[kind] == reference_pool_ids(world, ego_id, kind, r_fov, r_vic)
 
 
 def test_downlink_budget_edges(monkeypatch):

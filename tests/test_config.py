@@ -82,6 +82,27 @@ def test_rule_set_rejects_unknown_predicate_and_non_bool():
         rule_set_from_config(base)
 
 
+TOY_RULES = {
+    "name": "toy",
+    "action_priority": ["Stop", "Normal"],
+    "hypotheses": [{"id": 1, "action": "Stop", "when": {"Close": True}}],
+}
+
+
+def test_rule_set_file_rejects_unknown_top_level_keys(tmp_path):
+    path = tmp_path / "rules.yaml"
+    path.write_text(yaml.safe_dump(dict(TOY_RULES, colour="red")))
+    with pytest.raises(ConfigurationError, match=r"rules.yaml: unknown keys \['colour'\]"):
+        load_rule_set(str(path))
+
+
+def test_rule_set_rejects_unknown_hypothesis_keys():
+    # 'unless' reads like a negation: dropping it would silently change the rule
+    hypothesis = dict(TOY_RULES["hypotheses"][0], unless={"Close": True})
+    with pytest.raises(ConfigurationError, match=r"hypothesis\[0\]: unknown keys \['unless'\]"):
+        rule_set_from_config(dict(TOY_RULES, hypotheses=[hypothesis]))
+
+
 def test_rule_set_file_roundtrip(tmp_path):
     path = tmp_path / "local_rules.yaml"
     path.write_text(
@@ -103,7 +124,7 @@ def test_rule_set_file_roundtrip(tmp_path):
 def test_scenario_from_mapping_defaults():
     cfg = scenario_from_config(dict(SCENARIO_DOC))
     assert cfg.name == "mini"
-    assert cfg.observation.r_fov == 4 and cfg.observation.r_vic == 12
+    assert cfg.r_fov == 4 and cfg.r_vic == 12
 
 
 def test_scenario_rejects_unknown_and_missing_keys():
@@ -167,7 +188,6 @@ def test_run_config_loads(tmp_path):
     assert run.architectures == (SENSOR_GNA, MULTI_ZONE_LNA)
     assert run.ks == (0, 1, 2)
     assert run.seeds == (1, 2)
-    assert run.advantage_k == 3
 
 
 def test_run_defaults(tmp_path):
@@ -218,6 +238,9 @@ def test_run_rejects_unknown_top_level_keys(tmp_path):
     doc = run_doc(stratgies=["semantic"], enumeration_cap=10)
     with pytest.raises(ConfigurationError, match=r"\['enumeration_cap', 'stratgies'\]"):
         load_run_config(write_run(tmp_path, doc))
+    # the advantage budget is metrics.ADVANTAGE_K for every suite
+    with pytest.raises(ConfigurationError, match=r"unknown keys \['advantage_k'\]"):
+        load_run_config(write_run(tmp_path, run_doc(advantage_k=3)))
 
 
 def test_architectures_are_kind_names_on_the_fixed_zone_grid(tmp_path):
@@ -225,14 +248,18 @@ def test_architectures_are_kind_names_on_the_fixed_zone_grid(tmp_path):
     assert run.architectures == (MULTI_ZONE_LNA,)
     # the grid is comms.ZONES for every sweep, so zones is an unknown key
     doc = run_doc(architectures=[{"kind": "multi-zone-lna", "zones": 2}])
-    with pytest.raises(ConfigurationError, match=r"unknown architecture keys \['zones'\]"):
+    with pytest.raises(ConfigurationError, match=r"architecture\[0\]: unknown keys \['zones'\]"):
         load_run_config(write_run(tmp_path, doc))
 
 
 def test_shipped_run_configs_parse():
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    for name, n_scenarios in (("desk.yaml", 1), ("density_suite.yaml", 8), ("smoke.yaml", 1)):
-        run = load_run_config(str(configs / name))
+    # the benchmark's dense workload loads its config through the same schema
+    root = Path(__file__).resolve().parents[1]
+    for path, n_scenarios in (
+        ("configs/desk.yaml", 1), ("configs/density_suite.yaml", 8),
+        ("configs/smoke.yaml", 1), ("perfbench/dense.yaml", 1),
+    ):
+        run = load_run_config(str(root / path))
         assert len(run.scenarios) == n_scenarios
 
 

@@ -17,7 +17,6 @@ from semcom.world import (
     PREDICATES,
     T,
     AgentState,
-    ObservationConfig,
     ScenarioConfig,
     WorldState,
     ground_entity,
@@ -57,7 +56,7 @@ def test_wide_vocabulary_is_supported():
 
 SCENARIO = ScenarioConfig(
     name="t", grid=40, roads=(10, 30), cars=6, pedestrians=4,
-    observation=ObservationConfig(r_fov=5, r_vic=15), steps=2,
+    r_fov=5, r_vic=15, steps=2,
 )
 
 

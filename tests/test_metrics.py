@@ -21,6 +21,7 @@ from semcom import metrics
 from semcom.errors import ConfigurationError, UndefinedMetricError
 from semcom.logic import Hypothesis
 from semcom.metrics import (
+    ADVANTAGE_K,
     AggregateRow,
     EpisodeTrace,
     MetricsRow,
@@ -39,7 +40,6 @@ from semcom.metrics import (
 )
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
-    ObservationConfig,
     T,
     RuleSet,
     ScenarioConfig,
@@ -57,7 +57,8 @@ def scenario(**overrides):
         roads=(10, 30),
         cars=6,
         pedestrians=3,
-        observation=ObservationConfig(r_fov=4, r_vic=12),
+        r_fov=4,
+        r_vic=12,
         steps=8,
     )
     base.update(overrides)
@@ -422,7 +423,7 @@ def test_trajectory_pools_and_masks_match_the_public_api():
     traj = build_trajectory(cfg, rules, 3, engine)
     world = init_world(cfg, seed=3)
     for step_views in traj.views:
-        seen = ego_pools(world, cfg.observation)
+        seen = ego_pools(world, cfg.r_fov, cfg.r_vic)
         assert sorted(step_views) == sorted(seen)
         for ego_id, view in step_views.items():
             assert view.fov_ids == seen[ego_id].fov_ids
@@ -606,9 +607,7 @@ def test_sweep_writes_the_reference_sweeps_per_seed_csv(monkeypatch):
     smoke = load_run_config(str(CONFIGS / "smoke.yaml"))
     desk = load_run_config(str(CONFIGS / "desk.yaml"))
     dense = load_run_config(str(CONFIGS.parent / "perfbench" / "dense.yaml"))
-    crowded = dataclasses.replace(
-        dense.scenarios[0], observation=ObservationConfig(r_fov=3, r_vic=9)
-    )
+    crowded = dataclasses.replace(dense.scenarios[0], r_fov=3, r_vic=9)
     cases = [
         (smoke.scenarios[0], smoke.rule_sets, smoke.architectures, smoke.strategies,
          smoke.ks, smoke.seeds),
@@ -692,19 +691,21 @@ def test_advantage_point_definition():
     rows = [
         semantic_row(0, 0.50, seed=1),
         semantic_row(0, 0.70, seed=2),
-        semantic_row(3, 0.90, seed=1),
-        semantic_row(3, 0.80, seed=2),
-        MetricsRow("sensor-gna", "core", "random", 3, 1, 0.60, 0.60),
-        MetricsRow("sensor-gna", "core", "random", 3, 2, 0.70, 0.70),
+        semantic_row(ADVANTAGE_K, 0.90, seed=1),
+        semantic_row(ADVANTAGE_K, 0.80, seed=2),
+        MetricsRow("sensor-gna", "core", "random", ADVANTAGE_K, 1, 0.60, 0.60),
+        MetricsRow("sensor-gna", "core", "random", ADVANTAGE_K, 2, 0.70, 0.70),
+        # rows at any other budget are not read
+        semantic_row(ADVANTAGE_K + 1, 0.10, seed=1),
     ]
-    baseline, advantage = advantage_points(rows, advantage_k=3)
+    baseline, advantage = advantage_points(rows)
     assert baseline == pytest.approx(0.60)
     assert advantage == pytest.approx(0.85 - 0.65)
 
 
 def test_advantage_requires_both_budgets():
     with pytest.raises(UndefinedMetricError):
-        advantage_points([semantic_row(0, 0.5)], advantage_k=3)
+        advantage_points([semantic_row(0, 0.5), semantic_row(ADVANTAGE_K, 0.9)])
 
 
 def test_correlation_needs_three_points():

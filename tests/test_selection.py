@@ -20,7 +20,6 @@ from semcom.oracle import ClosedFormParams, closed_form_objective
 from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
 from semcom.world import (
-    ObservationConfig,
     T as WORLD_T,
     ScenarioConfig,
     ground_entity,
@@ -268,7 +267,7 @@ def test_select_matches_brute_force_on_crowded_pools():
     # search, against the minimum over all C(n, 4) subsets
     scenario = ScenarioConfig(
         name="dense", grid=60, roads=(10, 30, 50), cars=40, pedestrians=60,
-        observation=ObservationConfig(r_fov=3, r_vic=15), steps=1,
+        r_fov=3, r_vic=15, steps=1,
     )
     rules = load_rule_set("core")
     engine = KeyEngine(rules.hypotheses, WORLD_T)
@@ -277,7 +276,7 @@ def test_select_matches_brute_force_on_crowded_pools():
     for seed in (1, 2):
         world = init_world(scenario, seed)
         by_id = {a.id: a for a in world.agents}
-        for ego_id, seen in ego_pools(world, scenario.observation).items():
+        for ego_id, seen in ego_pools(world, scenario.r_fov, scenario.r_vic).items():
             ego = by_id[ego_id]
             for pool in seen.pools.values():
                 if comb(len(pool), k) <= SUBSET_LOOP_MAX:

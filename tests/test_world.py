@@ -21,7 +21,6 @@ from semcom.world import (
     PREDICATES,
     T,
     AgentState,
-    ObservationConfig,
     RuleSet,
     ScenarioConfig,
     WorldState,
@@ -40,7 +39,8 @@ def scenario(**overrides):
         roads=(10, 30),
         cars=4,
         pedestrians=2,
-        observation=ObservationConfig(r_fov=5, r_vic=15),
+        r_fov=5,
+        r_vic=15,
         steps=10,
     )
     base.update(overrides)
@@ -73,9 +73,9 @@ def truth_mask(rules, patterns):
 
 def test_observation_radii_are_ordered():
     with pytest.raises(ConfigurationError):
-        ObservationConfig(r_fov=0, r_vic=5)
-    with pytest.raises(ConfigurationError):
-        ObservationConfig(r_fov=6, r_vic=5)
+        scenario(r_fov=0, r_vic=5)
+    with pytest.raises(ConfigurationError, match="need 0 < r_fov <= r_vic, got r_fov=6 r_vic=5"):
+        scenario(r_fov=6, r_vic=5)
 
 
 def test_scenario_validation():
@@ -167,7 +167,6 @@ def test_intersections_are_blocks_around_road_crossings():
 
 
 def test_visibility_boundary_is_inclusive():
-    obs = ObservationConfig(r_fov=3, r_vic=7)
     world = hand_world(
         [
             static_agent(0, CAR, (10, 10)),
@@ -177,7 +176,7 @@ def test_visibility_boundary_is_inclusive():
             static_agent(4, CAR, (18, 10)),   # one past
         ]
     )
-    view = ego_pools(world, obs)[0]
+    view = ego_pools(world, 3, 7)[0]
     assert view.fov_ids == (1,)
     assert view.vic_ids == (1, 2, 3)
 
@@ -186,7 +185,7 @@ def test_fov_is_contained_in_vicinity():
     # only cars decide, so only cars get a view
     cfg = scenario(cars=8, pedestrians=4)
     world = init_world(cfg, seed=11)
-    views = ego_pools(world, cfg.observation)
+    views = ego_pools(world, cfg.r_fov, cfg.r_vic)
     assert sorted(views) == [a.id for a in world.agents if a.kind == CAR]
     for ego_id, view in views.items():
         assert set(view.fov_ids) <= set(view.vic_ids)
@@ -195,8 +194,7 @@ def test_fov_is_contained_in_vicinity():
 
 def test_isolated_ego_sees_nothing():
     world = hand_world([static_agent(0, CAR, (10, 10)), static_agent(1, CAR, (39, 39))])
-    obs = ObservationConfig(r_fov=3, r_vic=7)
-    view = ego_pools(world, obs)[0]
+    view = ego_pools(world, 3, 7)[0]
     assert view.fov_ids == ()
     assert view.vic_ids == ()
 
@@ -423,7 +421,7 @@ def test_two_step_trace_is_reproducible():
     for _ in range(2):
         actions = {}
         by_id = {a.id: a for a in world.agents}
-        for ego_id, view in ego_pools(world, cfg.observation).items():
+        for ego_id, view in ego_pools(world, cfg.r_fov, cfg.r_vic).items():
             mask = 0
             for ent_id in view.fov_ids:
                 mask |= engine.sat_mask(ground_entity(world, by_id[ego_id], by_id[ent_id]))
