@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .comms import ARCHITECTURE_KINDS, ego_pools
 from .errors import ConfigurationError, UndefinedMetricError, reject_repeats
-from .selection import RANDOM, SEMANTIC, STRATEGIES, KeyEngine, downlink
+from .selection import DEFAULT_ENUMERATION_CAP, RANDOM, SEMANTIC, STRATEGIES, KeyEngine, downlink
 from .world import T, RuleSet, ScenarioConfig, ground_entity, init_world, step
 
 @dataclass(frozen=True)
@@ -233,26 +233,32 @@ def _mask_block(
 
     Nothing is sent at k = 0.  Above that, a budget the pool's coverage
     C already fixes sends fov_mask | C without calling downlink:
-    - k > misses, under either strategy, where misses is the largest
-      number of entries that miss any one hypothesis of C & ~fov_mask:
-      every k-subset holds a witness of each of them.  k >= len(pool)
-      is the case misses <= len(pool) - 1, and an empty pool adds nothing.
-    - semantic k < len(pool) above a semantic budget whose kappa choice
-      witnessed all of C: kappa's first field is the uncovered count, some
-      k-subset extends that choice and leaves only ~C uncovered, and no
-      subset can leave less, so the kappa-minimal k-subset covers exactly C.
+    - random k > misses, where misses is the largest number of entries
+      that miss any one hypothesis of C & ~fov_mask: every k-subset holds
+      a witness of each of them.  k >= len(pool) is the case
+      misses <= len(pool) - 1, and an empty pool adds nothing.
+    - semantic k >= need, where need is the cover number of the pool,
+      the fewest entries whose masks OR to C.  kappa counts uncovered
+      hypotheses first.  If need <= k, one entry from each of need
+      covering classes, padded to k entries (the pool holds more than k
+      unless k >= len(pool), where the whole pool is sent), covers C, and
+      no subset covers more, so every kappa-minimal k-subset covers
+      exactly C, whatever ids win the tie-break.  If need > k, no
+      k-subset covers C and downlink runs.
     Every other budget calls downlink.  Skipping a draw moves no other,
     since each is seeded per (seed, step, ego), and skipping a search only
     leaves the select memo without that entry, so the masks are those of
-    one downlink call per budget.
+    one downlink call per budget.  A budget decided here runs no search,
+    so it neither enumerates nor meets the enumeration cap.
     """
     sat_mask = engine.sat_mask
     masks = [sat_mask(qbits[i]) for i in pool]
     cover = 0
     for mask in masks:
         cover |= mask
-    # counted only until it reaches the largest budget, which decides no
-    # budget differently from the full count
+    # each count stops where it can no longer decide a budget differently
+    # from the full count: misses at the largest budget, need at the
+    # largest one inside the pool
     top = ranked[-1][2] if ranked else 0
     misses = 0
     rest = cover & ~fov_mask
@@ -265,19 +271,47 @@ def _mask_block(
                 miss += 1
         if miss > misses:
             misses = miss
+    need = _cover_number(masks, cover, min(top, len(pool) - 1))
     whole = fov_mask | cover
     block = [fov_mask] * len(ranked)
-    saturated = False  # a smaller semantic budget's choice witnessed all of C
     for column, strategy, k in ranked:
         if k == 0:
             continue
-        if k > misses or saturated and strategy == SEMANTIC:
+        if k >= need if strategy == SEMANTIC else k > misses:
             block[column] = whole
         else:
             sent = _witnessed(engine, qbits, downlink(pool, qbits, k, strategy, engine, rng_seed))
-            saturated = saturated or strategy == SEMANTIC and sent == cover
             block[column] = fov_mask | sent
     return tuple(block)
+
+
+def _cover_number(masks: Sequence[int], cover: int, most: int) -> int:
+    """The fewest of masks whose OR is cover, the OR of all of them, or
+    most + 1 when that is more than most or when counting it would OR
+    more than DEFAULT_ENUMERATION_CAP pairs.
+
+    A mask that another contains is never needed: swapping it for the
+    wider one keeps the OR.  Level s holds every distinct OR of at most s
+    of the wider masks, and the count is the first level that holds cover.
+    """
+    if not cover:
+        return 0
+    if cover in masks:
+        return 1
+    wide: List[int] = []  # the masks no other mask contains
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(mask | other != other for other in wide):
+            wide.append(mask)
+    reached = {0}
+    work = 0
+    for need in range(1, most + 1):
+        work += len(reached) * len(wide)
+        if work > DEFAULT_ENUMERATION_CAP:
+            break
+        reached = {r | mask for r in reached for mask in wide}
+        if cover in reached:
+            return need
+    return most + 1
 
 
 # ---------------------------------------------------------------------------

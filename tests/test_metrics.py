@@ -1,6 +1,8 @@
 """Distortion metrics, the evaluation matrix, and CSV emission."""
 
 import dataclasses
+import functools
+import itertools
 import random
 import statistics
 from collections import Counter
@@ -255,12 +257,26 @@ def coverage_and_misses(hypotheses, patterns, fov_mask):
     return cover, max((f for i, f in enumerate(fails) if beyond >> i & 1), default=0)
 
 
+def some_entries_cover(hypotheses, patterns, k, cover):
+    """Whether some min(k, len(patterns)) of the patterns together satisfy
+    every hypothesis of cover, by trying every such combination."""
+    satisfied = [
+        sum(1 << i for i, h in enumerate(hypotheses) if h.satisfied_by(q)) for q in patterns
+    ]
+    return any(
+        functools.reduce(int.__or__, combo, 0) == cover
+        for combo in itertools.combinations(satisfied, min(k, len(satisfied)))
+    )
+
+
 def rule_requests(traj, cells, engine):
     """(pool, strategy, k, rng seed) of every request with 0 < k < len(pool),
-    split by definition into three sets: those left to downlink, those
-    decided because k > misses, and semantic ones decided because the
-    choice of a smaller semantic budget witnessed the pool's coverage C."""
-    left, by_misses, by_saturation = set(), set(), set()
+    split by definition into three sets: those left to downlink, random
+    ones decided because k > misses, and semantic ones decided because
+    some k entries cover the pool's coverage C.  The fourth set holds the
+    semantic ones so decided at k <= misses where no smaller semantic
+    budget's choice witnessed C."""
+    left, by_misses, by_cover, first_cover = set(), set(), set(), set()
     for step_no, step_views in enumerate(traj.views):
         for ego_id, view in step_views.items():
             rng_seed = _record_seed(traj.seed, step_no, ego_id)
@@ -270,22 +286,23 @@ def rule_requests(traj, cells, engine):
                 if not 0 < k < len(pool):
                     continue
                 request = (pool, strategy, k, rng_seed)
-                cover, misses = coverage_and_misses(
-                    engine.hypotheses, [view.qbits[i] for i in pool], fov_mask
-                )
-                if k > misses:
-                    by_misses.add(request)
-                elif strategy == SEMANTIC and any(
-                    s == SEMANTIC and 0 < j < k
-                    and witnessed_by(
-                        engine, view.qbits, downlink(pool, view.qbits, j, s, engine, rng_seed)
-                    ) == cover
-                    for _, s, j in cells
-                ):
-                    by_saturation.add(request)
-                else:
+                patterns = [view.qbits[i] for i in pool]
+                cover, misses = coverage_and_misses(engine.hypotheses, patterns, fov_mask)
+                if strategy == RANDOM:
+                    (by_misses if k > misses else left).add(request)
+                elif not some_entries_cover(engine.hypotheses, patterns, k, cover):
                     left.add(request)
-    return left, by_misses, by_saturation
+                else:
+                    by_cover.add(request)
+                    if k <= misses and not any(
+                        s == SEMANTIC and 0 < j < k
+                        and witnessed_by(
+                            engine, view.qbits, downlink(pool, view.qbits, j, s, engine, rng_seed)
+                        ) == cover
+                        for _, s, j in cells
+                    ):
+                        first_cover.add(request)
+    return left, by_misses, by_cover, first_cover
 
 
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
@@ -303,7 +320,8 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 
     monkeypatch.setattr(metrics, "downlink", counting_downlink)
-    shared = distinct = crowded = within = decided_by_misses = decided_by_saturation = 0
+    shared = distinct = crowded = within = 0
+    decided_by_misses = decided_by_cover = decided_first = 0
     for seed in (1, 2, 3):
         traj = build_trajectory(cfg, rules, seed, engine)
         keys = view_keys(traj)
@@ -316,12 +334,13 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
             # k = 0 and the budgets the pool's coverage fixes send without
             # a call, and equal pools share one block, so each request the
             # rule leaves open is made once and no other is made
-            left, by_misses, by_saturation = rule_requests(traj, cells, engine)
+            left, by_misses, by_cover, first_cover = rule_requests(traj, cells, engine)
             assert set(calls) == left
-            assert not set(calls) & (by_misses | by_saturation)
+            assert not set(calls) & (by_misses | by_cover)
             assert len(calls) == len(set(calls))
             decided_by_misses += len(by_misses)
-            decided_by_saturation += len(by_saturation)
+            decided_by_cover += len(by_cover)
+            decided_first += len(first_cover)
             expected = per_cell_masks(traj, cells, engine)
             assert [r.strategy_masks for r in trace.records] == [expected[key] for key in keys]
             fi_masks = [traj.views[s][e].fi_mask for s, e in keys]
@@ -336,17 +355,19 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
     # every case is exercised: pools above every k < k_over (where k = 0
     # must still send nothing), pools two architectures share, views where
     # all three differ, nonempty pools that a k below k_over already sends
-    # whole under both strategies, and budgets inside a pool that the rule
-    # decides by each of its two routes
+    # whole under both strategies, budgets inside a pool that the rule
+    # decides by each of its two routes, and semantic budgets at or below
+    # misses that the cover number decides although no smaller semantic
+    # budget's choice covered C
     assert crowded and shared and distinct and within
-    assert decided_by_misses and decided_by_saturation
+    assert decided_by_misses and decided_by_cover and decided_first
 
 
 def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
     # the coverage rule against the block without it, on random pools and
     # FOV masks, every k from 0 to len(pool) + 1 and both strategies, and
-    # again with the budgets cut below the pool size, where the count of
-    # misses stops at the largest budget
+    # again with the budgets cut below the pool size, where both counts
+    # stop at the largest budget
     hypotheses = rules_of(5).hypotheses
     engine = KeyEngine(hypotheses, T)  # one engine for every pool, as in a task
     reference = KeyEngine(hypotheses, T)
@@ -358,7 +379,7 @@ def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
 
     monkeypatch.setattr(metrics, "downlink", recording_downlink)
     rng = random.Random(11)
-    by_misses = by_saturation = 0
+    by_misses = by_cover = 0
     for _ in range(600):
         n = rng.randint(1, 8)
         pool = tuple(sorted(rng.sample(range(40), n)))
@@ -367,7 +388,8 @@ def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
         qbits = {ent: rng.choice(palette) for ent in pool}
         fov_mask = rng.randrange(1 << len(hypotheses))
         rng_seed = rng.randrange(1 << 31)
-        _, misses = coverage_and_misses(hypotheses, qbits.values(), fov_mask)
+        patterns = [qbits[ent] for ent in pool]
+        cover, misses = coverage_and_misses(hypotheses, patterns, fov_mask)
         for top in (n + 1, rng.randrange(n)):
             budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in range(top + 1)]
             rng.shuffle(budgets)
@@ -384,14 +406,136 @@ def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
                     sent = pool[:k]  # nothing at k = 0, the whole pool above
                 expected.append(fov_mask | witnessed_by(reference, qbits, sent))
             assert block == tuple(expected)
-            for s, k in budgets:
-                if 0 < k < n and (s, k) not in calls:
-                    if k > misses:
-                        by_misses += 1
-                    else:
-                        assert s == SEMANTIC
-                        by_saturation += 1
-    assert by_misses and by_saturation
+            inside = [(s, k) for s, k in budgets if 0 < k < n]
+            decided = {
+                (s, k)
+                for s, k in inside
+                if (
+                    k > misses if s == RANDOM
+                    else some_entries_cover(hypotheses, patterns, k, cover)
+                )
+            }
+            assert sorted(calls) == sorted(budget for budget in inside if budget not in decided)
+            by_misses += sum(s == RANDOM for s, _ in decided)
+            by_cover += sum(s == SEMANTIC for s, _ in decided)
+    assert by_misses and by_cover
+
+
+def minimum_cover(masks, cover):
+    """The fewest of masks whose OR is cover, by trying every combination
+    of distinct masks, smallest first."""
+    distinct = sorted(set(masks))
+    for size in range(len(distinct) + 1):
+        for combo in itertools.combinations(distinct, size):
+            if functools.reduce(int.__or__, combo, 0) == cover:
+                return size
+    raise AssertionError("cover is not the OR of masks")
+
+
+def check_cover_number_on(engine, qbits, pool, ks, monkeypatch):
+    """The cover number of pool against a brute-force minimum cover at
+    every bound, and _mask_block's semantic budgets ks against select:
+    need <= k exactly when select's choice covers C, downlink runs
+    exactly for the other budgets, and every mask is select's.  Returns
+    (budgets decided, budgets left to downlink)."""
+    masks = [engine.sat_mask(qbits[ent]) for ent in pool]
+    cover = functools.reduce(int.__or__, masks, 0)
+    fewest = minimum_cover(masks, cover)
+    for most in range(max(ks) + 2):
+        assert metrics._cover_number(masks, cover, most) == min(fewest, most + 1)
+    calls = []
+
+    def recording_downlink(pool, qbits, k, strategy, engine, rng_seed):
+        calls.append(k)
+        return downlink(pool, qbits, k, strategy, engine, rng_seed)
+
+    monkeypatch.setattr(metrics, "downlink", recording_downlink)
+    ranked = [(column, SEMANTIC, k) for column, k in enumerate(ks)]
+    block = metrics._mask_block(engine, qbits, pool, ranked, 0, 0)
+    monkeypatch.undo()
+    covering = set()
+    for k, mask in zip(ks, block):
+        chosen = witnessed_by(engine, qbits, downlink(pool, qbits, k, SEMANTIC, engine, 0))
+        assert mask == chosen
+        assert (fewest <= k) == (chosen == cover)
+        if chosen == cover:
+            covering.add(k)
+    assert calls == [k for k in ks if k not in covering]
+    return len(covering), len(calls)
+
+
+def test_cover_number_decides_exactly_the_budgets_whose_choice_covers_c_on_dense_pools(
+    monkeypatch,
+):
+    # the sensor-gna pools of the dense benchmark scenario, at every k
+    # from 1 to 8 below the pool size
+    run = load_run_config(str(CONFIGS.parent / "perfbench" / "dense.yaml"))
+    dense, rules = run.scenarios[0], run.rule_sets[0]
+    engine = engine_for(rules)
+    decided = left = crowded = 0
+    for seed in (1, 2):
+        for view in build_trajectory(dense, rules, seed, engine).views[0].values():
+            pool = view.pools[SENSOR_GNA]
+            ks = [k for k in range(1, 9) if k < len(pool)]
+            if ks:
+                crowded += len(pool) > 20
+                got = check_cover_number_on(engine, view.qbits, pool, ks, monkeypatch)
+                decided += got[0]
+                left += got[1]
+    assert crowded and decided and left
+
+
+def test_cover_number_decides_exactly_the_budgets_whose_choice_covers_c_on_random_pools(
+    monkeypatch,
+):
+    # up to 36 entries over up to 10 mask classes of one to three bits,
+    # so covers need up to eight classes; with one-slot hypotheses a
+    # pattern's mask is the pattern itself
+    hypotheses = rules_of(10).hypotheses
+    engine = KeyEngine(hypotheses, T)
+    rng = random.Random(5)
+    decided = left = 0
+    for _ in range(120):
+        classes = [
+            sum(1 << bit for bit in rng.sample(range(len(hypotheses)), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 10))
+        ]
+        n = rng.randint(2, 36)
+        pool = tuple(sorted(rng.sample(range(100), n)))
+        qbits = {ent: rng.choice(classes) for ent in pool}
+        got = check_cover_number_on(engine, qbits, pool, range(1, min(n, 9)), monkeypatch)
+        decided += got[0]
+        left += got[1]
+    assert decided and left
+
+
+def test_cover_number_past_the_cap_leaves_the_budget_to_downlink(monkeypatch):
+    # the pool's coverage needs two masks; with the cap below the second
+    # level's pairs the count gives up and every semantic budget inside
+    # the pool calls downlink
+    hypotheses = rules_of(3).hypotheses
+    engine = KeyEngine(hypotheses, T)
+    pool = (1, 2, 3, 4)
+    qbits = {1: 0b001, 2: 0b010, 3: 0b100, 4: 0b011}
+    masks = [engine.sat_mask(qbits[ent]) for ent in pool]
+    assert metrics._cover_number(masks, 0b111, 3) == 2
+    # 0b011 contains 0b001 and 0b010, so two masks stay: level 1 ORs
+    # 1 x 2 pairs and level 2 another 2 x 2, six in all
+    monkeypatch.setattr(metrics, "DEFAULT_ENUMERATION_CAP", 6)
+    assert metrics._cover_number(masks, 0b111, 3) == 2
+    monkeypatch.setattr(metrics, "DEFAULT_ENUMERATION_CAP", 5)
+    assert metrics._cover_number(masks, 0b111, 3) == 4
+    calls = []
+
+    def recording_downlink(pool, qbits, k, strategy, engine, rng_seed):
+        calls.append(k)
+        return downlink(pool, qbits, k, strategy, engine, rng_seed)
+
+    monkeypatch.setattr(metrics, "downlink", recording_downlink)
+    ranked = [(column, SEMANTIC, k) for column, k in enumerate(range(5))]
+    block = metrics._mask_block(engine, qbits, pool, ranked, 0, 0)
+    assert calls == [1, 2, 3]
+    assert block == (0, 0b011, 0b111, 0b111, 0b111)
 
 
 @pytest.mark.parametrize("rule_set", ["core", "extended"])
