@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from . import metrics
 from .config import RunConfig, load_run_config
-from .errors import SemcomError
+from .errors import ConfigurationError, SemcomError
 
 ORACLE_COLUMNS = ("T", "K", "Z", "overlap", "c_e", "c_phi_given_e", "F_term")
 
@@ -55,9 +55,13 @@ def _emit(out_dir: Optional[str], filename: str, text: str, echo: bool = False) 
     if not out_dir or echo:
         sys.stdout.write(text)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path = os.path.join(out_dir, filename)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

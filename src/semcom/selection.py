@@ -17,47 +17,30 @@ A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
 ranks its k-subsets by kappa and ``downlink`` applies the strategy to a
 budget strictly inside the pool; the sweep goes through both.
 
-``select`` has two paths with one result.  Up to SUBSET_LOOP_MAX
-candidate subsets it scores each in turn.  Above that it searches sets
-of satisfaction-mask classes: kappa depends only on the OR of the chosen
-patterns' masks and on K, and a crowded pool holds far fewer distinct
-masks than it has k-subsets.  The search finds the widest coverage
-first, computes K only for the class sets that reach it, and picks ids
-in one walk that keeps running counts.  The loop stays for small pools,
-where the search's fixed cost per call exceeds the whole enumeration,
-and for pools whose masks are so varied that the sets of at most k of
-them outnumber the k-subsets.
+``select`` runs one search.  A k-subset's kappa depends only on the set
+P of distinct patterns it holds: the OR of their satisfaction masks
+gives the uncovered hypotheses and the tail, and K = |P|.  So the search
+runs over sets of at most k distinct patterns, widest mask first, prunes
+extensions whose remaining masks cannot match the best coverage or K,
+keeps every kappa-minimal set, and maps each one to its smallest
+position tuple.  The enumeration cap counts the sets it may score.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections import Counter
 from math import comb
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
 
 DEFAULT_ENUMERATION_CAP = 10**7
-# C(n, k) up to which select always scores subsets one by one: there the
-# mask-class search's fixed cost per call exceeds the whole enumeration,
-# and most pools of a desk-sized sweep are that small.
-SUBSET_LOOP_MAX = 200
 
 SEMANTIC = "semantic"
 RANDOM = "random"
 
 STRATEGIES = (SEMANTIC, RANDOM)
-
-
-def check_cap(count: int, what: str) -> None:
-    """FeasibilityError when count candidates, named by what, exceed DEFAULT_ENUMERATION_CAP."""
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise FeasibilityError(
-            "%s = %d exceeds the enumeration cap of %d" % (what, count, DEFAULT_ENUMERATION_CAP)
-        )
 
 
 class KeyEngine:
@@ -116,14 +99,13 @@ class KeyEngine:
         to the first combination in id-lexicographic order, i.e. the
         smallest sorted id tuple.
 
-        Up to SUBSET_LOOP_MAX candidate subsets are scored one by one.
-        Above that the search runs over the sets of at most k
-        satisfaction-mask classes when there are fewer of those than
-        subsets, and returns the same subset.  The path taken raises
-        FeasibilityError before it scores anything when its candidates,
-        subsets or mask-class sets, exceed DEFAULT_ENUMERATION_CAP.
+        The search (see _search) scores sets of at most k distinct
+        patterns.  Before it scores any, it raises FeasibilityError when
+        min(C(n, k), sets of 1 to k of the d distinct patterns) exceeds
+        DEFAULT_ENUMERATION_CAP: each scored set maps to its own k-subset,
+        so that count bounds the sets scored.
 
-        Both paths work on the pattern sequence alone and return
+        The search works on the pattern sequence alone and returns
         positions in it, so the chosen positions are memoized per
         (patterns, k): with entries sorted by id the smallest id tuple
         is the smallest position tuple, whatever the ids are.
@@ -137,172 +119,89 @@ class KeyEngine:
         return tuple(entries[i][0] for i in positions)
 
     def _search(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
-        """Positions select chooses from more than k patterns; the cap counts the path taken."""
-        n_subsets = comb(len(patterns), k)
-        if n_subsets > SUBSET_LOOP_MAX:
-            n_masks = len({self.sat_mask(qbits) for qbits in patterns})
-            n_mask_sets = sum(comb(n_masks, size) for size in range(min(k, n_masks) + 1))
-            if n_mask_sets < n_subsets:
-                check_cap(n_mask_sets, "sets of at most %d of %d mask classes" % (k, n_masks))
-                return self._select_by_masks(patterns, k)
-        check_cap(n_subsets, "C(%d, %d) subsets" % (len(patterns), k))
-        return self._select_by_subsets(patterns, k)
+        """Positions select chooses from the patterns: the smallest position
+        tuple among the k-subsets whose kappa is least.
 
-    def _select_by_subsets(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
-        """select's positions by scoring every k-subset in lexicographic
-        order and keeping the first whose kappa is strictly smallest."""
-        masks = [self.sat_mask(qbits) for qbits in patterns]
-        full = self.full_mask
-        best: Optional[Tuple[int, ...]] = None
-        best_combo: Tuple[int, ...] = ()
-        for combo in itertools.combinations(range(len(patterns)), k):
-            covered = 0
-            qset = set()
-            for idx in combo:
-                covered |= masks[idx]
-                qset.add(patterns[idx])
-            uncovered = full & ~covered
-            key = (uncovered.bit_count(), len(qset)) + self._tail(uncovered)
-            if best is None or key < best:
-                best, best_combo = key, combo
-        return best_combo
-
-    def _select_by_masks(self, patterns: Sequence[int], k: int) -> Tuple[int, ...]:
-        """select's positions by searching sets of satisfaction-mask classes.
-
-        kappa of a subset depends only on the set M of mask classes its
-        patterns fall in (through the OR of their masks) and on K, its
-        number of distinct patterns.  Step 1 is coverage first.  Pass (a)
-        ORs each M of at most k classes onto its prefix's OR, skips the
-        extensions that cannot cover as many hypotheses as the widest set
-        so far, and keeps the sets that leave the fewest uncovered.  That
-        is the fewest over the sets that can hold k entries, because the
-        pool holds at least k: an M whose classes hold only held < k
-        entries gains at most k - held of the largest other classes, which
-        uncovers nothing and leaves at most k classes.  Pass (b) computes
-        K only for the sets kept, skipping one larger than the best K so
-        far: K is |M| when the classes' largest counts (their heads) sum
-        to k, and only otherwise are the other counts merged in, largest
-        first.  Step 2 walks the entries in order and takes one whenever
-        some M scoring kappa* can still be completed to exactly K*
-        patterns and k entries from the entries after it, which yields the
-        smallest position tuple.  It keeps a running count of the entries
-        left under the taken patterns and only the M that hold every taken
-        class, so an entry whose class is in none of them is refused at once.
+        A k-subset's kappa is a function of the set P of distinct patterns
+        it holds, with K = |P|, so the search runs over sets P of at most k
+        distinct patterns, widest mask first, and scores each P that holds
+        at least k entries.  An extension stops when the OR of the
+        remaining masks cannot leave as few hypotheses uncovered as the
+        best P, when it can only tie on that and cannot beat the best K,
+        or when the remaining entries cannot bring P up to k.  Every
+        kappa-minimal P is kept.  The smallest position tuple with
+        patterns exactly P takes each pattern's first position and the
+        k - |P| smallest other positions of P's entries; the answer is the
+        least of those over the kept P.
         """
-        after = Counter(patterns)  # pattern -> entries after the walk's current one
-        classes: Dict[int, List[int]] = {}  # sat mask -> its distinct patterns
-        for qbits in after:
-            classes.setdefault(self.sat_mask(qbits), []).append(qbits)
-        masks = list(classes)
-        # rest[j] ORs masks[j:]; extending from j covers at most covered | rest[j]
-        rest = list(itertools.accumulate(reversed(masks), int.__or__, initial=0))[::-1]
-        most, ties = -1, []  # (class positions, OR) of the widest sets so far
+        counts: Dict[int, int] = {}  # distinct patterns in order of first position
+        for qbits in patterns:
+            counts[qbits] = counts.get(qbits, 0) + 1
+        n_sets = comb(len(patterns), k)
+        if n_sets > DEFAULT_ENUMERATION_CAP:
+            n_sets = min(n_sets, sum(comb(len(counts), size) for size in range(1, k + 1)))
+        if n_sets > DEFAULT_ENUMERATION_CAP:
+            raise FeasibilityError(
+                "min(C(%d, %d), sets of at most %d of %d distinct patterns) = %d exceeds "
+                "the enumeration cap of %d"
+                % (len(patterns), k, k, len(counts), n_sets, DEFAULT_ENUMERATION_CAP)
+            )
+        mask_of = {qbits: self.sat_mask(qbits) for qbits in counts}
+        distinct = sorted(counts, key=lambda qbits: -mask_of[qbits].bit_count())
+        masks = [mask_of[qbits] for qbits in distinct]
+        held = [counts[qbits] for qbits in distinct]
+        # extending from j covers at most covered | rest[j] and holds at most left[j] more
+        rest = [0] * (len(distinct) + 1)
+        left = [0] * (len(distinct) + 1)
+        for j in reversed(range(len(distinct))):
+            rest[j] = rest[j + 1] | masks[j]
+            left[j] = left[j + 1] + held[j]
+        full = self.full_mask
+        n_hyps = full.bit_count()
+        best: Optional[Tuple[int, ...]] = None
+        kept: List[Tuple[int, ...]] = []
 
-        def widen(chosen: Tuple[int, ...], covered: int, start: int) -> None:
-            nonlocal most, ties
-            if covered.bit_count() > most:
-                most, ties = covered.bit_count(), []
-            if covered.bit_count() == most:
-                ties.append((chosen, covered))
+        def extend(chosen: Tuple[int, ...], covered: int, n_held: int, start: int) -> None:
+            nonlocal best, kept
+            if n_held >= k:
+                uncovered = full & ~covered
+                key = (uncovered.bit_count(), len(chosen)) + self._tail(uncovered)
+                if best is None or key < best:
+                    best, kept = key, []
+                if key == best:
+                    kept.append(chosen)
             if len(chosen) == k:
                 return
-            for j in range(start, len(masks)):
-                if (covered | rest[j]).bit_count() < most:
+            for j in range(start, len(distinct)):
+                if n_held + left[j] < k:
                     break
-                widen(chosen + (j,), covered | masks[j], j + 1)
-
-        widen((), 0, 0)
-        # each class's entry counts, largest first: its head, then its tail
-        ordered = [sorted((after[q] for q in classes[m]), reverse=True) for m in masks]
-        best: Optional[Tuple[int, ...]] = None
-        kept: List[AbstractSet[int]] = []
-        for chosen, covered in ties:
-            if best is not None and len(chosen) > best[0]:
-                continue
-            held = sum(ordered[i][0] for i in chosen)
-            n_patterns = len(chosen)
-            if held < k:
-                # one pattern per class holds too few: add the largest tail counts
-                for extra in sorted((c for i in chosen for c in ordered[i][1:]), reverse=True):
-                    held += extra
-                    n_patterns += 1
-                    if held >= k:
+                if best is not None:
+                    fewest = n_hyps - (covered | rest[j]).bit_count()
+                    if fewest > best[0] or (fewest == best[0] and len(chosen) >= best[1]):
                         break
+                extend(chosen + (distinct[j],), covered | masks[j], n_held + held[j], j + 1)
+
+        extend((), 0, 0, 0)
+        del extend  # a recursive closure is a reference cycle: free it without the collector
+
+        def smallest_positions(chosen: Tuple[int, ...]) -> Tuple[int, ...]:
+            wanted = set(chosen)
+            seen: Set[int] = set()
+            spare = k - len(chosen)
+            picked = []
+            for idx, qbits in enumerate(patterns):
+                if qbits not in wanted:
+                    continue
+                if qbits not in seen:
+                    seen.add(qbits)
+                elif spare:
+                    spare -= 1
                 else:
                     continue
-            key = (n_patterns,) + self._tail(self.full_mask & ~covered)
-            if best is None or key < best:
-                best, kept = key, []
-            if key == best:
-                kept.append(frozenset(masks[i] for i in chosen))
-
-        picked: List[int] = []
-        taken: Set[int] = set()  # patterns of the picked entries
-        taken_masks: Set[int] = set()
-        left = 0  # entries after the current one under the taken patterns
-        reach = frozenset().union(*kept)
-
-        def completes(
-            chosen: AbstractSet[int], qbits: int, mask: int, n_new: int, short: int
-        ) -> bool:
-            """Whether exactly n_new patterns outside taken and qbits, with
-            entries left in after, hold at least short entries while each
-            class of chosen outside taken_masks and mask gains one; the most
-            they hold is those classes' largest counts, then the largest rest."""
-            n_heads = held = 0
-            spares: List[int] = []
-            for m in chosen:
-                required = m != mask and m not in taken_masks
-                head = 0
-                for q in classes[m]:
-                    count = after[q]
-                    if not count or q == qbits or q in taken:
-                        continue
-                    if required and count > head:
-                        count, head = head, count
-                    if count:
-                        spares.append(count)
-                if required:
-                    if not head:
-                        return False
-                    n_heads += 1
-                    held += head
-            extra = n_new - n_heads
-            if not 0 <= extra <= len(spares):
-                return False
-            return held >= short or held + sum(sorted(spares, reverse=True)[:extra]) >= short
-
-        for idx, qbits in enumerate(patterns):
-            if len(picked) == k:
-                break
-            after[qbits] -= 1
-            new = qbits not in taken
-            if not new:
-                left -= 1
-            mask = self.sat_mask(qbits)
-            n_new = best[0] - len(taken) - new
-            needed = k - len(picked) - 1
-            if mask not in reach or not 0 <= n_new <= needed:
-                continue
-            # entries the new patterns must hold beyond what the taken ones can
-            short = needed - left - (after[qbits] if new else 0)
-            n_masks = len(taken_masks) + (mask not in taken_masks)
-            if any(
-                mask in chosen
-                and len(chosen) - n_masks <= n_new  # one new pattern per class not yet taken
-                and completes(chosen, qbits, mask, n_new, short)
-                for chosen in kept
-            ):
                 picked.append(idx)
-                if new:
-                    taken.add(qbits)
-                    left += after[qbits]
-                if mask not in taken_masks:
-                    taken_masks.add(mask)
-                    kept = [chosen for chosen in kept if mask in chosen]
-                    reach = frozenset().union(*kept)
-        return tuple(picked)
+            return tuple(picked)
+
+        return min(map(smallest_positions, kept))
 
 
 def downlink(

@@ -1,7 +1,7 @@
 """A sweep from definitions only, with no caches.
 
 ``semcom.metrics.sweep`` stacks several caches and shortcuts on its
-path: the satisfaction-mask cache, the select memo and its mask-class
+path: the satisfaction-mask cache, the select memo and its pruned
 search, per-pool mask blocks and the record tally.  This module writes
 the same per-seed CSV from the reference definitions alone:
 

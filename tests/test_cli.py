@@ -72,6 +72,18 @@ def test_oracle_writes_file_when_out_given(tmp_path, capsys):
     assert Fraction(row["c_e"]) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("under", ["", "x"])
+def test_unwritable_out_exits_two(tmp_path, capsys, under):
+    # --out names a regular file, or a directory under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / under if under else blocker
+    assert cli.main(["oracle", "--t", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s" % (out / "oracle.csv"))
+    assert blocker.read_text() == ""
+
+
 def test_oracle_refuses_a_wide_table_with_exit_two(capsys):
     # at T=62, K=0 the first row's c(e) needs a 2**(2**62)-bit denominator: refused
     # by the bit budget, not by running out of memory

@@ -5,7 +5,6 @@ import functools
 import itertools
 import random
 import statistics
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -741,13 +740,15 @@ def test_sweep_rejects_bad_strategy_and_budgets():
 def test_sweep_writes_the_reference_sweeps_per_seed_csv(monkeypatch):
     # the whole sweep, caches and shortcuts included, against one built
     # from definitions only, on the smoke config, desk core seed 1 and a
-    # crowded one-step dense world, where select takes both paths
-    paths = Counter()
-    for name in ("_select_by_subsets", "_select_by_masks"):
-        def counted(self, patterns, k, name=name, path=getattr(KeyEngine, name)):
-            paths[name] += 1
-            return path(self, patterns, k)
-        monkeypatch.setattr(KeyEngine, name, counted)
+    # crowded one-step dense world, where select's search runs
+    searches = []
+    search = KeyEngine._search
+
+    def counted(self, patterns, k):
+        searches.append(k)
+        return search(self, patterns, k)
+
+    monkeypatch.setattr(KeyEngine, "_search", counted)
     smoke = load_run_config(str(CONFIGS / "smoke.yaml"))
     desk = load_run_config(str(CONFIGS / "desk.yaml"))
     dense = load_run_config(str(CONFIGS.parent / "perfbench" / "dense.yaml"))
@@ -761,7 +762,7 @@ def test_sweep_writes_the_reference_sweeps_per_seed_csv(monkeypatch):
     ]
     for case in cases:
         assert per_seed_csv(sweep(*case)) == reference_sweep.per_seed_csv(*case)
-    assert paths["_select_by_subsets"] and paths["_select_by_masks"]
+    assert searches
 
 
 # ------------------------------------------------------------ aggregation

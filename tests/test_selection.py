@@ -17,7 +17,8 @@ from semcom.errors import FeasibilityError
 from satisfaction_reference import reference_key, satisfies
 from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import ClosedFormParams, closed_form_objective
-from semcom.selection import RANDOM, SEMANTIC, SUBSET_LOOP_MAX, KeyEngine, downlink
+from semcom import selection
+from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.validation import random_instance, validate_key_ordering
 from semcom.world import (
     T as WORLD_T,
@@ -202,10 +203,9 @@ def test_select_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=150, deadline=None)
-def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
-    # the mask-class search is called directly: through select, pools
-    # this small have at most C(12, 6) = 924 subsets and mostly take the
-    # subset loop
+def test_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
+    # the search is called directly, so it also runs at k = 0 and k = n,
+    # which select answers without it
     rng = random.Random(seed)
     T, _, pool, hyps = random_instance(rng, (2, 3, 4, 5), 12, 1)
     pool = [
@@ -219,7 +219,7 @@ def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
             itertools.combinations(pool, k),
             key=lambda c: (reference_key(c, hyps, T), ids(c)),
         )
-        positions = engine._select_by_masks(patterns, k)
+        positions = engine._search(patterns, k)
         assert tuple(pool[i][0] for i in positions) == ids(expected)
 
 
@@ -227,15 +227,15 @@ def test_mask_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
 @example(19)
 @example(27)
 @settings(max_examples=60, deadline=None)
-def test_mask_search_matches_brute_force_around_a_lone_witness_of_every_hypothesis(seed):
-    # one entry's pattern satisfies every hypothesis, so its class alone
+def test_search_matches_brute_force_around_a_lone_witness_of_every_hypothesis(seed):
+    # one entry's pattern satisfies every hypothesis, so that pattern alone
     # leaves nothing uncovered but holds one entry: from k = 2 on, the
-    # widest class sets must be topped up with other classes.  The other
-    # entries repeat a few patterns under one or two hypotheses, so
-    # classes hold several patterns and many class sets tie on kappa*.
-    # Few seeds make the id tie-break depend on a kappa*-scoring class
-    # set other than the first one found (27) or on a repeated pattern's
-    # entries running out (19), so those two always run
+    # widest pattern sets must be topped up with other patterns.  The
+    # other entries repeat a few patterns under one or two hypotheses, so
+    # masks repeat across patterns and many pattern sets tie on kappa*.
+    # Seeds 27 and 19 once made the id tie-break depend on a kappa*-scoring
+    # set other than the first one found, and on a repeated pattern's
+    # entries running out, so those two always run
     rng = random.Random(seed)
     T = rng.choice((3, 4, 5))
     witness = rng.randrange(1 << T)
@@ -252,19 +252,19 @@ def test_mask_search_matches_brute_force_around_a_lone_witness_of_every_hypothes
     patterns.insert(rng.randrange(n), witness)
     pool = [(2 * i + 1, q) for i, q in enumerate(patterns)]
     engine = KeyEngine(hyps, T)
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         expected = min(
             itertools.combinations(pool, k),
             key=lambda c: (reference_key(c, hyps, T), ids(c)),
         )
-        positions = engine._select_by_masks(patterns, k)
+        positions = engine._search(patterns, k)
         assert tuple(pool[i][0] for i in positions) == ids(expected)
 
 
 def test_select_matches_brute_force_on_crowded_pools():
-    # every pool of two dense one-step worlds with more than
-    # SUBSET_LOOP_MAX subsets at k = 4, which select answers by the mask
-    # search, against the minimum over all C(n, 4) subsets
+    # every pool of two dense one-step worlds with more than 200 subsets
+    # at k = 4 against the minimum over all C(n, 4) subsets; the property
+    # tests above cover the small pools
     scenario = ScenarioConfig(
         name="dense", grid=60, roads=(10, 30, 50), cars=40, pedestrians=60,
         r_fov=3, r_vic=15, steps=1,
@@ -279,7 +279,7 @@ def test_select_matches_brute_force_on_crowded_pools():
         for ego_id, seen in ego_pools(world, scenario.r_fov, scenario.r_vic).items():
             ego = by_id[ego_id]
             for pool in seen.pools.values():
-                if comb(len(pool), k) <= SUBSET_LOOP_MAX:
+                if comb(len(pool), k) <= 200:
                     continue
                 entries = [
                     (i, ground_entity(world, ego, by_id[i])) for i in pool
@@ -326,48 +326,101 @@ def one_mask_per_pattern(T):
     ]
 
 
-def counting_paths(monkeypatch, engine):
-    """Calls select makes to each path of this engine, by path name."""
-    calls = Counter()
-    for name in ("_select_by_subsets", "_select_by_masks"):
-        def counted(patterns, k, name=name, path=getattr(engine, name)):
-            calls[name] += 1
-            return path(patterns, k)
-        monkeypatch.setattr(engine, name, counted)
+def counting_searches(monkeypatch, engine):
+    """Calls select makes to this engine's search, as a one-item list."""
+    calls = [0]
+    search = engine._search
+
+    def counted(patterns, k):
+        calls[0] += 1
+        return search(patterns, k)
+
+    monkeypatch.setattr(engine, "_search", counted)
     return calls
 
 
 def forbid_scoring(monkeypatch, engine):
-    for name in ("_select_by_subsets", "_select_by_masks"):
-        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a path scored candidates"))
+    # the search reads every pattern's mask before it scores a set, and
+    # every scored set's tail
+    for name in ("sat_mask", "_tail"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a pattern set was scored"))
 
 
 def test_selection_refuses_enormous_enumerations(monkeypatch):
-    # 30 entries with 30 distinct masks at k = 15: the mask-class sets
-    # outnumber the C(30, 15) = 155117520 subsets, so select takes the
-    # subset loop, whose count is over the cap; the sweep's entry point
-    # passes the refusal through unchanged
+    # 30 entries with 30 distinct patterns at k = 15: the sets of at most
+    # 15 patterns outnumber the C(30, 15) = 155117520 subsets, which are
+    # over the cap; the sweep's entry point passes the refusal through
+    # unchanged
     T = 5
     engine = KeyEngine(one_mask_per_pattern(T), T)
     forbid_scoring(monkeypatch, engine)
     pool = tuple(range(30))
-    with pytest.raises(FeasibilityError, match=r"C\(30, 15\) subsets = 155117520 exceeds"):
+    message = r"min\(C\(30, 15\), sets of at most 15 of 30 distinct patterns\) = 155117520 exceeds"
+    with pytest.raises(FeasibilityError, match=message):
         downlink(pool, {i: i for i in pool}, 15, SEMANTIC, engine, 0)
 
 
 def test_engine_refuses_enormous_enumerations_before_scoring_any(monkeypatch):
-    # 60 entries, two of each of 30 distinct masks, at k = 10: about 5.3e7
-    # sets of at most 10 mask classes against C(60, 10), about 7.5e10
-    # subsets, so select takes the mask search, whose count is over the cap
+    # 60 entries, two of each of 30 distinct patterns, at k = 10: about
+    # 5.3e7 sets of 1 to 10 patterns against C(60, 10), about 7.5e10
+    # subsets, so the smaller count is the sets', and it is over the cap
     T = 5
     engine = KeyEngine(one_mask_per_pattern(T), T)
     forbid_scoring(monkeypatch, engine)
     entries = [(i, i % 30) for i in range(60)]
-    n_mask_sets = sum(comb(30, size) for size in range(11))
-    assert 10**7 < n_mask_sets < comb(60, 10)
-    message = "sets of at most 10 of 30 mask classes = %d exceeds" % n_mask_sets
+    n_sets = sum(comb(30, size) for size in range(1, 11))
+    assert 10**7 < n_sets < comb(60, 10)
+    message = (
+        r"min\(C\(60, 10\), sets of at most 10 of 30 distinct patterns\) = %d exceeds" % n_sets
+    )
     with pytest.raises(FeasibilityError, match=message):
         engine.select(entries, 10)
+
+
+@pytest.mark.parametrize(
+    "patterns, count",
+    [
+        # six distinct patterns: C(6, 3) = 20 subsets against
+        # 6 + 15 + 20 = 41 pattern sets
+        ((0, 1, 2, 3, 4, 5), 20),
+        # eight entries of three patterns: C(8, 3) = 56 subsets against
+        # 3 + 3 + 1 = 7 pattern sets
+        ((0, 1, 2, 0, 1, 2, 0, 1), 7),
+    ],
+)
+def test_the_cap_answers_a_count_equal_to_it_and_refuses_one_over(monkeypatch, patterns, count):
+    T, k = 3, 3
+    hyps = one_mask_per_pattern(T)
+    pool = list(enumerate(patterns))
+    expected = min(
+        itertools.combinations(pool, k), key=lambda c: (reference_key(c, hyps, T), ids(c)),
+    )
+    monkeypatch.setattr(selection, "DEFAULT_ENUMERATION_CAP", count)
+    assert KeyEngine(hyps, T).select(pool, k) == ids(expected)
+    monkeypatch.setattr(selection, "DEFAULT_ENUMERATION_CAP", count - 1)
+    engine = KeyEngine(hyps, T)
+    forbid_scoring(monkeypatch, engine)
+    message = "= %d exceeds the enumeration cap of %d" % (count, count - 1)
+    with pytest.raises(FeasibilityError, match=message):
+        engine.select(pool, k)
+
+
+def test_select_refuses_many_distinct_patterns_in_few_mask_classes(monkeypatch):
+    # 40 distinct patterns in 11 mask classes: hypothesis h < 10 fixes the
+    # low four slots to h, so a pattern's low four bits name its one
+    # hypothesis or none.  Only 2047 sets of at most 10 classes exist, but
+    # the cap counts sets of patterns, so k = 10 is refused
+    T = 6
+    hyps = [
+        Hypothesis.from_constraints(h, {s: (h >> s) & 1 for s in range(4)}, "Stop")
+        for h in range(10)
+    ]
+    engine = KeyEngine(hyps, T)
+    assert len({engine.sat_mask(q) for q in range(40)}) == 11
+    forbid_scoring(monkeypatch, engine)
+    message = r"min\(C\(40, 10\), sets of at most 10 of 40 distinct patterns\) = 847660528 exceeds"
+    with pytest.raises(FeasibilityError, match=message):
+        engine.select([(i, i) for i in range(40)], 10)
 
 
 def test_select_answers_a_pool_whose_subsets_exceed_the_cap():
@@ -390,10 +443,9 @@ def test_select_answers_a_pool_whose_subsets_exceed_the_cap():
 
 def test_select_matches_brute_force_at_budgets_eight_and_nine(monkeypatch):
     # pools of 14 to 18 entries at k = 8 and 9, where C(n, k) reaches
-    # 48620: random hypotheses over repeated patterns take the mask
-    # search, and one mask per pattern makes the mask sets outnumber the
-    # subsets, so the loop runs too
-    checked = Counter()
+    # 48620: random hypotheses over repeated patterns, and one mask per
+    # pattern, where the pattern sets outnumber the subsets
+    checked = 0
     for seed in range(4):
         rng = random.Random(seed)
         n = rng.randint(14, 18)
@@ -407,7 +459,7 @@ def test_select_matches_brute_force_at_budgets_eight_and_nine(monkeypatch):
             ]
             patterns = rng.sample(range(1 << T), n)
         engine = KeyEngine(hyps, T)
-        calls = counting_paths(monkeypatch, engine)
+        calls = counting_searches(monkeypatch, engine)
         pool = [(3 * i + 1, q) for i, q in enumerate(patterns)]
         for k in (8, 9):
             expected = min(
@@ -415,25 +467,26 @@ def test_select_matches_brute_force_at_budgets_eight_and_nine(monkeypatch):
                 key=lambda c: (engine.key_for_patterns(q for _, q in c), ids(c)),
             )
             assert engine.select(pool, k) == ids(expected)
-        checked.update(calls)
-    assert checked["_select_by_masks"] and checked["_select_by_subsets"]
+        checked += calls[0]
+    assert checked == 8
 
 
-def test_select_keeps_the_loop_when_mask_sets_outnumber_subsets(monkeypatch):
+def test_select_answers_many_tied_distinct_patterns_within_a_second(monkeypatch):
     # 24 entries with 24 distinct masks: C(24, 20) = 10626 subsets, but
-    # about 1.7e7 sets of at most 20 mask classes
+    # about 1.7e7 sets of at most 20 patterns, so the cap counts subsets;
+    # all 10626 sets of 20 patterns tie on kappa and are kept
     T = 5
     hyps = [
         Hypothesis.from_constraints(i, {s: (i >> s) & 1 for s in range(T)}, "Stop")
         for i in range(24)
     ]
     engine = KeyEngine(hyps, T)
-    calls = counting_paths(monkeypatch, engine)
+    calls = counting_searches(monkeypatch, engine)
     started = time.perf_counter()
     # every subset has the same kappa, so the smallest ids win
     assert engine.select([(i, i) for i in range(24)], 20) == tuple(range(20))
     assert time.perf_counter() - started < 1.0
-    assert calls == {"_select_by_subsets": 1}
+    assert calls == [1]
 
 
 def test_select_memo_returns_each_pools_own_ids_per_budget():

@@ -12,7 +12,9 @@ appears as a loaded name, an attribute, or an imported name anywhere in
 parameter counts as passed when a call there to a function of its name
 gives it by keyword, by position, or through ``*args`` or ``**kwargs``.
 The README check reads the names in its backtick spans of the forms
-``semcom.<module>.<name>`` and ``<Class>.<member>``.
+``semcom.<module>.<name>`` and ``<Class>.<member>``, and the spans that
+are one bare UPPER_CASE name of two or more characters, which must be
+bound at the top of some package module.
 """
 
 import ast
@@ -230,11 +232,13 @@ def package_namespace():
 
 SEMCOM_NAME = re.compile(r"\bsemcom\.(\w+)(?:\.(\w+))?")
 CLASS_MEMBER = re.compile(r"(?<![\w.])([A-Z]\w*[a-z]\w*)\.(\w+)")
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]+")
 
 
 def stale_readme_names(text):
     """Names in backtick spans that the package does not define, in order."""
     modules, classes = package_namespace()
+    top_level = set().union(*modules.values())
     stale = []
     for span in re.findall(r"`([^`\n]+)`", text):
         for m in SEMCOM_NAME.finditer(span):
@@ -245,6 +249,8 @@ def stale_readme_names(text):
             cls, member = m.groups()
             if member not in classes.get(cls, ()):
                 stale.append(m.group())
+        if CONSTANT.fullmatch(span) and span not in top_level:
+            stale.append(span)
     return stale
 
 
@@ -258,8 +264,11 @@ def test_the_readme_scan_flags_planted_stale_names():
         "`ScenarioConfig.slot_bits` and `semcom.world.default_vocabulary` are gone;\n"
         "`semcom.world.PREDICATES`, `KeyEngine.select`, `Hypothesis.care` and\n"
         "`semcom.cli` remain, `semcom.nowhere` never was, and prose names such as\n"
-        "ScenarioConfig.vocabulary outside backticks are not read.\n"
+        "ScenarioConfig.vocabulary outside backticks are not read.  `SUBSET_LOOP_MAX`\n"
+        "is gone and `DEFAULT_ENUMERATION_CAP` remains; the symbols `C` and `T`,\n"
+        "SUBSET_LOOP_MAX outside backticks and `C(n, K_MAX)` are not read.\n"
     )
     assert stale_readme_names(text) == [
         "ScenarioConfig.slot_bits", "semcom.world.default_vocabulary", "semcom.nowhere",
+        "SUBSET_LOOP_MAX",
     ]
