@@ -11,9 +11,10 @@ Subcommands:
                   on random instances of one fixed shape (see validation)
 
 Output location: --out names a directory, made when its first file is
-written; without it, tables go to stdout.  All randomness flows from
-explicit seeds, so a fixed config and seed list reproduces output byte
-for byte regardless of --jobs.
+written (run and sweep check first that it can be); without it, tables
+go to stdout.  All randomness flows from explicit seeds, so a fixed
+config and seed list reproduces output byte for byte regardless of
+--jobs.
 """
 
 from __future__ import annotations
@@ -104,7 +105,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    return load_run_config(args.config, seeds_override=args.seeds)
+    """The run config; --out is refused before any task when it cannot be made."""
+    cfg = load_run_config(args.config, seeds_override=args.seeds)
+    path = args.out and os.path.abspath(args.out)
+    while path and not os.path.lexists(path):  # the nearest existing path along --out
+        path = os.path.dirname(path)
+    if path and not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigurationError(
+            "cannot write %s: %s is not a writable directory" % (args.out, path)
+        )
+    return cfg
 
 
 def cmd_run(args: argparse.Namespace) -> int:

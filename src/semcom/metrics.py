@@ -161,10 +161,7 @@ def build_trajectory(
         per_step.append(views)
         if t + 1 < scenario.steps:
             world = step(world, actions)
-    return Trajectory(
-        seed=seed,
-        views=tuple(per_step),
-    )
+    return Trajectory(seed=seed, views=tuple(per_step))
 
 
 def _witnessed(engine: KeyEngine, qbits: Mapping[int, int], ids: Iterable[int]) -> int:
@@ -187,18 +184,15 @@ def evaluate_cell(
 ) -> EpisodeTrace:
     """Score every cell of kinds x (strategy, k) budgets in one pass.
 
-    The cells run kind by kind, each kind over every budget.  Random
-    downlink draws are seeded per (seed, step, ego), not per cell, so
-    they are reproducible and shared across architectures and budgets.
-    A view's masks for one kind therefore depend only on the kind's
-    pool: each view builds one block of masks per distinct pool, and
-    every kind with that pool reuses it.  The budgets are taken as
-    checked: metrics.sweep refuses a bad one before any task.
+    The cells run kind by kind, each kind over the budgets in their
+    order.  Random downlink draws are seeded per (seed, step, ego), not
+    per cell, so they are reproducible and shared across architectures
+    and budgets.  A view's masks for one kind therefore depend only on
+    the kind's pool: each view builds one block of masks per distinct
+    pool, and every kind with that pool reuses it.  The budgets are taken
+    as checked: metrics.sweep refuses a bad one before any task.
     """
-    ranked = sorted(
-        ((column, strategy, k) for column, (strategy, k) in enumerate(budgets)),
-        key=lambda budget: budget[2],
-    )
+    largest = {s: max(k for t, k in budgets if t == s) for s, _ in budgets}
     records: List[TraceRecord] = []
     for step_idx, views in enumerate(trajectory.views):
         for ego_id in sorted(views):
@@ -212,7 +206,7 @@ def evaluate_cell(
                 block = blocks.get(pool)
                 if block is None:
                     block = blocks[pool] = _mask_block(
-                        engine, view.qbits, pool, ranked, fov_mask, rng_seed
+                        engine, view.qbits, pool, budgets, largest, fov_mask, rng_seed
                     )
                 masks += block
             records.append(TraceRecord(fi_mask=view.fi_mask, strategy_masks=tuple(masks)))
@@ -224,12 +218,14 @@ def _mask_block(
     engine: KeyEngine,
     qbits: Mapping[int, int],
     pool: Tuple[int, ...],
-    ranked: Sequence[Tuple[int, str, int]],
+    budgets: Sequence[Tuple[str, int]],
+    largest: Mapping[str, int],
     fov_mask: int,
     rng_seed: int,
 ) -> Tuple[int, ...]:
     """Hypothesis masks of one view's FOV plus what one pool downlinks
-    under each budget; ranked holds (column, strategy, k) ascending by k.
+    under each (strategy, k) of budgets, in order; largest maps each
+    strategy of budgets to its largest k.
 
     Nothing is sent at k = 0.  Above that, a budget the pool's coverage
     C already fixes sends fov_mask | C without calling downlink:
@@ -245,6 +241,9 @@ def _mask_block(
       no subset covers more, so every kappa-minimal k-subset covers
       exactly C, whatever ids win the tie-break.  If need > k, no
       k-subset covers C and downlink runs.
+    Each threshold is counted only up to its strategy's largest budget,
+    past which it decides no budget differently, and not at all for a
+    strategy without a budget.
     Every other budget calls downlink.  Skipping a draw moves no other,
     since each is seeded per (seed, step, ego), and skipping a search only
     leaves the select memo without that entry, so the masks are those of
@@ -256,10 +255,7 @@ def _mask_block(
     cover = 0
     for mask in masks:
         cover |= mask
-    # each count stops where it can no longer decide a budget differently
-    # from the full count: misses at the largest budget, need at the
-    # largest one inside the pool
-    top = ranked[-1][2] if ranked else 0
+    top = largest.get(RANDOM, 0)
     misses = 0
     rest = cover & ~fov_mask
     while rest and misses < top:
@@ -271,17 +267,17 @@ def _mask_block(
                 miss += 1
         if miss > misses:
             misses = miss
-    need = _cover_number(masks, cover, min(top, len(pool) - 1))
+    need = _cover_number(masks, cover, min(largest.get(SEMANTIC, 0), len(pool) - 1))
     whole = fov_mask | cover
-    block = [fov_mask] * len(ranked)
-    for column, strategy, k in ranked:
+    block = []
+    for strategy, k in budgets:
         if k == 0:
-            continue
-        if k >= need if strategy == SEMANTIC else k > misses:
-            block[column] = whole
+            block.append(fov_mask)
+        elif k >= need if strategy == SEMANTIC else k > misses:
+            block.append(whole)
         else:
             sent = _witnessed(engine, qbits, downlink(pool, qbits, k, strategy, engine, rng_seed))
-            block[column] = fov_mask | sent
+            block.append(fov_mask | sent)
     return tuple(block)
 
 
@@ -296,8 +292,8 @@ def _cover_number(masks: Sequence[int], cover: int, most: int) -> int:
     """
     if not cover:
         return 0
-    if cover in masks:
-        return 1
+    if not most or cover in masks:
+        return 1  # most + 1 when most is 0
     wide: List[int] = []  # the masks no other mask contains
     for mask in sorted(set(masks), key=int.bit_count, reverse=True):
         if all(mask | other != other for other in wide):

@@ -17,13 +17,9 @@ A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
 ranks its k-subsets by kappa and ``downlink`` applies the strategy to a
 budget strictly inside the pool; the sweep goes through both.
 
-``select`` runs one search.  A k-subset's kappa depends only on the set
-P of distinct patterns it holds: the OR of their satisfaction masks
-gives the uncovered hypotheses and the tail, and K = |P|.  So the search
-runs over sets of at most k distinct patterns, widest mask first, prunes
-extensions whose remaining masks cannot match the best coverage or K,
-keeps every kappa-minimal set, and maps each one to its smallest
-position tuple.  The enumeration cap counts the sets it may score.
+``select`` runs one search over sets of distinct patterns, since a
+k-subset's kappa depends only on the set it holds (``KeyEngine._search``),
+and ``KeyEngine._key`` is the one place kappa is built.
 """
 
 from __future__ import annotations
@@ -72,25 +68,24 @@ class KeyEngine:
             )
             return mask
 
-    def _tail(self, uncovered: int) -> Tuple[int, ...]:
-        try:
-            return self._tails[uncovered]
-        except KeyError:
-            exps = sorted(
-                self.exponents[i] for i in range(len(self.exponents)) if (uncovered >> i) & 1
-            )
-            tail = tuple(-g for g in exps)
-            self._tails[uncovered] = tail
-            return tail
-
     def key_for_patterns(self, qbits_list: Iterable[int]) -> Tuple[int, ...]:
         """kappa of the patterns as (n_nonoverlap, K, -(T-Z), ...), the tuple select compares."""
         distinct = set(qbits_list)
         covered = 0
         for qbits in distinct:
             covered |= self.sat_mask(qbits)
+        return self._key(covered, len(distinct))
+
+    def _key(self, covered: int, size: int) -> Tuple[int, ...]:
+        """kappa of size distinct patterns whose masks OR to covered, the one
+        place it is built; _search's prune bounds its first two fields."""
         uncovered = self.full_mask & ~covered
-        return (uncovered.bit_count(), len(distinct)) + self._tail(uncovered)
+        try:
+            tail = self._tails[uncovered]
+        except KeyError:
+            exps = sorted(g for i, g in enumerate(self.exponents) if (uncovered >> i) & 1)
+            tail = self._tails[uncovered] = tuple(-g for g in exps)
+        return (uncovered.bit_count(), size) + tail
 
     def select(self, entries: Sequence[Tuple[int, int]], k: int) -> Tuple[int, ...]:
         """kappa-lex-minimal k-subset of (entity_id, qbits) entries.
@@ -156,16 +151,14 @@ class KeyEngine:
         for j in reversed(range(len(distinct))):
             rest[j] = rest[j + 1] | masks[j]
             left[j] = left[j + 1] + held[j]
-        full = self.full_mask
-        n_hyps = full.bit_count()
+        n_hyps = self.full_mask.bit_count()
         best: Optional[Tuple[int, ...]] = None
         kept: List[Tuple[int, ...]] = []
 
         def extend(chosen: Tuple[int, ...], covered: int, n_held: int, start: int) -> None:
             nonlocal best, kept
             if n_held >= k:
-                uncovered = full & ~covered
-                key = (uncovered.bit_count(), len(chosen)) + self._tail(uncovered)
+                key = self._key(covered, len(chosen))
                 if best is None or key < best:
                     best, kept = key, []
                 if key == best:
@@ -219,7 +212,8 @@ def downlink(
     random a uniform without-replacement sample drawn from rng_seed (the
     engine may then be None).  metrics.sweep checks the request, and
     metrics._mask_block, which owns the budget rules, calls it only for a
-    budget whose mask the pool's coverage does not already fix.
+    budget whose mask its strategy's threshold (misses for random, the
+    cover number for semantic) does not already fix.
     """
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)

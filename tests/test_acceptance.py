@@ -10,6 +10,7 @@ project decision notes rather than papered over here.
 import hashlib
 import itertools
 import random
+import statistics
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +52,8 @@ SMOKE_PER_SEED_SHA256 = "0556ca7a3df1c057f21d7cb0515141f3b07c67e56b78be54766a7ec
 # sha256 of the aggregate CSV of configs/desk.yaml as shipped (seeds 1-20),
 # the same bytes as perfbench's seed-0 desk digest
 DESK_SHA256 = "bfe513fbb9f7375785997270d4b9a4b9165b168fdcbb5ff2604168ba504cd261"
+# sha256 of the aggregate CSV of configs/contested.yaml as shipped (seeds 1-20)
+CONTESTED_SHA256 = "e66b7f3573715fdcf8bb2761874f66c56507886cc08c029f1d0d59eec7266f5c"
 
 
 def report(criterion, ok, detail):
@@ -207,6 +210,45 @@ def test_criterion_5_semantic_dominates_random_at_desk_scale():
         "%d rule sets x %d architectures, worst k-matched gap %+.4f, "
         "worst semantic@1 vs random@3 margin %+.4f, %.0f s"
         % (len(rule_names), len(arch_names), worst_gap, worst_skip, elapsed),
+    )
+
+
+def test_criterion_5_semantic_dominates_random_where_the_budget_decides():
+    # configs/contested.yaml is desk with a one-cell field of view and 12
+    # pedestrians, so most decisions need the downlink; semantic mean
+    # A-DSR over the rule sets is at least random's at every kind and k >= 1
+    started = time.perf_counter()
+    run = load_run_config(str(ROOT / "configs" / "contested.yaml"))
+    scenario = run.scenarios[0]
+    rows = sweep(
+        scenario, run.rule_sets, run.architectures, run.strategies, run.ks, run.seeds, jobs=2
+    )
+    aggregates = aggregate(rows)
+    assert hashlib.sha256(aggregate_csv(aggregates).encode()).hexdigest() == CONTESTED_SHA256
+    means = {}
+    for a in aggregates:
+        means.setdefault((a.architecture, a.strategy, a.k), []).append(a.adsr_mean)
+    mean = {cell: statistics.fmean(adsrs) for cell, adsrs in means.items()}
+    margins = {
+        (arch, k): mean[(arch, SEMANTIC, k)] - mean[(arch, RANDOM, k)]
+        for arch in run.architectures
+        for k in run.ks
+        if k >= 1
+    }
+    for cell, margin in margins.items():
+        assert margin >= 0.0, (cell, margin)
+    assert report(
+        5,
+        True,
+        "contested: sensor-gna A-DSR %.4f at k=0, semantic minus random %+.4f at k=1, "
+        "worst of %d (kind, k) margins %+.4f, %.0f s"
+        % (
+            mean[(SENSOR_GNA, SEMANTIC, 0)],
+            margins[(SENSOR_GNA, 1)],
+            len(margins),
+            min(margins.values()),
+            time.perf_counter() - started,
+        ),
     )
 
 

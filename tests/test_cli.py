@@ -230,6 +230,25 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("under", ["", "x", "x/y"])
+def test_unwritable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch, under):
+    # --out names a regular file or a path under one: refused before the
+    # sweep's first task, not after it, and nothing is made; the file is
+    # writable and executable, so only its not being a directory refuses it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    blocker.chmod(0o755)
+    out = blocker / under if under else blocker
+    config = write_config(tmp_path, small_run())
+    monkeypatch.setattr(cli.metrics, "_run_task", lambda task: pytest.fail("a task ran"))
+    for command in ("sweep", "run"):
+        assert cli.main([command, "--config", config, "--out", str(out), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot write %s: %s is not a writable directory\n" % (out, blocker)
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.yaml"]
+
+
 @pytest.mark.parametrize(
     "name", ["../escaped", "nested/name", "/abs", ".", "..", "", "nul\0byte", ["s"], 5]
 )

@@ -268,7 +268,7 @@ def test_shipped_yaml_parses_the_same_under_the_chosen_loader():
     paths = sorted((root / "configs").glob("*.yaml")) + sorted(
         (root / "src" / "semcom" / "data").glob("*.yaml")
     )
-    assert len(paths) == 7
+    assert len(paths) == 8
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)

@@ -362,11 +362,17 @@ def test_one_pass_scorer_matches_one_downlink_call_per_cell(rule_set, monkeypatc
     assert decided_by_misses and decided_by_cover and decided_first
 
 
+def largest_budgets(budgets):
+    """Each strategy's largest k, as evaluate_cell hands it to _mask_block."""
+    return {s: max(k for t, k in budgets if t == s) for s, _ in budgets}
+
+
 def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
     # the coverage rule against the block without it, on random pools and
-    # FOV masks, every k from 0 to len(pool) + 1 and both strategies, and
-    # again with the budgets cut below the pool size, where both counts
-    # stop at the largest budget
+    # FOV masks, every k from 0 to len(pool) + 1 and both strategies in a
+    # shuffled order, again with the budgets cut below the pool size,
+    # where both counts stop at the largest budget, and with budgets of
+    # one strategy only, drawn apart so the other inputs stay as they were
     hypotheses = rules_of(5).hypotheses
     engine = KeyEngine(hypotheses, T)  # one engine for every pool, as in a task
     reference = KeyEngine(hypotheses, T)
@@ -378,6 +384,7 @@ def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
 
     monkeypatch.setattr(metrics, "downlink", recording_downlink)
     rng = random.Random(11)
+    one_strategy = random.Random(12)
     by_misses = by_cover = 0
     for _ in range(600):
         n = rng.randint(1, 8)
@@ -389,14 +396,19 @@ def test_mask_block_matches_one_downlink_call_per_budget(monkeypatch):
         rng_seed = rng.randrange(1 << 31)
         patterns = [qbits[ent] for ent in pool]
         cover, misses = coverage_and_misses(hypotheses, patterns, fov_mask)
+        budget_lists = []
         for top in (n + 1, rng.randrange(n)):
             budgets = [(s, k) for s in (SEMANTIC, RANDOM) for k in range(top + 1)]
             rng.shuffle(budgets)
-            ranked = sorted(
-                ((column, s, k) for column, (s, k) in enumerate(budgets)), key=lambda b: b[2]
-            )
+            budget_lists.append(budgets)
+        for s in (SEMANTIC, RANDOM):
+            ks = one_strategy.sample(range(n + 2), one_strategy.randint(1, n + 2))
+            budget_lists.append([(s, k) for k in ks])
+        for budgets in budget_lists:
             calls.clear()
-            block = metrics._mask_block(engine, qbits, pool, ranked, fov_mask, rng_seed)
+            block = metrics._mask_block(
+                engine, qbits, pool, budgets, largest_budgets(budgets), fov_mask, rng_seed
+            )
             expected = []
             for s, k in budgets:
                 if 0 < k < n:
@@ -449,8 +461,8 @@ def check_cover_number_on(engine, qbits, pool, ks, monkeypatch):
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 
     monkeypatch.setattr(metrics, "downlink", recording_downlink)
-    ranked = [(column, SEMANTIC, k) for column, k in enumerate(ks)]
-    block = metrics._mask_block(engine, qbits, pool, ranked, 0, 0)
+    budgets = [(SEMANTIC, k) for k in ks]
+    block = metrics._mask_block(engine, qbits, pool, budgets, largest_budgets(budgets), 0, 0)
     monkeypatch.undo()
     covering = set()
     for k, mask in zip(ks, block):
@@ -531,8 +543,8 @@ def test_cover_number_past_the_cap_leaves_the_budget_to_downlink(monkeypatch):
         return downlink(pool, qbits, k, strategy, engine, rng_seed)
 
     monkeypatch.setattr(metrics, "downlink", recording_downlink)
-    ranked = [(column, SEMANTIC, k) for column, k in enumerate(range(5))]
-    block = metrics._mask_block(engine, qbits, pool, ranked, 0, 0)
+    budgets = [(SEMANTIC, k) for k in range(5)]
+    block = metrics._mask_block(engine, qbits, pool, budgets, {SEMANTIC: 4}, 0, 0)
     assert calls == [1, 2, 3]
     assert block == (0, 0b011, 0b111, 0b111, 0b111)
 

@@ -341,8 +341,8 @@ def counting_searches(monkeypatch, engine):
 
 def forbid_scoring(monkeypatch, engine):
     # the search reads every pattern's mask before it scores a set, and
-    # every scored set's tail
-    for name in ("sat_mask", "_tail"):
+    # builds every scored set's key
+    for name in ("sat_mask", "_key"):
         monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a pattern set was scored"))
 
 
