@@ -22,11 +22,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import metrics
 from .config import RunConfig, load_run_config
 from .errors import ConfigurationError, SemcomError
+from .world import ScenarioConfig
 
 ORACLE_COLUMNS = ("T", "K", "Z", "overlap", "c_e", "c_phi_given_e", "F_term")
 
@@ -76,17 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--t", type=int, default=2, help="predicate slot count")
     p_oracle.add_argument("--out", default=None, help="output directory")
 
-    p_run = sub.add_parser("run", help="per-seed metrics rows")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seeds", type=_parse_seed_list, default=None)
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-
-    p_sweep = sub.add_parser("sweep", help="aggregated metrics CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--seeds", type=_parse_seed_list, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    for name, text in (("run", "per-seed metrics rows"), ("sweep", "aggregated metrics CSV")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--out", default=None, help="output directory")
+        p_cfg.add_argument("--seeds", type=_parse_seed_list, default=None)
+        p_cfg.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     p_val = sub.add_parser("validate-key", help="key vs exact-objective ordering check")
     p_val.add_argument("--trials", type=int, default=1000)
@@ -104,8 +100,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
-    """The run config; --out is refused before any task when it cannot be made."""
+def _sweeps(
+    args: argparse.Namespace,
+) -> Iterator[Tuple[RunConfig, ScenarioConfig, List[metrics.MetricsRow]]]:
+    """(config, scenario, rows) per scenario of --config, swept in order; an
+    --out that cannot be made is refused before any task."""
     cfg = load_run_config(args.config, seeds_override=args.seeds)
     path = args.out and os.path.abspath(args.out)
     while path and not os.path.lexists(path):  # the nearest existing path along --out
@@ -114,29 +113,23 @@ def _load(args: argparse.Namespace) -> RunConfig:
         raise ConfigurationError(
             "cannot write %s: %s is not a writable directory" % (args.out, path)
         )
-    return cfg
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load(args)
     for scenario in cfg.scenarios:
-        rows = metrics.sweep(
+        yield cfg, scenario, metrics.sweep(
             scenario, cfg.rule_sets, cfg.architectures, cfg.strategies,
             cfg.ks, cfg.seeds, jobs=args.jobs,
         )
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    for _, scenario, rows in _sweeps(args):
         _emit(args.out, "%s_per_seed.csv" % scenario.name, metrics.per_seed_csv(rows))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load(args)
     points = []
     summary: List[str] = []
-    for scenario in cfg.scenarios:
-        rows = metrics.sweep(
-            scenario, cfg.rule_sets, cfg.architectures, cfg.strategies,
-            cfg.ks, cfg.seeds, jobs=args.jobs,
-        )
+    for cfg, scenario, rows in _sweeps(args):
         aggregates = metrics.aggregate(rows)
         _emit(args.out, "%s.csv" % scenario.name, metrics.aggregate_csv(aggregates))
         dips = metrics.monotonicity_violations(rows)

@@ -18,15 +18,16 @@ ranks its k-subsets by kappa and ``downlink`` applies the strategy to a
 budget strictly inside the pool; the sweep goes through both.
 
 ``select`` runs one search over sets of distinct patterns, since a
-k-subset's kappa depends only on the set it holds (``KeyEngine._search``),
-and ``KeyEngine._key`` is the one place kappa is built.
+k-subset's kappa depends only on the set it holds (``KeyEngine._search``).
+It takes a prefix of each run of interchangeable patterns and keeps one
+incumbent, and ``KeyEngine._key`` is the one place kappa is built.
 """
 
 from __future__ import annotations
 
 import random
 from math import comb
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, FeasibilityError
 from .logic import Hypothesis
@@ -95,7 +96,8 @@ class KeyEngine:
         smallest sorted id tuple.
 
         The search (see _search) scores sets of at most k distinct
-        patterns.  Before it scores any, it raises FeasibilityError when
+        patterns, taking interchangeable ones in first-position order, and
+        keeps the least.  Before it scores any, it raises FeasibilityError when
         min(C(n, k), sets of 1 to k of the d distinct patterns) exceeds
         DEFAULT_ENUMERATION_CAP: each scored set maps to its own k-subset,
         so that count bounds the sets scored.
@@ -123,15 +125,21 @@ class KeyEngine:
         at least k entries.  An extension stops when the OR of the
         remaining masks cannot leave as few hypotheses uncovered as the
         best P, when it can only tie on that and cannot beat the best K,
-        or when the remaining entries cannot bring P up to k.  Every
-        kappa-minimal P is kept.  The smallest position tuple with
-        patterns exactly P takes each pattern's first position and the
-        k - |P| smallest other positions of P's entries; the answer is the
-        least of those over the kept P.
+        or when the remaining entries cannot bring P up to k.
+
+        Patterns with equal mask and count are interchangeable: swapping a
+        chosen one for an unchosen one with an earlier first position
+        keeps kappa and can only lower P's sorted first positions.  So
+        each run of them, kept in first-position order, is taken by a
+        prefix only, and one incumbent keeps the least (kappa, sorted
+        first positions).  Among sets of equal K the smallest position
+        tuples are ordered as the sorted first positions are, and the
+        winner's takes each pattern's first position and the k - |P|
+        smallest other positions of P's entries.
         """
-        counts: Dict[int, int] = {}  # distinct patterns in order of first position
-        for qbits in patterns:
-            counts[qbits] = counts.get(qbits, 0) + 1
+        counts: Dict[int, List[int]] = {}  # pattern: [count, first position]
+        for idx, qbits in enumerate(patterns):
+            counts.setdefault(qbits, [0, idx])[0] += 1
         n_sets = comb(len(patterns), k)
         if n_sets > DEFAULT_ENUMERATION_CAP:
             n_sets = min(n_sets, sum(comb(len(counts), size) for size in range(1, k + 1)))
@@ -141,60 +149,46 @@ class KeyEngine:
                 "the enumeration cap of %d"
                 % (len(patterns), k, k, len(counts), n_sets, DEFAULT_ENUMERATION_CAP)
             )
-        mask_of = {qbits: self.sat_mask(qbits) for qbits in counts}
-        distinct = sorted(counts, key=lambda qbits: -mask_of[qbits].bit_count())
-        masks = [mask_of[qbits] for qbits in distinct]
-        held = [counts[qbits] for qbits in distinct]
+        order = []  # widest mask first; a run of equal (mask, count) by first position
+        for qbits, (count, first) in counts.items():
+            mask = self.sat_mask(qbits)
+            order.append((-mask.bit_count(), mask, count, first))
+        order.sort()
         # extending from j covers at most covered | rest[j] and holds at most left[j] more
-        rest = [0] * (len(distinct) + 1)
-        left = [0] * (len(distinct) + 1)
-        for j in reversed(range(len(distinct))):
-            rest[j] = rest[j + 1] | masks[j]
-            left[j] = left[j + 1] + held[j]
+        rest = [0] * (len(order) + 1)
+        left = [0] * (len(order) + 1)
+        for j in reversed(range(len(order))):
+            rest[j] = rest[j + 1] | order[j][1]
+            left[j] = left[j + 1] + order[j][2]
         n_hyps = self.full_mask.bit_count()
-        best: Optional[Tuple[int, ...]] = None
-        kept: List[Tuple[int, ...]] = []
+        best: Optional[Tuple[Tuple[int, ...], List[int]]] = None  # (kappa, sorted firsts)
 
         def extend(chosen: Tuple[int, ...], covered: int, n_held: int, start: int) -> None:
-            nonlocal best, kept
+            nonlocal best
             if n_held >= k:
-                key = self._key(covered, len(chosen))
-                if best is None or key < best:
-                    best, kept = key, []
-                if key == best:
-                    kept.append(chosen)
+                found = (self._key(covered, len(chosen)), sorted(chosen))
+                if best is None or found < best:
+                    best = found
             if len(chosen) == k:
                 return
-            for j in range(start, len(distinct)):
+            for j in range(start, len(order)):
+                _, mask, count, first = order[j]
                 if n_held + left[j] < k:
                     break
+                if j > start and order[j - 1][1:3] == (mask, count):
+                    continue  # an earlier pattern of this run was skipped
                 if best is not None:
                     fewest = n_hyps - (covered | rest[j]).bit_count()
-                    if fewest > best[0] or (fewest == best[0] and len(chosen) >= best[1]):
+                    if fewest > best[0][0] or (fewest == best[0][0] and len(chosen) >= best[0][1]):
                         break
-                extend(chosen + (distinct[j],), covered | masks[j], n_held + held[j], j + 1)
+                extend(chosen + (first,), covered | mask, n_held + count, j + 1)
 
         extend((), 0, 0, 0)
         del extend  # a recursive closure is a reference cycle: free it without the collector
-
-        def smallest_positions(chosen: Tuple[int, ...]) -> Tuple[int, ...]:
-            wanted = set(chosen)
-            seen: Set[int] = set()
-            spare = k - len(chosen)
-            picked = []
-            for idx, qbits in enumerate(patterns):
-                if qbits not in wanted:
-                    continue
-                if qbits not in seen:
-                    seen.add(qbits)
-                elif spare:
-                    spare -= 1
-                else:
-                    continue
-                picked.append(idx)
-            return tuple(picked)
-
-        return min(map(smallest_positions, kept))
+        firsts = best[1]
+        wanted = {patterns[i] for i in firsts}
+        extras = [i for i, q in enumerate(patterns) if q in wanted and i not in firsts]
+        return tuple(sorted(firsts + extras[: k - len(firsts)]))
 
 
 def downlink(

@@ -6,13 +6,14 @@ import random
 import time
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from semcom.comms import ego_pools
-from semcom.config import SHIPPED_RULE_SETS, load_rule_set
+from semcom.comms import SENSOR_GNA, ego_pools
+from semcom.config import SHIPPED_RULE_SETS, load_rule_set, load_run_config
 from semcom.errors import FeasibilityError
 from satisfaction_reference import reference_key, satisfies
 from semcom.logic import Hypothesis, QSentence
@@ -26,6 +27,8 @@ from semcom.world import (
     ground_entity,
     init_world,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exact_objective(subset, hyps, T):
@@ -201,26 +204,55 @@ def test_select_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
         assert engine.select(pool, k) == ids(expected)
 
 
+def runs_of_interchangeable_patterns(rng, counts):
+    """Hypotheses that fix only the low one or two slots, so distinct
+    patterns equal there share a mask, and a shuffled pool of 6 to 12
+    entries in which each pattern is repeated a count drawn from counts:
+    runs of equal (mask, count) with interleaved first positions."""
+    T = rng.choice((3, 4, 5))
+    low = rng.randint(1, 2)
+    hyps = [
+        Hypothesis.from_constraints(
+            h, {s: rng.randint(0, 1) for s in rng.sample(range(low), rng.randint(1, low))}, "Stop"
+        )
+        for h in range(rng.randint(1, 3))
+    ]
+    n = rng.randint(6, 12)
+    patterns = []
+    for q in rng.sample(range(1 << T), 1 << T):
+        patterns += [q] * rng.choice(counts)
+        if len(patterns) >= n:
+            break
+    patterns = patterns[:n]
+    rng.shuffle(patterns)
+    return T, hyps, list(enumerate(patterns))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=150, deadline=None)
 def test_search_is_the_smallest_id_tuple_among_kappa_minimal_subsets(seed):
     # the search is called directly, so it also runs at k = 0 and k = n,
-    # which select answers without it
+    # which select answers without it.  Each seed checks two pools: copies
+    # of earlier patterns, and runs of interchangeable patterns (equal mask
+    # and count) whose entries each hold one copy, two, or a mix of one to
+    # three under one mask, where the search takes a prefix of each run
     rng = random.Random(seed)
     T, _, pool, hyps = random_instance(rng, (2, 3, 4, 5), 12, 1)
     pool = [
         (i, pool[rng.randrange(i)][1] if i and rng.random() < 0.4 else bits)
         for i, bits in pool
     ]
-    engine = KeyEngine(hyps, T)
-    patterns = [bits for _, bits in pool]
-    for k in range(len(pool) + 1):
-        expected = min(
-            itertools.combinations(pool, k),
-            key=lambda c: (reference_key(c, hyps, T), ids(c)),
-        )
-        positions = engine._search(patterns, k)
-        assert tuple(pool[i][0] for i in positions) == ids(expected)
+    runs = runs_of_interchangeable_patterns(rng, ((1,), (2,), (1, 2, 3))[seed % 3])
+    for T, hyps, pool in ((T, hyps, pool), runs):
+        engine = KeyEngine(hyps, T)
+        patterns = [bits for _, bits in pool]
+        for k in range(len(pool) + 1):
+            expected = min(
+                itertools.combinations(pool, k),
+                key=lambda c: (reference_key(c, hyps, T), ids(c)),
+            )
+            positions = engine._search(patterns, k)
+            assert tuple(pool[i][0] for i in positions) == ids(expected)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -487,6 +519,32 @@ def test_select_answers_many_tied_distinct_patterns_within_a_second(monkeypatch)
     assert engine.select([(i, i) for i in range(24)], 20) == tuple(range(20))
     assert time.perf_counter() - started < 1.0
     assert calls == [1]
+
+
+def test_select_scores_few_sets_on_a_dense_pool_of_single_entry_patterns(monkeypatch):
+    # the dense benchmark scenario (perfbench/dense.yaml, read only), seed
+    # 58, step 0, car 30, sensor-gna: 22 entries, each its own pattern, in
+    # 7 mask classes.  At k = 8 every choice of filler patterns within a
+    # class ties on kappa; scoring and keeping every tie took 60495 sets
+    run = load_run_config(str(ROOT / "perfbench" / "dense.yaml"))
+    scenario, rules = run.scenarios[0], run.rule_sets[0]
+    world = init_world(scenario, 58)
+    by_id = {a.id: a for a in world.agents}
+    pool = ego_pools(world, scenario.r_fov, scenario.r_vic)[30].pools[SENSOR_GNA]
+    entries = [(i, ground_entity(world, by_id[30], by_id[i])) for i in pool]
+    engine = KeyEngine(rules.hypotheses, WORLD_T)
+    assert len({q for _, q in entries}) == len(entries) == 22
+    assert len({engine.sat_mask(q) for _, q in entries}) == 7
+    scored = [0]
+    key = engine._key
+
+    def counted(covered, size):
+        scored[0] += 1
+        return key(covered, size)
+
+    monkeypatch.setattr(engine, "_key", counted)
+    assert engine.select(entries, 8) == (5, 12, 21, 24, 29, 42, 46, 71)
+    assert scored[0] <= 1000
 
 
 def test_select_memo_returns_each_pools_own_ids_per_budget():
