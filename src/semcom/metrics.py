@@ -314,26 +314,37 @@ def _cover_number(masks: Sequence[int], cover: int, most: int) -> int:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _run_task(
-    args: Tuple[ScenarioConfig, RuleSet, int, Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]]
-) -> List[MetricsRow]:
-    scenario, rules, seed, kinds, strategies, ks = args
-    engine = KeyEngine(rules.hypotheses, T)
-    trajectory = build_trajectory(scenario, rules, seed, engine)
-    budgets = [(strategy, k) for strategy in strategies for k in ks]
-    trace = evaluate_cell(trajectory, kinds, budgets, engine)
-    return [
-        MetricsRow(
-            architecture=kind,
-            rule_set=rules.name,
-            strategy=strategy,
-            k=k,
-            seed=seed,
-            hdsr=hdsr,
-            adsr=adsr,
-        )
-        for (kind, strategy, k), (hdsr, adsr) in zip(trace.cells, cell_rates(trace, rules))
+def _run_batch(
+    tasks: Sequence[
+        Tuple[ScenarioConfig, RuleSet, int, Tuple[str, ...], Tuple[str, ...], Tuple[int, ...]]
     ]
+) -> List[MetricsRow]:
+    """Rows of the (scenario, rules, seed, kinds, strategies, ks) tasks, run
+    in order with one KeyEngine per rule set.  Its pattern and tail tables
+    serve the whole batch; its select memo is cleared after each task."""
+    engines: Dict[str, KeyEngine] = {}
+    rows: List[MetricsRow] = []
+    for scenario, rules, seed, kinds, strategies, ks in tasks:
+        engine = engines.get(rules.name)
+        if engine is None:
+            engine = engines[rules.name] = KeyEngine(rules.hypotheses, T)
+        trajectory = build_trajectory(scenario, rules, seed, engine)
+        budgets = [(strategy, k) for strategy in strategies for k in ks]
+        trace = evaluate_cell(trajectory, kinds, budgets, engine)
+        engine.clear_selections()
+        rows += [
+            MetricsRow(
+                architecture=kind,
+                rule_set=rules.name,
+                strategy=strategy,
+                k=k,
+                seed=seed,
+                hdsr=hdsr,
+                adsr=adsr,
+            )
+            for (kind, strategy, k), (hdsr, adsr) in zip(trace.cells, cell_rates(trace, rules))
+        ]
+    return rows
 
 
 def sweep(
@@ -347,9 +358,10 @@ def sweep(
 ) -> List[MetricsRow]:
     """Per-seed metrics for the full matrix, deterministically ordered.
 
-    Tasks are independent per (rule set, seed); with jobs > 1 they run
-    in at most one worker process per task and results are merged by
-    sorting, so the output does not depend on the degree of parallelism.
+    Tasks are independent per (rule set, seed).  They run as one batch in
+    this process at jobs = 1, else as one strided batch per worker, with
+    at most one worker per task; rows are merged by sorting, so the bytes
+    do not depend on the split.
     An unknown architecture kind or strategy raises ConfigurationError
     before any task runs, and is checked first, so an unhashable entry
     is refused by name.  A repeated rule-set name, kind, strategy, budget
@@ -390,17 +402,15 @@ def sweep(
         for rules in rule_sets
         for seed in seeds
     ]
-    rows: List[MetricsRow] = []
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_run_task, tasks):
-                rows.extend(chunk)
+            batches = pool.map(_run_batch, [tasks[i::workers] for i in range(workers)])
+            rows = [row for batch in batches for row in batch]
     else:
-        for task in tasks:
-            rows.extend(_run_task(task))
+        rows = _run_batch(tasks)
     rows.sort(key=lambda r: (r.architecture, r.rule_set, r.strategy, r.k, r.seed))
     return rows
 

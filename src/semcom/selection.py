@@ -69,6 +69,11 @@ class KeyEngine:
             )
             return mask
 
+    def clear_selections(self) -> None:
+        """Forget the select memo; the pattern and tail tables stay, since
+        they depend only on (hypotheses, T)."""
+        self._chosen.clear()
+
     def key_for_patterns(self, qbits_list: Iterable[int]) -> Tuple[int, ...]:
         """kappa of the patterns as (n_nonoverlap, K, -(T-Z), ...), the tuple select compares."""
         distinct = set(qbits_list)

@@ -6,7 +6,8 @@ across intersections or circle block corners at constant pace, with
 pauses baked into their routes as repeated cells.  Movement is
 route-index arithmetic (so a state plus decided actions fully determines
 the next state); each AgentState derives its position and heading once,
-and the route layout is built once per (grid, roads).  Grounding
+and the route layout is built once per (grid, roads) with each route in
+both orientations.  Grounding
 evaluates the ten predicates of the fixed language ``PREDICATES`` inline
 as integer arithmetic on simulator ground truth, bit i for
 ``PREDICATES[i]``, with Close and Near within ``CLOSE_RADIUS`` and
@@ -250,13 +251,14 @@ def _intersection_cells(grid: int, roads: Sequence[int]) -> FrozenSet[Cell]:
 
 @lru_cache(maxsize=32)
 def _route_layout(grid: int, roads: Tuple[int, ...]):
-    """Car routes, pedestrian routes, their cell capacities and the
-    intersection cells of one road layout, built on first use."""
-    car_routes = tuple(_car_routes(roads))
-    ped_routes = tuple(_pedestrian_routes(grid, roads))
+    """Car routes and pedestrian routes, each as a (route, reversed route)
+    pair, their cell capacities and the intersection cells of one road
+    layout, built on first use."""
+    car_routes = _car_routes(roads)
+    ped_routes = _pedestrian_routes(grid, roads)
     return (
-        car_routes,
-        ped_routes,
+        tuple((r, r[::-1]) for r in car_routes),
+        tuple((r, r[::-1]) for r in ped_routes),
         len({c for r in car_routes for c in r}),
         len({c for r in ped_routes for c in r}),
         _intersection_cells(grid, roads),
@@ -277,11 +279,9 @@ def init_world(scenario: ScenarioConfig, seed: int) -> WorldState:
     agents: List[AgentState] = []
     occupied: Set[Cell] = set()
 
-    def place(agent_id: int, kind: str, routes: Sequence[Tuple[Cell, ...]]) -> AgentState:
+    def place(agent_id: int, kind: str, routes: Sequence[Sequence[Tuple[Cell, ...]]]) -> AgentState:
         for _ in range(64):
-            route = routes[rng.randrange(len(routes))]
-            if rng.random() < 0.5:
-                route = tuple(reversed(route))
+            route = routes[rng.randrange(len(routes))][rng.random() < 0.5]
             pos = rng.randrange(len(route))
             if route[pos] not in occupied:
                 break

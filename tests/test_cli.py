@@ -6,11 +6,14 @@ import io
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 
 from semcom import cli, validation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SCENARIO = {
     "name": "mini",
@@ -240,7 +243,7 @@ def test_unwritable_out_exits_two_before_any_task(tmp_path, capsys, monkeypatch,
     blocker.chmod(0o755)
     out = blocker / under if under else blocker
     config = write_config(tmp_path, small_run())
-    monkeypatch.setattr(cli.metrics, "_run_task", lambda task: pytest.fail("a task ran"))
+    monkeypatch.setattr(cli.metrics, "_run_batch", lambda tasks: pytest.fail("a task ran"))
     for command in ("sweep", "run"):
         assert cli.main([command, "--config", config, "--out", str(out), "--jobs", "1"]) == 2
         err = capsys.readouterr().err
@@ -299,16 +302,18 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    config = write_config(tmp_path, small_run())
-    out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))
-    assert cli.main(["sweep", "--config", config, "--out", str(out_a)]) == 0
-    assert cli.main(["sweep", "--config", config, "--out", str(out_b)]) == 0
-    assert cli.main(
-        ["sweep", "--config", config, "--out", str(out_c), "--jobs", "2"]
-    ) == 0
-    blob = (out_a / "mini.csv").read_bytes()
-    assert (out_b / "mini.csv").read_bytes() == blob
-    assert (out_c / "mini.csv").read_bytes() == blob
+    # the smoke scenario with two rule sets and 12 seeds is 24 tasks, so
+    # two and three workers split them into batches, three unevenly
+    doc = yaml.safe_load((CONFIGS / "smoke.yaml").read_text())
+    doc.update(rule_sets=["core", "extended"], seeds=list(range(1, 13)))
+    config = write_config(tmp_path, doc)
+    for command in ("sweep", "run"):
+        outputs = []
+        for run, jobs in enumerate(("1", "1", "2", "3")):
+            out = tmp_path / command / str(run)
+            assert cli.main([command, "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] and all(files == outputs[0] for files in outputs)
 
 
 # -------------------------------------------------------------- validate-key

@@ -634,18 +634,32 @@ def test_sweep_layout_and_determinism():
     assert rows == again
 
 
+BATCH_CASE = dict(
+    rule_sets=("core", "extended"),
+    architectures=(SENSOR_GNA, MULTI_ZONE_LNA),
+    strategies=(SEMANTIC, RANDOM),
+    ks=(0, 1, 2, 3),
+    seeds=tuple(range(1, 11)),  # 20 tasks, so each worker's batch holds several
+)
+
+
+def batch_sweep(jobs):
+    return sweep(
+        scenario(cars=8, pedestrians=6, steps=3),
+        [load_rule_set(name) for name in BATCH_CASE["rule_sets"]],
+        *(BATCH_CASE[axis] for axis in ("architectures", "strategies", "ks", "seeds")),
+        jobs=jobs,
+    )
+
+
 def test_sweep_runs_in_parallel_identically():
-    cfg = scenario(cars=4, pedestrians=2, steps=4)
-    rules = [load_rule_set("core")]
-    archs = [SENSOR_GNA]
-    serial = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3))
-    parallel = sweep(cfg, rules, archs, (SEMANTIC, RANDOM), (0, 2), (1, 2, 3), jobs=2)
-    assert serial == parallel
+    assert batch_sweep(jobs=2) == batch_sweep(jobs=1)
 
 
 def recording_pool(monkeypatch):
-    """Replace the process pool with an in-process fake; returns its max_workers log."""
-    sizes = []
+    """Replace the process pool with an in-process fake; returns its
+    max_workers log and the batches it was handed, in order."""
+    sizes, batches = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -658,14 +672,67 @@ def recording_pool(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            batches.extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    return sizes
+    return sizes, batches
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_batches_share_one_engine_per_rule_set_and_no_select_memo(monkeypatch, jobs):
+    serial = batch_sweep(jobs=1)
+    built = []  # one entry per KeyEngine.__init__
+    init = KeyEngine.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    memo = []  # (entries at the start, entries at the end) of each task's select memo
+    evaluate = metrics.evaluate_cell
+
+    def recorded_evaluate(trajectory, kinds, budgets, engine):
+        before = len(engine._chosen)
+        trace = evaluate(trajectory, kinds, budgets, engine)
+        memo.append((before, len(engine._chosen)))
+        return trace
+
+    per_batch = []  # (engines the batch built, names of the rule sets it holds)
+    run_batch = metrics._run_batch
+
+    def recorded_batch(tasks):
+        start = len(built)
+        rows = run_batch(tasks)
+        per_batch.append((built[start:], {task[1].name for task in tasks}))
+        return rows
+
+    monkeypatch.setattr(KeyEngine, "__init__", counted_init)
+    monkeypatch.setattr(metrics, "evaluate_cell", recorded_evaluate)
+    monkeypatch.setattr(metrics, "_run_batch", recorded_batch)
+    sizes, batches = recording_pool(monkeypatch)
+    assert batch_sweep(jobs) == serial
+    names = BATCH_CASE["rule_sets"]
+    tasks = sorted((name, seed) for name in names for seed in BATCH_CASE["seeds"])
+    if jobs == 1:
+        assert sizes == batches == []
+        assert len(per_batch) == 1
+    else:
+        assert sizes == [jobs]
+        assert len(batches) == len(per_batch) == jobs  # one batch per worker
+        # each task lands in exactly one batch
+        assert sorted((task[1].name, task[2]) for batch in batches for task in batch) == tasks
+    for engines, held in per_batch:
+        assert len(engines) == len(held)
+        assert {e.hypotheses for e in engines} == {load_rule_set(n).hypotheses for n in held}
+    # every task starts from an empty select memo, though tasks fill it
+    assert len(memo) == len(tasks)
+    assert all(before == 0 for before, _ in memo)
+    assert any(after > 0 for _, after in memo)
 
 
 def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
-    sizes = recording_pool(monkeypatch)
+    sizes, _ = recording_pool(monkeypatch)
     cfg = scenario(cars=3, pedestrians=1, steps=2)
     rules = [load_rule_set("core")]
     archs = [SENSOR_GNA]
@@ -681,7 +748,7 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_sweep_rejects_fewer_than_one_job(monkeypatch, jobs):
-    sizes = recording_pool(monkeypatch)
+    sizes, _ = recording_pool(monkeypatch)
     cfg = scenario(cars=3, pedestrians=1, steps=2)
     rules = [load_rule_set("core")]
     with pytest.raises(ConfigurationError, match="jobs"):
@@ -734,7 +801,7 @@ def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides
     # each axis keys the rows: a repeat would merge two cells' seeds, and
     # seed -s draws the world of seed s; a bad request is refused as early,
     # not once per task in each worker
-    monkeypatch.setattr(metrics, "_run_task", lambda task: pytest.fail("a task ran"))
+    monkeypatch.setattr(metrics, "_run_batch", lambda tasks: pytest.fail("a task ran"))
     for jobs in (1, 2):
         with pytest.raises(ConfigurationError, match=message):
             sweep_axes(jobs, **overrides)

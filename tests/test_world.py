@@ -1,5 +1,6 @@
 """Grid world: placement, observation, grounding, rules, and dynamics."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from semcom.world import (
     RuleSet,
     ScenarioConfig,
     WorldState,
+    _car_routes,
+    _pedestrian_routes,
     ground_entity,
     init_world,
     step,
@@ -153,6 +156,64 @@ def test_a_full_route_layout_refuses_rather_than_stacks_agents():
             init_world(cfg, seed)
     world = init_world(cfg, seed=0)
     assert len({a.position for a in world.agents}) == 40
+
+
+def reference_placement(scen, seed):
+    """(id, kind, route, route_pos) of each agent, placed as init_world
+    places them, reversing a drawn route by copying it."""
+    rng = random.Random(seed)
+    occupied = set()
+    placed = []
+    routes_of = {
+        CAR: _car_routes(scen.roads),
+        PEDESTRIAN: _pedestrian_routes(scen.grid, scen.roads),
+    }
+    kinds = [CAR] * scen.cars + [PEDESTRIAN] * scen.pedestrians
+    for agent_id, kind in enumerate(kinds):
+        routes = routes_of[kind]
+        for _ in range(64):
+            route = routes[rng.randrange(len(routes))]
+            if rng.random() < 0.5:
+                route = tuple(reversed(route))
+            pos = rng.randrange(len(route))
+            if route[pos] not in occupied:
+                break
+        occupied.add(route[pos])
+        placed.append((agent_id, kind, route, pos))
+    return placed
+
+
+@pytest.mark.parametrize("path", ["configs/desk.yaml", "perfbench/dense.yaml"])
+def test_init_world_places_as_the_copying_reference(path):
+    scen = shipped_scenario(path)
+    for seed in range(1, 51):
+        world = init_world(scen, seed)
+        assert [(a.id, a.kind, a.route, a.route_pos) for a in world.agents] == (
+            reference_placement(scen, seed)
+        )
+        assert all(a.moved for a in world.agents)
+
+
+def test_agent_state_is_an_immutable_value():
+    route = ((3, 4), (4, 4), (4, 4), (4, 5))
+    agent = AgentState(7, CAR, route, 1, moved=False)
+    same = AgentState(id=7, kind=CAR, route=tuple(list(route)), route_pos=1, moved=False)
+    assert agent == same and hash(agent) == hash(same)
+    for other in (
+        AgentState(8, CAR, route, 1, False),
+        AgentState(7, PEDESTRIAN, route, 1, False),
+        AgentState(7, CAR, route[::-1], 1, False),
+        AgentState(7, CAR, route, 2, False),
+        AgentState(7, CAR, route, 1, True),
+    ):
+        assert agent != other
+    for pos, heading in enumerate([(1, 0), (0, 0), (0, 1), (-1, -1)]):
+        state = AgentState(7, CAR, route, pos)
+        assert state.position == ref.position(state) == route[pos]
+        assert state.heading == ref.heading(state) == heading
+    for name in ("id", "route_pos", "position", "heading", "speed"):
+        with pytest.raises(AttributeError):
+            setattr(agent, name, 0)
 
 
 def test_intersections_are_blocks_around_road_crossings():
