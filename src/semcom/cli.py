@@ -146,11 +146,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             except SemcomError as exc:
                 summary.append("  no advantage point for %s: %s" % (scenario.name, exc))
     if len(points) >= 3:
-        r = metrics.advantage_correlation(points)
-        summary.append(
-            "advantage correlation (baseline A-DSR vs semantic-minus-random at k=%d, "
-            "%d configurations): %.6f" % (metrics.ADVANTAGE_K, len(points), r)
-        )
+        what = ("advantage correlation (baseline A-DSR vs semantic-minus-random at k=%d, "
+                "%d configurations)" % (metrics.ADVANTAGE_K, len(points)))
+        try:
+            summary.append("%s: %.6f" % (what, metrics.advantage_correlation(points)))
+        except SemcomError as exc:
+            summary.append("no %s: %s" % (what, exc))
     _emit(args.out, "summary.txt", "\n".join(summary) + "\n", echo=True)
     return 0
 

@@ -11,7 +11,9 @@ ordering by exponent equals ordering by value.  kappa is therefore the
 plain integer tuple (n_nonoverlap, K, -(T-Z_(1)), -(T-Z_(2)), ...),
 compared as Python compares tuples.  Minimizing it prefers subsets that
 witness more hypotheses, then fewer distinct Q-sentences, then larger
-minimum specificity.
+minimum specificity.  kappa is a proxy for the order of the exact
+objective F = H_s(Phi | e), the reverse of the order of I_s(Phi; e) (see
+``oracle``); criterion 2 counts the subset pairs it ranks against it.
 
 A pool is a sequence of (entity_id, qbits) entries.  ``KeyEngine.select``
 ranks its k-subsets by kappa and ``downlink`` applies the strategy to a

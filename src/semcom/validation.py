@@ -115,10 +115,16 @@ def validate_key_ordering(trials: int, seed: int) -> ValidationReport:
 
     Every trial draws one instance of the fixed shape: T from T_CHOICES,
     a pool of 2..N_MAX entries, a budget of 1..min(K_MAX, n - 1) and up
-    to M_MAX hypotheses.  A negative trial count raises ConfigurationError.
+    to M_MAX hypotheses.  A negative trial count or seed raises
+    ConfigurationError (random.Random(-s) seeds like random.Random(s)).
     """
     if trials < 0:
         raise ConfigurationError("trials must be non-negative, got %d" % trials)
+    if seed < 0:
+        raise ConfigurationError(
+            "seed must be non-negative, got %d (it would repeat the trials of seed %d)"
+            % (seed, -seed)
+        )
     rng = random.Random(seed)
     report = ValidationReport(trials=trials)
     started = time.perf_counter()

@@ -166,6 +166,37 @@ def test_criterion_4_information_identity_is_exact():
     assert report(4, True, "100 hypothesis-set/evidence draws, rational equality")
 
 
+def test_criterion_4_objective_is_the_conditional_semantic_entropy():
+    # F = H_s(Phi | e) is what makes minimizing F maximize I_s: checked on
+    # every set of 1-3 distinct hypotheses (every Z and sign pattern) against
+    # every evidence set, the empty one included, at T = 1 and 2
+    started = time.perf_counter()
+    checked = 0
+    for T in (1, 2):
+        hyps = [
+            Hypothesis.from_constraints(0, dict(zip(slots, signs)), "Stop")
+            for z in range(1, T + 1)
+            for slots in itertools.combinations(range(T), z)
+            for signs in itertools.product((0, 1), repeat=z)
+        ]
+        evidence_sets = [
+            qset(bits, T)
+            for K in range((1 << T) + 1)
+            for bits in itertools.combinations(range(1 << T), K)
+        ]
+        for m in (1, 2, 3):
+            for phi in itertools.combinations(hyps, m):
+                phi_qs = [h.compatible_qs(T) for h in phi]
+                for ev in evidence_sets:
+                    f = closed_form_objective(ClosedFormParams.from_subset(ev, phi, T))
+                    assert f == conditional_semantic_entropy(phi_qs, ev, T), (T, phi, ev)
+                    checked += 1
+    elapsed = time.perf_counter() - started
+    assert checked == 3 * 4 + (8 + 28 + 56) * 16
+    assert report(4, True, "F = H_s(Phi|e) on %d hypothesis-set/evidence pairs, %.1f s"
+                  % (checked, elapsed))
+
+
 def desk_run():
     return load_run_config(str(ROOT / "configs" / "desk.yaml"))
 

@@ -183,6 +183,29 @@ def test_sweep_summary_says_why_an_advantage_point_is_missing(tmp_path, capsys):
     )
 
 
+def test_sweep_summary_says_why_the_advantage_correlation_is_missing(tmp_path, capsys):
+    # one car and no pedestrians: every configuration's advantage point is
+    # (1.0, 0.0), so the correlation is undefined; the summary says so and
+    # the sweep still succeeds
+    scenarios = [
+        dict(SCENARIO, name="f%d" % r_fov, cars=1, pedestrians=0, r_fov=r_fov)
+        for r_fov in (3, 5, 6)
+    ]
+    doc = small_run(k=[0, 3])
+    del doc["scenario"]
+    config = write_config(tmp_path, dict(doc, scenarios=scenarios))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", config, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["f3.csv", "f5.csv", "f6.csv", "summary.txt"]
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[:3] == ["scenario f%d: 8 rows, 4 aggregate cells" % r for r in (3, 5, 6)]
+    assert len(summary) == 4 and summary[3].startswith(
+        "no advantage correlation (baseline A-DSR vs semantic-minus-random at k=3, "
+        "3 configurations): correlation undefined: "
+    )
+    assert capsys.readouterr().out == "\n".join(summary) + "\n"
+
+
 def test_sweep_full_budget_grid_is_twelve_rows_per_cell(tmp_path):
     config = write_config(tmp_path, small_run(k=[0, 1, 2, 3, 4, 5], seeds=[1]))
     out = tmp_path / "out"
@@ -345,6 +368,8 @@ def test_key_validation_empty_run_exits_zero(capsys):
     "args, message",
     [
         (["--trials", "-1"], "trials"),
+        # random.Random(-5) seeds like random.Random(5): it would repeat seed 5
+        (["--seed", "-5"], "seed must be non-negative, got -5"),
     ],
 )
 def test_key_validation_rejects_impossible_arguments(capsys, monkeypatch, args, message):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcom import oracle
 from semcom.errors import ConfigurationError, FeasibilityError
 from semcom.logic import Hypothesis, QSentence
 from semcom.oracle import (
@@ -211,18 +212,25 @@ def test_certain_hypothesis_has_no_conditional_surprise():
 
 
 def test_information_identity_on_random_cases():
+    # I_s is H_s(Phi) - H_s(Phi | e) by definition; with F from the closed
+    # form in place of H_s(Phi | e) the identity checks both paths.  One-shot
+    # iterables must give the same value: both entropy sums read every Q-set
     rng = random.Random(12)
     for _ in range(25):
         n_hyp = rng.randint(1, 4)
-        phi = []
+        hyps = []
         for _ in range(n_hyp):
             z = rng.randint(1, 2)
             slots = rng.sample([0, 1], z)
-            phi.append(hyp_region({s: rng.randint(0, 1) for s in slots}, 2))
+            fixed = {s: rng.randint(0, 1) for s in slots}
+            hyps.append(Hypothesis.from_constraints(0, fixed, "Stop"))
         ev = qset(rng.sample(range(4), rng.randint(1, 3)), 2)
-        lhs = semantic_mutual_information(phi, ev, 2)
-        rhs = semantic_entropy(phi, 2) - conditional_semantic_entropy(phi, ev, 2)
-        assert lhs == rhs
+        phi = [h.compatible_qs(2) for h in hyps]
+        f = closed_form_objective(ClosedFormParams.from_subset(ev, hyps, 2))
+        expected = semantic_entropy(phi, 2) - f
+        assert semantic_mutual_information(phi, ev, 2) == expected
+        once = (iter(qs) for qs in phi)
+        assert semantic_mutual_information(once, iter(ev), 2) == expected
 
 
 def test_hypothesis_probability_matches_joint_with_empty_evidence():
@@ -411,6 +419,22 @@ def test_table_defaults_to_every_k_and_z_with_z_fastest():
     assert [(row["K"], row["Z"]) for row in closed_form_table(1)] == [
         ("0", "1"), ("1", "1"), ("2", "1")
     ]
+
+
+def test_table_row_f_term_is_checked_against_conditional_entropy(monkeypatch):
+    # the T <= 2 self-check compares each row's F term with H_s(Phi | e) by
+    # enumeration: an F off on one row (K = 1, Z = 1) must not be printed
+    honest = oracle.closed_form_objective
+
+    def off_on_one_row(params):
+        f = honest(params)
+        if (params.K, params.hypotheses[0].z) == (1, 1):
+            f += Fraction(1, 1 << 20)
+        return f
+
+    monkeypatch.setattr(oracle, "closed_form_objective", off_on_one_row)
+    with pytest.raises(AssertionError, match=r"F = H_s\(Phi \| e\)"):
+        closed_form_table(2)
 
 
 def test_table_checks_t_and_every_z_before_any_row():
