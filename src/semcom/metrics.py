@@ -366,9 +366,9 @@ def sweep(
     before any task runs, and is checked first, so an unhashable entry
     is refused by name.  A repeated rule-set name, kind, strategy, budget
     or seed would merge distinct cells' rows, and raises likewise; so do
-    a negative seed (random.Random(-s) seeds like random.Random(s), so
-    seeds -s and s would count one world twice), a negative k and
-    jobs < 1.
+    an empty axis (no cells to fill), a negative seed (random.Random(-s)
+    seeds like random.Random(s), so seeds -s and s would count one world
+    twice), a negative k and jobs < 1.
     """
     for what, values, known in (
         ("architecture", architectures, ARCHITECTURE_KINDS),
@@ -386,6 +386,8 @@ def sweep(
         ("budget", ks),
         ("seed", seeds),
     ):
+        if not values:
+            raise ConfigurationError("no %s given: the sweep has no cells" % what)
         reject_repeats(what, values)
     for seed in seeds:
         if seed < 0:

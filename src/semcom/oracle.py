@@ -19,8 +19,10 @@ the hypothesis's compatible Q-sentences.  The enumeration path verifies
 that this reading reproduces the closed forms exactly.
 
 H_s(Phi) = sum_i c(phi_i) cont(phi_i) and H_s(Phi | e) = sum_i
-c(phi_i and e) cont(phi_i | e), cont = 1 - c, are enumerated, and
-I_s(Phi; e) is defined once, as their difference.  The closed-form F is
+c(phi_i and e) cont(phi_i | e), cont = 1 - c, are enumerated, each as one
+Fraction over the constituent counts, each count read once per
+hypothesis; the closed forms likewise sum dyadic integers.  I_s(Phi; e)
+is defined once, as their difference.  The closed-form F is
 H_s(Phi | e) term by term: an unwitnessed phi_i has c(phi_i and e) = 1 - u_i
 and 1 - c(phi_i | e) = (u_i - v)/(1 - v), and a witnessed one's term is 0
 on both sides.  H_s(Phi) is fixed by the rule set, so minimizing F
@@ -119,11 +121,6 @@ def evidence_probability(evidence_qs: Iterable[QSentence], T: int) -> Fraction:
     return Fraction(compatible_count(evidence_qs, T), total_constituents(T))
 
 
-def hypothesis_probability(hypothesis_qs: Iterable[QSentence], T: int) -> Fraction:
-    """Unconditional c(phi): joint with empty evidence."""
-    return Fraction(joint_compatible_count(hypothesis_qs, (), T), total_constituents(T))
-
-
 def degree_of_confirmation(
     hypothesis_qs: Iterable[QSentence], evidence_qs: Iterable[QSentence], T: int
 ) -> Fraction:
@@ -139,12 +136,11 @@ def degree_of_confirmation(
 # ---------------------------------------------------------------------------
 
 def semantic_entropy(hypotheses_qs: Sequence[Iterable[QSentence]], T: int) -> Fraction:
-    """H_s(Phi) = sum_i c(phi_i) * cont(phi_i), exact, with cont = 1 - c."""
-    total = Fraction(0)
-    for qs in hypotheses_qs:
-        c = hypothesis_probability(tuple(qs), T)
-        total += c * (1 - c)
-    return total
+    """H_s(Phi) = sum_i c(phi_i) * cont(phi_i), exact, with cont = 1 - c:
+    sum_i J_i (N - J_i) / N**2 with J_i = |C(phi_i)| of N constituents."""
+    size = total_constituents(T)  # checks T even with no hypotheses
+    joints = [joint_compatible_count(qs, (), T) for qs in hypotheses_qs]
+    return Fraction(sum(j * (size - j) for j in joints), size * size)
 
 
 def conditional_semantic_entropy(
@@ -155,17 +151,13 @@ def conditional_semantic_entropy(
     """H_s(Phi | e) = sum_i c(phi_i and e) * cont(phi_i | e).
 
     The joint weight c(phi_i, e) is read as the joint probability
-    c(phi_i and e).
+    c(phi_i and e) = J_i / N, with J_i = |C(e and phi_i)|, and
+    c(phi_i | e) = J_i / E, E = |C(e)| > 0: sum_i J_i (E - J_i) / (N E).
     """
     evidence_qs = tuple(evidence_qs)
-    total = Fraction(0)
-    size = total_constituents(T)
-    for qs in hypotheses_qs:
-        qs = tuple(qs)
-        joint = Fraction(joint_compatible_count(qs, evidence_qs, T), size)
-        cond = degree_of_confirmation(qs, evidence_qs, T)
-        total += joint * (1 - cond)
-    return total
+    size, compatible = total_constituents(T), compatible_count(evidence_qs, T)
+    joints = [joint_compatible_count(qs, evidence_qs, T) for qs in hypotheses_qs]
+    return Fraction(sum(j * (compatible - j) for j in joints), size * compatible)
 
 
 def semantic_mutual_information(
@@ -302,38 +294,38 @@ def _require_budget(params: ClosedFormParams, doublings: int, what: str) -> None
 
 
 def closed_form_evidence_probability(params: ClosedFormParams) -> Fraction:
-    """c(e) = 1 - v with v = 2**(-alpha)."""
+    """c(e) = 1 - v with v = 2**(-alpha): (2**alpha - 1) / 2**alpha."""
     _require_budget(params, 0, "c(e)")
-    return 1 - Fraction(1, 1 << params.alpha)
+    scale = 1 << params.alpha
+    return Fraction(scale - 1, scale)
 
 
 def closed_form_confirmation(params: ClosedFormParams, hp: HypothesisParams) -> Fraction:
-    """c(phi_i | e): exactly 1 when witnessed, else (1-u_i)/(1-v)."""
+    """c(phi_i | e): exactly 1 when witnessed, else (1-u_i)/(1-v), that is
+    (2**g - 1) 2**(alpha - g) / (2**alpha - 1) with u_i = 2**-g, g = gamma_i."""
     if hp.overlaps:
         return Fraction(1)
     _require_budget(params, 0, "c(phi|e)")
-    u = Fraction(1, 1 << params.gamma(hp))
-    v = Fraction(1, 1 << params.alpha)
-    return (1 - u) / (1 - v)
+    alpha, g = params.alpha, params.gamma(hp)
+    return Fraction(((1 << g) - 1) << (alpha - g), (1 << alpha) - 1)
 
 
 def closed_form_objective(params: ClosedFormParams) -> Fraction:
     """F = sum over non-overlapping i of (1 - u_i)(u_i - v)/(1 - v).
 
-    Witnessed hypotheses contribute exactly 0.  Intermediate exponents
-    reach gamma_i + alpha < 2*alpha; anything over the bit budget raises
-    rather than approximating.
+    Witnessed hypotheses contribute exactly 0.  Term i is
+    (2**g - 1)(2**(alpha - g) - 1) / (2**g (2**alpha - 1)), g = gamma_i,
+    so F is one fraction over 2**max(g) (2**alpha - 1) < 2**(2 alpha);
+    a denominator over the bit budget raises rather than approximating.
     """
     nonover = params.nonoverlapping()
     if not nonover:
         return Fraction(0)
     _require_budget(params, 1, "objective F")
-    v = Fraction(1, 1 << params.alpha)
-    total = Fraction(0)
-    for hp in nonover:
-        u = Fraction(1, 1 << params.gamma(hp))
-        total += (1 - u) * (u - v) / (1 - v)
-    return total
+    alpha, gammas = params.alpha, [params.gamma(hp) for hp in nonover]
+    top = max(gammas)
+    total = sum((((1 << g) - 1) * ((1 << (alpha - g)) - 1)) << (top - g) for g in gammas)
+    return Fraction(total, ((1 << alpha) - 1) << top)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ class KeyEngine:
         """
         if len(entries) <= k:
             return tuple(e[0] for e in entries)
+        if k < 0:
+            raise ConfigurationError("budget k must be non-negative, got %d" % k)
         patterns = tuple(qbits for _, qbits in entries)
         positions = self._chosen.get((patterns, k))
         if positions is None:
@@ -206,16 +208,20 @@ def downlink(
     engine: Optional[KeyEngine],
     rng_seed: int,
 ) -> Tuple[int, ...]:
-    """Ids of the k pool entities to transmit, for 0 < k < len(pool).
+    """Ids of the k pool entities to transmit; all of them if k >= len(pool).
 
     The pool holds entity ids ascending and qbits maps each one to its
     pattern.  Semantic sends the engine's kappa-lex-minimal k-subset and
     random a uniform without-replacement sample drawn from rng_seed (the
-    engine may then be None).  metrics.sweep checks the request, and
+    engine may then be None).  k < 0 raises ConfigurationError.
     metrics._mask_block, which owns the budget rules, calls it only for a
-    budget whose mask its strategy's threshold (misses for random, the
-    cover number for semantic) does not already fix.
+    0 < k < len(pool) whose mask its strategy's threshold (misses for
+    random, the cover number for semantic) does not already fix.
     """
+    if k < 0:
+        raise ConfigurationError("budget k must be non-negative, got %d" % k)
+    if k >= len(pool):
+        return tuple(pool)
     if strategy == SEMANTIC:
         return engine.select([(i, qbits[i]) for i in pool], k)
     return tuple(random.Random(rng_seed).sample(pool, k))

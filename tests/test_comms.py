@@ -17,6 +17,7 @@ from semcom.comms import (
     ego_pools,
 )
 from semcom.config import load_rule_set
+from semcom.errors import ConfigurationError
 from semcom.metrics import StepView, Trajectory, evaluate_cell
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
 from semcom.world import (
@@ -213,6 +214,32 @@ def test_downlink_budget_edges(monkeypatch):
     edges = [(SEMANTIC, 0), (SEMANTIC, 9), (RANDOM, 0), (RANDOM, len(pool)), (RANDOM, 9)]
     assert masks(pool, edges) == (0, whole, 0, whole, whole)
     assert masks((), [(RANDOM, 2)]) == (0,)
+
+
+def test_downlink_sends_the_whole_pool_ascending_at_any_budget_past_it():
+    world = hand_scene()
+    engine = KeyEngine(load_rule_set("core").hypotheses, T)
+    pool = pools_of(world)[SENSOR_GNA]
+    qbits = grounded(world, 0, pool)
+    assert len(pool) > 1 and list(pool) == sorted(pool)
+    for k in (len(pool), len(pool) + 1, 9):
+        assert downlink(pool, qbits, k, SEMANTIC, engine, 0) == pool
+        assert downlink(pool, qbits, k, RANDOM, None, 0) == pool
+    assert downlink((), {}, 2, RANDOM, None, 0) == ()
+
+
+def test_downlink_and_select_refuse_a_negative_budget():
+    world = hand_scene()
+    engine = KeyEngine(load_rule_set("core").hypotheses, T)
+    pool = pools_of(world)[SENSOR_GNA]
+    qbits = grounded(world, 0, pool)
+    message = "budget k must be non-negative, got -1"
+    for strategy in (SEMANTIC, RANDOM):
+        with pytest.raises(ConfigurationError, match=message):
+            downlink(pool, qbits, -1, strategy, engine, 0)
+    for entries in ([(i, qbits[i]) for i in pool], []):
+        with pytest.raises(ConfigurationError, match=message):
+            engine.select(entries, -1)
 
 
 def test_walker_near_crossing_wins_the_single_slot():

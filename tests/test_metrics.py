@@ -791,16 +791,24 @@ def sweep_axes(jobs=1, **overrides):
         # membership comes first, so an unhashable entry is refused by name
         ({"strategies": ([SEMANTIC], [SEMANTIC])}, r"unknown strategy \['semantic'\]"),
         ({"architectures": ([SENSOR_GNA],)}, r"unknown architecture \['sensor-gna'\]"),
+        ({"rule_sets": ()}, "no rule set name given"),
+        ({"architectures": ()}, "no architecture kind given"),
+        ({"strategies": ()}, "no strategy given"),
+        ({"ks": ()}, "no budget given"),
+        ({"seeds": ()}, "no seed given"),
     ],
     ids=[
         "budget", "strategy", "seed", "kind", "rule-set", "unknown-strategy", "negative-k",
         "negative-seed", "unknown-kind", "unhashable-strategy", "unhashable-kind",
+        "no-rule-set", "no-kind", "no-strategy", "no-budget", "no-seed",
     ],
 )
 def test_sweep_rejects_repeated_axes_before_any_task_runs(monkeypatch, overrides, message):
     # each axis keys the rows: a repeat would merge two cells' seeds, and
-    # seed -s draws the world of seed s; a bad request is refused as early,
-    # not once per task in each worker
+    # seed -s draws the world of seed s; an empty axis leaves no cell, yet
+    # with no budget each (rule set, seed) task would still build its
+    # world; a bad request is refused as early, not once per task in each
+    # worker
     monkeypatch.setattr(metrics, "_run_batch", lambda tasks: pytest.fail("a task ran"))
     for jobs in (1, 2):
         with pytest.raises(ConfigurationError, match=message):

@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracle_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,6 @@ from semcom.oracle import (
     degree_of_confirmation,
     evidence_probability,
     exact_objective_compare,
-    hypothesis_probability,
     joint_compatible_count,
     semantic_entropy,
     semantic_mutual_information,
@@ -233,12 +233,88 @@ def test_information_identity_on_random_cases():
         assert semantic_mutual_information(once, iter(ev), 2) == expected
 
 
-def test_hypothesis_probability_matches_joint_with_empty_evidence():
+def test_entropy_of_one_hypothesis_is_its_probability_times_its_content():
     hyp = hyp_region({1: 1}, 2)
-    whole = total_constituents(2)
-    assert hypothesis_probability(hyp, 2) == Fraction(
-        joint_compatible_count(hyp, qset([], 2), 2), whole
-    )
+    c = Fraction(joint_compatible_count(hyp, (), 2), total_constituents(2))
+    assert semantic_entropy([hyp], 2) == c * (1 - c)
+
+
+@pytest.mark.parametrize("T, error", [(3, FeasibilityError), (0, ConfigurationError)])
+def test_both_entropies_check_t_with_no_hypotheses(T, error):
+    with pytest.raises(error):
+        semantic_entropy([], T)
+    with pytest.raises(error):
+        conditional_semantic_entropy([], (), T)
+
+
+# ------------------------------------------- one fraction vs term by term
+
+
+def constraint_shapes(T):
+    """Every slot-constraint dict with at least one slot fixed."""
+    shapes = []
+    for z in range(1, T + 1):
+        for slots in itertools.combinations(range(T), z):
+            for values in itertools.product((0, 1), repeat=z):
+                shapes.append(dict(zip(slots, values)))
+    return shapes
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_entropies_equal_their_term_by_term_definitions(T):
+    regions = [hyp_region(fixed, T) for fixed in constraint_shapes(T)]
+    evidence_sets = [
+        qset(bits, T)
+        for k in range((1 << T) + 1)
+        for bits in itertools.combinations(range(1 << T), k)
+    ]
+    for n in (1, 2, 3):
+        for phi in itertools.combinations(regions, n):
+            h = semantic_entropy(phi, T)
+            assert h == reference.semantic_entropy(phi, T)
+            for ev in evidence_sets:
+                h_e = conditional_semantic_entropy(phi, ev, T)
+                assert h_e == reference.conditional_semantic_entropy(phi, ev, T), (phi, ev)
+                gain = semantic_mutual_information(phi, ev, T)
+                assert gain == h - h_e == reference.mutual_information(phi, ev, T)
+
+
+def admissible_hypotheses(T, K):
+    """Every (Z, overlap flag) a hypothesis can take beside K distinct patterns."""
+    Q = 1 << T
+    return [
+        HypothesisParams(z=z, overlaps=overlaps)
+        for z in range(1, T + 1)
+        for overlaps in (True, False)
+        if overlaps or K + (1 << (T - z)) <= Q
+    ]
+
+
+def hypothesis_sets(T, K):
+    """Every multiset of up to 3 admissible hypotheses, except where F's
+    denominator passes 2**15 bits (width 4, K < 2): there a reference sum
+    costs tens of ms, so every single hypothesis and two sets of three,
+    one of distinct Z and one repeating Z beside a witnessed hypothesis."""
+    choices = admissible_hypotheses(T, K)
+    if (1 << T) - K <= 14:
+        return [
+            hyps for n in range(4) for hyps in itertools.combinations_with_replacement(choices, n)
+        ]
+    free = [HypothesisParams(z=z, overlaps=False) for z in (1, 2, T)]
+    repeated = [free[1], free[1], HypothesisParams(z=1, overlaps=True)]
+    return [()] + [(hp,) for hp in choices] + [tuple(free), tuple(repeated)]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_closed_forms_equal_their_term_by_term_definitions(T):
+    for K in range((1 << T) + 1):
+        params = ClosedFormParams(T=T, K=K, hypotheses=())
+        assert closed_form_evidence_probability(params) == reference.evidence_probability(params)
+        for hp in admissible_hypotheses(T, K):
+            assert closed_form_confirmation(params, hp) == reference.confirmation(params, hp)
+        for hyps in hypothesis_sets(T, K):
+            params = ClosedFormParams(T=T, K=K, hypotheses=hyps)
+            assert closed_form_objective(params) == reference.objective(params), params
 
 
 # ------------------------------------------------ asymptotics and comparison
