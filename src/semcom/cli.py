@@ -11,9 +11,9 @@ Subcommands:
                   on random instances of one fixed shape (see validation)
 
 Output location: --out names a directory, made when its first file is
-written (run and sweep check first that it can be); without it, tables
-go to stdout.  All randomness flows from explicit seeds, so a fixed
-config and seed list reproduces output byte for byte regardless of
+written (each subcommand checks before any work that it can be); without
+it, tables go to stdout.  All randomness flows from explicit seeds, so a
+fixed config and seed list reproduces output byte for byte regardless of
 --jobs.
 """
 
@@ -66,6 +66,17 @@ def _emit(out_dir: Optional[str], filename: str, text: str, echo: bool = False) 
             raise ConfigurationError("cannot write %s: %s" % (path, exc)) from exc
 
 
+def _require_writable_out(out: Optional[str]) -> None:
+    """Refuse an --out that could not be made: the nearest existing path
+    along it must be a writable directory.  Every handler calls this before
+    any work."""
+    path = out and os.path.abspath(out)
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigurationError("cannot write %s: %s is not a writable directory" % (out, path))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semcom",
@@ -94,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_oracle(args: argparse.Namespace) -> int:
     from .oracle import closed_form_table
 
+    _require_writable_out(args.out)
     table = closed_form_table(args.t)
     rows = [[row[c] for c in ORACLE_COLUMNS] for row in table]
     _emit(args.out, "oracle.csv", metrics.csv_text(ORACLE_COLUMNS, rows))
@@ -106,13 +118,7 @@ def _sweeps(
     """(config, scenario, rows) per scenario of --config, swept in order; an
     --out that cannot be made is refused before any task."""
     cfg = load_run_config(args.config, seeds_override=args.seeds)
-    path = args.out and os.path.abspath(args.out)
-    while path and not os.path.lexists(path):  # the nearest existing path along --out
-        path = os.path.dirname(path)
-    if path and not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
-        raise ConfigurationError(
-            "cannot write %s: %s is not a writable directory" % (args.out, path)
-        )
+    _require_writable_out(args.out)
     for scenario in cfg.scenarios:
         yield cfg, scenario, metrics.sweep(
             scenario, cfg.rule_sets, cfg.architectures, cfg.strategies,
@@ -159,6 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate_key(args: argparse.Namespace) -> int:
     from .validation import validate_key_ordering
 
+    _require_writable_out(args.out)
     report = validate_key_ordering(args.trials, args.seed)
     _emit(args.out, "validate_key.txt", "\n".join(report.summary_lines()) + "\n", echo=True)
     return 0 if report.disagreements == 0 else 1

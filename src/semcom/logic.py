@@ -14,6 +14,7 @@ pattern satisfies a hypothesis iff it matches every fixed slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import FrozenSet, Mapping, Tuple
 
 from .errors import ConfigurationError, reject_repeats
@@ -60,15 +61,28 @@ class Hypothesis:
     value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        slots = [s for s, _ in self.fixed_slots]
-        if not slots:
+        # one pass over the slots in order: a repeat sits beside its twin, and
+        # is refused before any invalid pair, wherever that pair stands
+        fixed = tuple(sorted(self.fixed_slots, key=itemgetter(0)))
+        if not fixed:
             raise ConfigurationError("hypothesis %d fixes no slot (Z >= 1 required)" % self.id)
-        reject_repeats("slot in hypothesis %d" % self.id, slots)
-        if any(s < 0 for s in slots) or any(v not in (0, 1) for _, v in self.fixed_slots):
+        care = value = 0
+        valid = True
+        last = None
+        for s, v in fixed:
+            if s == last:
+                reject_repeats("slot in hypothesis %d" % self.id, [s for s, _ in fixed])
+            last = s
+            if s < 0 or v not in (0, 1):
+                valid = False
+            elif valid:
+                care |= 1 << s
+                value |= v << s
+        if not valid:
             raise ConfigurationError("hypothesis %d has an invalid (slot, value) pair" % self.id)
-        object.__setattr__(self, "fixed_slots", tuple(sorted(self.fixed_slots)))
-        object.__setattr__(self, "care", sum(1 << s for s in slots))
-        object.__setattr__(self, "value", sum(v << s for s, v in self.fixed_slots))
+        object.__setattr__(self, "fixed_slots", fixed)
+        object.__setattr__(self, "care", care)
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def from_constraints(cls, id: int, constraints: Mapping[int, int], action: str) -> "Hypothesis":

@@ -201,13 +201,14 @@ class ClosedFormParams:
             raise ConfigurationError("T must be at least 1")
         q = 1 << self.T
         if not 0 <= self.K <= q:
-            raise ConfigurationError("K=%d outside [0, %d]" % (self.K, q))
+            raise ConfigurationError("K=%s outside [0, 2**T] at T=%d" % (Decimal(self.K), self.T))
         for hp in self.hypotheses:
             if not 1 <= hp.z <= self.T:
                 raise ConfigurationError("Z=%d outside [1, T=%d]" % (hp.z, self.T))
             if not hp.overlaps and self.K + (1 << (self.T - hp.z)) > q:
                 raise ConfigurationError(
-                    "non-overlap impossible: K + H exceeds Q for Z=%d, K=%d" % (hp.z, self.K)
+                    "non-overlap impossible: K + H exceeds Q for Z=%d, K=%s"
+                    % (hp.z, Decimal(self.K))
                 )
 
     @property
@@ -233,7 +234,8 @@ class ClosedFormParams:
         """(alpha, F * (1 - v) as a sparse dyadic sum {exponent: coefficient}).
 
         Derived on the first exact comparison, never at construction: at
-        wide T alpha is a 2**T-bit integer.  Each non-overlapping term
+        wide T alpha is a 2**T-bit integer, and the refusal names T and K
+        (through Decimal, which prints any width), not 2**T - K.  Each non-overlapping term
         expands to
         u_i - u_i**2 - v + u_i*v  =  2**-g_i - 2**-2g_i - 2**-a + 2**-(g_i+a),
         with g_i = gamma(hp) computed inline: the method calls add about
@@ -243,8 +245,8 @@ class ClosedFormParams:
         log_alpha = (1 << T) - self.K
         if log_alpha + 2 > DEFAULT_BIT_BUDGET:
             raise FeasibilityError(
-                "objective comparison needs %d-bit exponents, over the %d-bit budget"
-                % (log_alpha + 2, DEFAULT_BIT_BUDGET)
+                "objective comparison at T=%d, K=%s needs (2**T - K + 2)-bit exponents, "
+                "over the %d-bit budget" % (T, Decimal(self.K), DEFAULT_BIT_BUDGET)
             )
         alpha = 1 << log_alpha
         out: Dict[int, int] = {}
@@ -283,13 +285,14 @@ def _require_budget(params: ClosedFormParams, doublings: int, what: str) -> None
 
     alpha = 2**(Q-K) is never built here: alpha * 2**d > budget holds iff
     Q - K + d >= budget.bit_length(), so a wide T is refused before any
-    2**T-bit integer is allocated.
+    2**T-bit integer is allocated.  The refusal is phrased through T, K and
+    d, with K printed through Decimal: from T = 14 285 up, Q - K and a K
+    near Q have more decimal digits than str() converts by default.
     """
-    exponent = params.Q - params.K + doublings
-    if exponent >= DEFAULT_BIT_BUDGET.bit_length():
+    if params.Q - params.K + doublings >= DEFAULT_BIT_BUDGET.bit_length():
         raise FeasibilityError(
-            "%s needs a 2**(2**%d) denominator, over the %d-bit budget"
-            % (what, exponent, DEFAULT_BIT_BUDGET)
+            "%s at T=%d, K=%s needs a 2**(2**(2**T - K + %d)) denominator, over the "
+            "%d-bit budget" % (what, params.T, Decimal(params.K), doublings, DEFAULT_BIT_BUDGET)
         )
 
 

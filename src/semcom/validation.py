@@ -3,11 +3,19 @@
 For randomly generated instances, every pair of size-k subsets is
 compared twice: by the symbolic key kappa and by the exact objective F
 (sparse dyadic sign arithmetic, no approximation).  The exact value of
-F depends only on K and the sorted non-overlap specificity exponents,
+F depends only on T, K and the sorted non-overlap specificity exponents,
 and kappa = (n_nonoverlap, K, -(T-Z), ...) holds exactly those (its tail
-has n_nonoverlap entries).  So subsets are grouped by kappa, equal-kappa
+has n_nonoverlap entries).  So subsets are counted per kappa, equal-kappa
 pairs are agreements by construction, and only distinct kappas are
 compared exactly, which keeps the quadratic pair count cheap.
+
+Each trial reduces every subset to what kappa reads of it, the OR of its
+patterns' satisfaction masks and its number of distinct patterns, and
+builds kappa once per distinct read.  Reads of equal kappa are merged in
+first-seen order, so each kappa keeps the first subset that has it.  One
+call derives each kappa's closed-form params once per T and compares
+each unordered pair of kappas once per T; a pair met in the other
+orientation takes the negated sign.
 
 Agreement taxonomy per pair, with the exact-F order as the reference:
 
@@ -127,27 +135,41 @@ def validate_key_ordering(trials: int, seed: int) -> ValidationReport:
         )
     rng = random.Random(seed)
     report = ValidationReport(trials=trials)
+    params: Dict[Tuple[int, Tuple[int, ...]], ClosedFormParams] = {}  # (T, kappa)
+    signs: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], int] = {}  # (T, lower, higher)
     started = time.perf_counter()
     for trial in range(trials):
         T, k, pool, hypotheses = random_instance(rng, T_CHOICES, N_MAX, K_MAX)
         engine = KeyEngine(hypotheses, T)
-        groups: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for combo in itertools.combinations(pool, k):
-            key = engine.key_for_patterns(q for _, q in combo)
-            groups.setdefault(key, []).append(tuple(i for i, _ in combo))
+        patterns = [q for _, q in pool]
+        masks = [engine.sat_mask(q) for q in patterns]
+        # a read, (OR of masks, distinct patterns), is all kappa sees of a subset
+        reads: Dict[Tuple[int, int], List] = {}  # read: [subsets, first subset]
+        for combo in itertools.combinations(range(len(pool)), k):
+            covered = 0
+            for i in combo:
+                covered |= masks[i]
+            reads.setdefault((covered, len({patterns[i] for i in combo})), [0, combo])[0] += 1
+        groups: Dict[Tuple[int, ...], List] = {}  # kappa: [subsets, first subset's ids]
+        for count, combo in reads.values():
+            key = engine.key_for_patterns(patterns[i] for i in combo)
+            groups.setdefault(key, [0, tuple(pool[i][0] for i in combo)])[0] += count
         reps = list(groups.items())
-        for _, members in reps:
-            same = len(members) * (len(members) - 1) // 2
+        for i, (key_a, (count_a, subset_a)) in enumerate(reps):
+            same = count_a * (count_a - 1) // 2
             report.total_pairs += same
             report.agreements += same
-        params = [_key_params(key, T) for key, _ in reps]
-        for i, (key_a, members_a) in enumerate(reps):
-            for j in range(i + 1, len(reps)):
-                key_b, members_b = reps[j]
-                pairs = len(members_a) * len(members_b)
+            for key_b, (count_b, subset_b) in reps[i + 1:]:
+                pairs = count_a * count_b
                 report.total_pairs += pairs
                 key_sign = -1 if key_a < key_b else 1
-                f_sign = exact_objective_compare(params[i], params[j])
+                pair = (T, key_a, key_b) if key_sign < 0 else (T, key_b, key_a)
+                if pair not in signs:  # sign of F(lower) - F(higher)
+                    for key in pair[1:]:
+                        if (T, key) not in params:
+                            params[(T, key)] = _key_params(key, T)
+                    signs[pair] = exact_objective_compare(*(params[(T, key)] for key in pair[1:]))
+                f_sign = signs[pair] if key_sign < 0 else -signs[pair]
                 if f_sign == key_sign:
                     report.agreements += pairs
                 elif f_sign == 0:
@@ -155,17 +177,8 @@ def validate_key_ordering(trials: int, seed: int) -> ValidationReport:
                 else:
                     report.disagreements += pairs
                     if len(report.examples) < MAX_EXAMPLES:
-                        report.examples.append(
-                            DisagreementExample(
-                                trial=trial,
-                                T=T,
-                                k=k,
-                                subset_a=members_a[0],
-                                subset_b=members_b[0],
-                                key_a=key_a,
-                                key_b=key_b,
-                                f_sign=f_sign,
-                            )
-                        )
+                        report.examples.append(DisagreementExample(
+                            trial=trial, T=T, k=k, subset_a=subset_a, subset_b=subset_b,
+                            key_a=key_a, key_b=key_b, f_sign=f_sign))
     report.elapsed_seconds = time.perf_counter() - started
     return report

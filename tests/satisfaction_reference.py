@@ -26,3 +26,30 @@ def reference_key(subset, hyps, T):
         if not any(satisfies(q, h) for q in qs)
     )
     return (len(exponents), len(qs), *(-g for g in exponents))
+
+
+def care_and_value(fixed_slots):
+    """(care, value) a hypothesis derives from its (slot, bit) pairs, read
+    one pair at a time: care has each fixed slot's bit set, value the
+    bits of the slots fixed to 1."""
+    care = value = 0
+    for slot, sign in fixed_slots:
+        care += 1 << slot
+        value += sign << slot
+    return care, value
+
+
+def refusal(hypothesis_id, fixed_slots):
+    """The message a hypothesis with these (slot, bit) pairs is refused with,
+    or None.  Each check reads every pair before the next one runs: no slot,
+    then a repeated slot, then a negative slot or a bit outside {0, 1}."""
+    slots = [slot for slot, _ in fixed_slots]
+    if not slots:
+        return "hypothesis %d fixes no slot (Z >= 1 required)" % hypothesis_id
+    repeated = sorted(slot for slot in set(slots) if slots.count(slot) > 1)
+    if repeated:
+        return "duplicate slot in hypothesis %d: %s" % (
+            hypothesis_id, ", ".join(map(str, repeated)))
+    if any(slot < 0 or sign not in (0, 1) for slot, sign in fixed_slots):
+        return "hypothesis %d has an invalid (slot, value) pair" % hypothesis_id
+    return None

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from semcom import cli, validation
+from semcom import cli, oracle, validation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -83,7 +86,7 @@ def test_unwritable_out_exits_two(tmp_path, capsys, under):
     out = blocker / under if under else blocker
     assert cli.main(["oracle", "--t", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot write %s" % (out / "oracle.csv"))
+    assert err == "error: cannot write %s: %s is not a writable directory\n" % (out, blocker)
     assert blocker.read_text() == ""
 
 
@@ -139,9 +142,61 @@ def test_oracle_prints_t_4_exactly_and_refuses_t_5(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "t4" / "oracle.csv").read_bytes()).hexdigest() == digest
     assert cli.main(["oracle", "--t", "5", "--out", str(tmp_path / "t5")]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: c(e) needs a 2**(2**32) denominator, over the 1048576-bit budget"
+        "error: c(e) at T=5, K=0 needs a 2**(2**(2**T - K + 0)) denominator, "
+        "over the 1048576-bit budget"
     )
     assert not (tmp_path / "t5").exists()
+
+
+@pytest.mark.parametrize("t", [14300, 20000])
+def test_oracle_refuses_tables_past_the_int_digit_limit_with_exit_two(t, capsys):
+    # 2**T - K has more than 4300 decimal digits here: the refusal names T
+    # and K, not the exponent, so it prints as a typed error
+    assert cli.main(["oracle", "--t", str(t)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: c(e) at T=%d, K=0 needs a 2**(2**(2**T - K + 0)) denominator, "
+        "over the 1048576-bit budget\n" % t
+    )
+
+
+@pytest.mark.parametrize("command", [["oracle", "--t", "2"], ["validate-key", "--trials", "50"]])
+def test_oracle_and_validate_key_refuse_an_unwritable_out_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(oracle, "closed_form_table", refuse)
+    monkeypatch.setattr(validation, "validate_key_ordering", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert cli.main([*command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot write %s: %s is not a writable directory\n" % (
+        out, blocker)
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_set_up_path_leaves_exact_only_modules_unloaded():
+    # perfbench's setup_s imports semcom.cli and loads a run config on every
+    # workload; the oracle, the validator and the worker pool load on demand
+    code = (
+        "import sys\n"
+        "import semcom.cli\n"
+        "from semcom import config\n"
+        "config.load_run_config(%r)\n"
+        "print(sorted(m for m in ('semcom.oracle', 'semcom.validation', "
+        "'concurrent.futures') if m in sys.modules))\n" % str(CONFIGS / "desk.yaml")
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ------------------------------------------------------------- run and sweep

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grounding_reference as ref
-from satisfaction_reference import bit, satisfies
+from satisfaction_reference import bit, care_and_value, refusal, satisfies
 from semcom.config import rule_set_from_config
 from semcom.errors import ConfigurationError
 from semcom.logic import Hypothesis, QSentence
@@ -146,6 +146,49 @@ def test_hypothesis_rejects_bad_slot_values():
         Hypothesis.from_constraints(1, {0: 2}, "Stop")
     with pytest.raises(ConfigurationError):
         Hypothesis.from_constraints(1, {-1: 1}, "Stop")
+
+
+@pytest.mark.parametrize(
+    "fixed, message",
+    [
+        # a repeated negative slot is refused as a repeat
+        (((-1, 0), (-1, 1)), "duplicate slot in hypothesis 1: -1"),
+        # a repeat beside a bad value, on either side of it in slot order
+        (((2, 5), (0, 1), (0, 1)), "duplicate slot in hypothesis 1: 0"),
+        (((0, 7), (3, 1), (3, 0)), "duplicate slot in hypothesis 1: 3"),
+        # every repeated slot is named, in slot order
+        (((5, 0), (2, 1), (5, 1), (2, 0), (-3, 9)), "duplicate slot in hypothesis 1: 2, 5"),
+        # a negative slot and a bad value after it: one refusal for both
+        (((4, 1), (-2, 1), (1, 2)), "hypothesis 1 has an invalid (slot, value) pair"),
+    ],
+)
+def test_hypothesis_with_two_faults_keeps_the_first_refusal(fixed, message):
+    assert refusal(1, fixed) == message
+    with pytest.raises(ConfigurationError) as refused:
+        Hypothesis(1, fixed, "Stop")
+    assert str(refused.value) == message
+
+
+@given(st.lists(st.tuples(st.integers(-2, 6), st.integers(-1, 2)), max_size=6))
+@settings(max_examples=300)
+def test_hypothesis_refuses_as_the_reference_does(fixed):
+    message = refusal(7, fixed)
+    if message is None:
+        Hypothesis(7, tuple(fixed), "Stop")
+    else:
+        with pytest.raises(ConfigurationError) as refused:
+            Hypothesis(7, tuple(fixed), "Stop")
+        assert str(refused.value) == message
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1)), min_size=1,
+                unique_by=lambda pair: pair[0]))
+@settings(max_examples=200)
+def test_hypothesis_masks_match_the_reference_on_unsorted_slots(fixed):
+    h = Hypothesis(3, tuple(fixed), "Stop")
+    assert (h.care, h.value) == care_and_value(fixed)
+    assert h.fixed_slots == tuple(sorted(fixed))
+    assert h == Hypothesis.from_constraints(3, dict(fixed), "Stop")
 
 
 def test_hypothesis_width_validation():

@@ -191,6 +191,38 @@ def test_closed_form_rejects_oversized_exponents():
             refused()
 
 
+@pytest.mark.parametrize("T", [14300, 20000])
+def test_refusals_past_the_int_digit_limit_are_typed(T):
+    # 2**T - K has more than 4300 decimal digits, past what str() converts
+    # by default: each refusal names T, K and the doubling count instead
+    hp = HypothesisParams(z=1, overlaps=False)
+    params = ClosedFormParams(T=T, K=0, hypotheses=(hp,))
+    budget = "over the 1048576-bit budget"
+    for refused, message in (
+        (lambda: closed_form_evidence_probability(params),
+         "c(e) at T=%d, K=0 needs a 2**(2**(2**T - K + 0)) denominator, " % T),
+        (lambda: closed_form_confirmation(params, hp),
+         "c(phi|e) at T=%d, K=0 needs a 2**(2**(2**T - K + 0)) denominator, " % T),
+        (lambda: closed_form_objective(params),
+         "objective F at T=%d, K=0 needs a 2**(2**(2**T - K + 1)) denominator, " % T),
+        (lambda: exact_objective_compare(params, params),
+         "objective comparison at T=%d, K=0 needs (2**T - K + 2)-bit exponents, " % T),
+    ):
+        with pytest.raises(FeasibilityError) as caught:
+            refused()
+        assert str(caught.value) == message + budget
+    # a K of more than 4300 digits is printed in full, not refused by str()
+    narrow = HypothesisParams(z=T, overlaps=False)  # H = 1 fits beside any K < Q
+    wide_k = ClosedFormParams(T=T, K=(1 << T) - 30, hypotheses=(narrow,))
+    with pytest.raises(FeasibilityError, match=r"needs a 2\*\*\(2\*\*\(2\*\*T - K \+ 0\)\)"):
+        closed_form_evidence_probability(wide_k)
+    with pytest.raises(ConfigurationError, match="non-overlap impossible"):
+        ClosedFormParams(T=T, K=1 << T, hypotheses=(hp,))
+    for K in (-1, (1 << T) + 1):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 2\*\*T\] at T=%d$" % T):
+            ClosedFormParams(T=T, K=K, hypotheses=())
+
+
 @given(st.integers(min_value=0, max_value=3), st.data())
 @settings(max_examples=200)
 def test_adding_evidence_never_raises_its_probability(k, data):

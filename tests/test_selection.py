@@ -16,11 +16,13 @@ from semcom.comms import SENSOR_GNA, ego_pools
 from semcom.config import SHIPPED_RULE_SETS, load_rule_set, load_run_config
 from semcom.errors import FeasibilityError
 from satisfaction_reference import reference_key, satisfies
+import validation_reference
 from semcom.logic import Hypothesis, QSentence
-from semcom.oracle import ClosedFormParams, closed_form_objective
+from semcom.oracle import ClosedFormParams, closed_form_objective, exact_objective_compare
 from semcom import selection
 from semcom.selection import RANDOM, SEMANTIC, KeyEngine, downlink
-from semcom.validation import random_instance, validate_key_ordering
+from semcom import validation
+from semcom.validation import _key_params, random_instance, validate_key_ordering
 from semcom.world import (
     T as WORLD_T,
     ScenarioConfig,
@@ -637,6 +639,44 @@ def test_validator_seed_zero_report_is_pinned():
     assert len(lines) == 11
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert digest == "86a5fd96f4dd8c5d27142c7c1cd8f781e515a6dae01e63c63a1846ce739746fd"
+
+
+def report_lines(report):
+    return [line for line in report.summary_lines() if not line.startswith("elapsed:")]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validator_matches_the_subset_by_subset_reference(seed):
+    # the validator groups reads of kappa and compares each kappa pair once
+    # per call; the reference takes kappa per subset and compares per trial
+    got = validate_key_ordering(trials=300, seed=seed)
+    assert report_lines(got) == report_lines(validation_reference.validate_key_ordering(300, seed))
+
+
+def test_validator_compares_a_kappa_pair_again_at_another_width(monkeypatch):
+    # kappas (1, 3, -2) and (3, 2, 0, 0, 0) order F one way at T = 3 and the
+    # other way at T = 4, so a sign kept from the first width would misclass
+    # the second trial's pairs
+    def instance(T):
+        wide = {0: 1} if T == 3 else {0: 1, 3: 0}  # T - Z = 2 at both widths
+        fulls = [{s: (q >> s) & 1 for s in range(T)} for q in (0b000, 0b010, 0b100)]
+        hyps = [Hypothesis.from_constraints(h, c, "a") for h, c in enumerate([wide] + fulls)]
+        pool = list(enumerate([0b000, 0b010, 0b100, 0b001, 0b001, 0b011]))
+        return T, 3, pool, hyps
+
+    low, high = (1, 3, -2), (3, 2, 0, 0, 0)
+    signs = []
+    for T in (3, 4):
+        engine = KeyEngine(instance(T)[3], T)
+        assert engine.key_for_patterns([0b000, 0b010, 0b100]) == low
+        assert engine.key_for_patterns([0b001, 0b001, 0b011]) == high
+        signs.append(exact_objective_compare(_key_params(low, T), _key_params(high, T)))
+    assert signs == [-1, 1]
+    widths = iter([3, 4, 3, 4])
+    for module in (validation, validation_reference):
+        monkeypatch.setattr(module, "random_instance", lambda *_: instance(next(widths)))
+    got = validate_key_ordering(trials=2, seed=0)
+    assert report_lines(got) == report_lines(validation_reference.validate_key_ordering(2, 0))
 
 
 def test_validator_key_ties_always_share_the_exact_value():
