@@ -61,8 +61,7 @@ class Hypothesis:
     value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # one pass over the slots in order: a repeat sits beside its twin, and
-        # is refused before any invalid pair, wherever that pair stands
+        # one pass in slot order; a repeat, beside its twin, outranks any invalid pair
         fixed = tuple(sorted(self.fixed_slots, key=itemgetter(0)))
         if not fixed:
             raise ConfigurationError("hypothesis %d fixes no slot (Z >= 1 required)" % self.id)

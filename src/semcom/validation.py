@@ -9,13 +9,11 @@ has n_nonoverlap entries).  So subsets are counted per kappa, equal-kappa
 pairs are agreements by construction, and only distinct kappas are
 compared exactly, which keeps the quadratic pair count cheap.
 
-Each trial reduces every subset to what kappa reads of it, the OR of its
-patterns' satisfaction masks and its number of distinct patterns, and
-builds kappa once per distinct read.  Reads of equal kappa are merged in
-first-seen order, so each kappa keeps the first subset that has it.  One
-call derives each kappa's closed-form params once per T and compares
-each unordered pair of kappas once per T; a pair met in the other
-orientation takes the negated sign.
+A trial builds kappa once per distinct read of a subset (the OR of its
+masks, its count of distinct patterns) and merges equal kappas in
+first-seen order, so each keeps its first subset.  A call derives each
+(T, kappa)'s params and compares each unordered pair of kappas once per
+T, negating the sign for the reverse order.
 
 Agreement taxonomy per pair, with the exact-F order as the reference:
 
